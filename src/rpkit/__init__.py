@@ -9,8 +9,7 @@ and pictorial reflection identities at desk scale.
 __version__ = "0.1.0"
 
 from .algebra import (AlgebraConfig, Algebra, AlgebraElement, StateFunctional,
-                      build_algebra, clock_shift, evaluate, monomial, theta,
-                      twisted_product)
+                      build_algebra, clock_shift, evaluate, theta, twisted_product)
 from .verifier import (CouplingDecomposition, GramReport, coupling_decomposition,
                        coupling_element, gram, null_basis, plus_basis,
                        sft_positivity, sft_positivity_sequence)

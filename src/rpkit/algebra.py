@@ -300,10 +300,6 @@ class AlgebraElement:
         return f"AlgebraElement(d={self.cfg.d}, m={self.cfg.m}, {{{terms}}})"
 
 
-def monomial(algebra: Algebra, k) -> AlgebraElement:
-    return algebra.monomial(k)
-
-
 def theta(A: AlgebraElement) -> AlgebraElement:
     """Antilinear reflection homomorphism: theta(c_j) = c_{m+1-j}.
 
@@ -354,6 +350,7 @@ class StateFunctional:
     beta: float = 0.0
     hamiltonian: AlgebraElement | None = None
     _rho: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _cfg: AlgebraConfig | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("trace", "gibbs"):
@@ -361,13 +358,22 @@ class StateFunctional:
         if self.kind == "gibbs":
             if self.hamiltonian is None:
                 raise InvalidState("gibbs state requires a hamiltonian")
-            if self.beta < 0:
-                raise InvalidState("gibbs state requires beta >= 0")
+            if not np.isfinite(self.beta) or self.beta < 0:
+                raise InvalidState(f"gibbs state requires a finite beta >= 0, got {self.beta}")
+            if not all(np.isfinite(v) for v in self.hamiltonian.coeffs.values()):
+                raise InvalidState("gibbs hamiltonian coefficients must be finite")
+            self._cfg = self.hamiltonian.cfg
             H = self.hamiltonian.rep
             if np.abs(H - H.conj().T).max() > 1e-10:
                 raise InvalidState("gibbs hamiltonian must be star-invariant")
 
     def density(self, algebra: Algebra) -> np.ndarray:
+        """Density matrix on `algebra`; a state serves one algebra config only."""
+        if self._cfg is None:
+            self._cfg = algebra.cfg
+        if algebra.cfg != self._cfg:
+            raise ConfigMismatch(f"state built for d={self._cfg.d}, m={self._cfg.m} "
+                                 f"evaluated on d={algebra.cfg.d}, m={algebra.cfg.m}")
         if self._rho is None:
             dim = algebra.cfg.dim
             if self.kind == "trace":

@@ -57,6 +57,8 @@ def uniform_chain_state(algebra: Algebra, coupling: float = 1.0, beta: float = 1
         raise InvalidArgument("Majorana chains require degree d = 2")
     if length < 4 * cfg.m:
         raise InvalidArgument("bath length must be well beyond the window")
+    if not (np.isfinite(coupling) and np.isfinite(beta)):
+        raise InvalidArgument(f"chain coupling and beta must be finite: {coupling}, {beta}")
     Gw = _window_covariance(cfg.m, coupling, beta, length)
     T = Gw - np.eye(cfg.m)
     T = (T + T.conj().T) / 2

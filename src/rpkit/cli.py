@@ -22,8 +22,7 @@ from .boxes import Box22, adjoint, rot_pi, sft, star_product
 from .boxes import theta as theta_box
 from .chains import uniform_chain_state
 from .errors import (InvalidArgument, InvalidConfig, InvalidGeometry, InvalidState,
-                     PreconditionViolation, ReconstructionFailure, RpkitError,
-                     SizeLimit, WrongHalf)
+                     RpkitError, SizeLimit, WrongHalf)
 from .lattice import (LatticeModel, chain_gap, covariance_rp, green_set,
                       monotonicity_verdict, stochastic_rp_scan)
 from .reconstruction import quantize, spectrum_report, transfer_operator
@@ -31,8 +30,6 @@ from .report import CONVENTIONS, curve_csv, to_text, truncate_witness
 from .verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                        draw_generic_hamiltonian, draw_theorem_hamiltonian, gram,
                        plus_basis, sft_positivity, sft_positivity_sequence)
-
-COMMANDS = ("algebra-check", "rp-gram", "reconstruct", "green", "stochastic", "sft-check")
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -92,13 +89,15 @@ def _state_from_config(cfg, algebra, rng):
 # pipelines
 # ---------------------------------------------------------------------------
 
+def _algebra_config(cfg):
+    return AlgebraConfig(int(_require(cfg, "d")), int(_require(cfg, "m")))
+
+
 def run_algebra_check(cfg, tol, rng):
-    d = int(_require(cfg, "d"))
-    m = int(_require(cfg, "m"))
-    gens = build_algebra(AlgebraConfig(d, m))
-    dim = gens[0].cfg.dim
-    q = gens[0].cfg.q
-    eye = np.eye(dim)
+    acfg = _algebra_config(cfg)
+    gens = build_algebra(acfg)
+    d, m, q = acfg.d, acfg.m, acfg.q
+    eye = np.eye(acfg.dim)
     worst = 0.0
     for c in gens:
         p = np.linalg.matrix_power(c.rep, d)
@@ -114,18 +113,15 @@ def run_algebra_check(cfg, tol, rng):
         for j in range(i + 1, m):
             lhs = theta(gens[i] * gens[j]) - theta(q * (gens[j] * gens[i]))
             worst = max(worst, lhs.norm_max())
-    gate = tol if tol is not None else 1e-12
-    verdict = POSITIVE if worst < gate else NEGATIVE
-    return verdict, {"relation_residual": worst, "gate": gate, "dimension": dim}
+    verdict = POSITIVE if worst < tol else NEGATIVE
+    return verdict, {"relation_residual": worst, "gate": tol, "dimension": acfg.dim}
 
 
 def run_rp_gram(cfg, tol, rng):
-    d = int(_require(cfg, "d"))
-    m = int(_require(cfg, "m"))
-    algebra = Algebra(AlgebraConfig(d, m))
+    algebra = Algebra(_algebra_config(cfg))
     omega = _state_from_config(cfg, algebra, rng)
     basis = plus_basis(algebra.cfg, cfg.get("max_grade"))
-    rep = gram(omega, algebra, basis, tol if tol is not None else 1e-10)
+    rep = gram(omega, algebra, basis, tol)
     results = {
         "verdict": rep.verdict,
         "min_eig": rep.min_eig,
@@ -147,9 +143,7 @@ def run_rp_gram(cfg, tol, rng):
 
 
 def run_reconstruct(cfg, tol, rng):
-    d = int(_require(cfg, "d"))
-    m = int(_require(cfg, "m"))
-    algebra = Algebra(AlgebraConfig(d, m))
+    algebra = Algebra(_algebra_config(cfg))
     if "chain" in cfg:
         ch = cfg["chain"]
         omega = uniform_chain_state(algebra, float(ch.get("coupling", 1.0)),
@@ -158,10 +152,9 @@ def run_reconstruct(cfg, tol, rng):
         omega = _state_from_config(cfg, algebra, rng)
     room = int(cfg.get("basis_room", 0))
     steps = int(cfg.get("steps", 1))
-    w = m // 2
     basis = [k for k in plus_basis(algebra.cfg)
-             if not any(k[m - room:])] if room else plus_basis(algebra.cfg)
-    greport = gram(omega, algebra, basis, tol if tol is not None else 1e-10)
+             if not any(k[algebra.cfg.m - room:])] if room else plus_basis(algebra.cfg)
+    greport = gram(omega, algebra, basis, tol)
     if greport.verdict != POSITIVE:
         return NOT_APPLICABLE, {"gram_verdict": greport.verdict,
                                 "min_eig": greport.min_eig}
@@ -183,21 +176,22 @@ def run_reconstruct(cfg, tol, rng):
         "gap": spec.gap,
         "dt": td.dt,
     }
-    verdict = POSITIVE
     if evT.size and (evT[0] < -1e-9 or evT[-1] > 1 + 1e-10):
-        verdict = NEGATIVE
         results["verdict"] = NEGATIVE
-    return verdict, results
+    return results["verdict"], results
+
+
+def _lattice_model(cfg):
+    return LatticeModel(dims=tuple(_require(cfg, "dims", list)),
+                        mass2=float(_require(cfg, "mass2")),
+                        bc=cfg.get("bc", "box"))
 
 
 def run_green(cfg, tol, rng):
-    model = LatticeModel(dims=tuple(_require(cfg, "dims", list)),
-                         mass2=float(_require(cfg, "mass2")),
-                         bc=cfg.get("bc", "box"))
+    model = _lattice_model(cfg)
     gs = green_set(model)
-    mono = monotonicity_verdict(gs, tol if tol is not None else 1e-10)
-    cov = covariance_rp(gs, tol=tol if tol is not None else 1e-10)
-    gap, diag = chain_gap(model) if len(model.dims) == 1 else (None, {})
+    mono = monotonicity_verdict(gs, tol)
+    cov = covariance_rp(gs, tol=tol)
     results = {
         "verdict": mono.verdict,
         "monotonicity_min_eig": mono.min_eig,
@@ -206,15 +200,13 @@ def run_green(cfg, tol, rng):
         "verdicts_agree": mono.verdict == cov.verdict,
         "witness": truncate_witness(mono.witness),
     }
-    if gap is not None:
-        results["chain_gap"] = gap
+    if len(model.dims) == 1:
+        results["chain_gap"] = chain_gap(model)[0]
     return mono.verdict, results
 
 
 def run_stochastic(cfg, tol, rng):
-    model = LatticeModel(dims=tuple(_require(cfg, "dims", list)),
-                         mass2=float(_require(cfg, "mass2")),
-                         bc=cfg.get("bc", "box"))
+    model = _lattice_model(cfg)
     ts = [float(t) for t in _require(cfg, "t_grid", list)]
     scan = stochastic_rp_scan(model, ts)
     any_violation = any(v for _, _, v in scan.rows)
@@ -224,16 +216,14 @@ def run_stochastic(cfg, tol, rng):
         "witness_t": scan.witness_t,
         "witness": truncate_witness(scan.witness),
     }
-    return results["verdict"], results, scan.rows
+    return results["verdict"], results
 
 
 def run_sft_check(cfg, tol, rng):
     d = int(cfg.get("d", 2))
-    gate = tol if tol is not None else 1e-12
     results = {}
     if "sequence" in cfg:
-        sv = sft_positivity_sequence([complex(x) for x in cfg["sequence"]], d,
-                                     tol if tol is not None else 1e-10)
+        sv = sft_positivity_sequence([complex(x) for x in cfg["sequence"]], d, tol)
         results["verdict"] = sv.verdict
         results["dft"] = sv.eigenvalues
         results["reason"] = sv.reason
@@ -253,7 +243,7 @@ def run_sft_check(cfg, tol, rng):
         worst_sft4 = max(worst_sft4, float(np.abs(X.data - T.data).max()))
         worst_conv = max(worst_conv, float(np.abs(
             sft(T @ S).data - star_product(sft(T), sft(S)).data).max()))
-    ok = max(worst_rot, worst_sft4, worst_conv) <= gate
+    ok = max(worst_rot, worst_sft4, worst_conv) <= tol
     results = {
         "verdict": POSITIVE if ok else NEGATIVE,
         "rotation_identity_residual": worst_rot,
@@ -262,6 +252,23 @@ def run_sft_check(cfg, tol, rng):
         "boxes": count,
     }
     return results["verdict"], results
+
+
+COMMANDS = {
+    "algebra-check": run_algebra_check,
+    "rp-gram": run_rp_gram,
+    "reconstruct": run_reconstruct,
+    "green": run_green,
+    "stochastic": run_stochastic,
+    "sft-check": run_sft_check,
+}
+
+
+def _default_tol(command, cfg) -> float:
+    """Exact identities (relations, box pictures) use 1e-12; spectral gates 1e-10."""
+    if command == "algebra-check" or (command == "sft-check" and "sequence" not in cfg):
+        return 1e-12
+    return 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -311,21 +318,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
     rng = np.random.default_rng(args.seed)
+    tol = _default_tol(args.command, cfg) if args.tol is None else args.tol
     t0 = time.perf_counter()
-    rows = None
     try:
-        if args.command == "algebra-check":
-            verdict, results = run_algebra_check(cfg, args.tol, rng)
-        elif args.command == "rp-gram":
-            verdict, results = run_rp_gram(cfg, args.tol, rng)
-        elif args.command == "reconstruct":
-            verdict, results = run_reconstruct(cfg, args.tol, rng)
-        elif args.command == "green":
-            verdict, results = run_green(cfg, args.tol, rng)
-        elif args.command == "stochastic":
-            verdict, results, rows = run_stochastic(cfg, args.tol, rng)
-        else:
-            verdict, results = run_sft_check(cfg, args.tol, rng)
+        verdict, results = COMMANDS[args.command](cfg, tol, rng)
     except ConfigError as exc:
         print(f"rpkit: config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -336,10 +332,7 @@ def main(argv=None) -> int:
             WrongHalf) as exc:
         print(f"rpkit: invalid config: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PreconditionViolation, ReconstructionFailure) as exc:
-        print(f"rpkit: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except RpkitError as exc:
+    except RpkitError as exc:   # refusals: precondition or reconstruction failure
         print(f"rpkit: {exc}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
 
@@ -356,7 +349,8 @@ def main(argv=None) -> int:
 
     try:
         if args.format == "csv":
-            _emit(curve_csv(rows), args.out)
+            _emit(curve_csv([(r["t"], r["min_eig"], r["violated"])
+                             for r in results["rows"]]), args.out)
         else:
             _emit(to_text(report), args.out)
     except OSError as exc:

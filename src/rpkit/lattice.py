@@ -29,6 +29,8 @@ from .verifier import NEGATIVE, POSITIVE, GramReport, gram_report_from_matrix
 
 DEFAULT_TOL = 1e-10
 SITE_CAP = 4096
+VIOLATION_TOL = 1e-8    # a scan row is violated when its min eigenvalue < -VIOLATION_TOL
+CHAIN_TOL = 1e-12       # null tolerance of the chain transfer quotient
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,9 @@ class LatticeModel:
             raise InvalidConfig(f"bc must be 'box' or 'torus', got {self.bc!r}")
         if self.dims[0] % 2:
             raise InvalidGeometry("time axis must have even length for mid-bond reflection")
-        if self.mass2 <= 0:
-            raise InvalidConfig(f"mass2 must be > 0 (torus would be singular): {self.mass2}")
+        if not np.isfinite(self.mass2) or self.mass2 <= 0:
+            raise InvalidConfig(f"mass2 must be finite and > 0 (torus would be singular): "
+                                f"{self.mass2}")
         if int(np.prod(self.dims)) > self.cap:
             raise SizeLimit(f"lattice volume {int(np.prod(self.dims))} exceeds cap {self.cap}")
 
@@ -260,31 +263,28 @@ class StochasticScan:
     rows: list          # (t, min_eig, violated)
     witness_t: float | None
     witness: np.ndarray | None
-    violation_tol: float
 
 
-def stochastic_rp_scan(model: LatticeModel, ts,
-                       violation_tol: float = 1e-8) -> StochasticScan:
+def stochastic_rp_scan(model: LatticeModel, ts) -> StochasticScan:
     gs = green_set(model)
     rows = []
     wit_t, wit = None, None
     for t in ts:
         Ct = stochastic_covariance(model, float(t))
         rep = covariance_rp(gs, C=Ct)
-        violated = rep.min_eig < -violation_tol
+        violated = rep.min_eig < -VIOLATION_TOL
         rows.append((float(t), rep.min_eig, violated))
         if violated and wit_t is None:
             wit_t, wit = float(t), rep.witness
-    return StochasticScan(rows=rows, witness_t=wit_t, witness=wit,
-                          violation_tol=violation_tol)
+    return StochasticScan(rows=rows, witness_t=wit_t, witness=wit)
 
 
-def chain_transfer(model: LatticeModel, tol: float = 1e-12):
+def chain_transfer(model: LatticeModel):
     """OS transfer data for the Gaussian two-point sector plus the vacuum.
 
     Basis: the constant (vacuum) plus delta functions on positive-time sites;
     the shift moves deltas one step in time away from the plane.  Returns
-    (T, quotient eigenvalues, asymmetry, null defect).
+    the ShiftCompression of that shift.
     """
     from .reconstruction import compress_shift
 
@@ -304,14 +304,14 @@ def chain_transfer(model: LatticeModel, tol: float = 1e-12):
         t = (s[0] + 1,) + s[1:]
         return pos_of.get(t)
 
-    return compress_shift(M.astype(complex), range(n + 1), shift_of, tol)
+    return compress_shift(M.astype(complex), range(n + 1), shift_of, CHAIN_TOL)
 
 
-def chain_gap(model: LatticeModel, tol: float = 1e-12):
+def chain_gap(model: LatticeModel):
     """Spectral gap of the reconstructed Hamiltonian for the Gaussian chain."""
-    T, evq, asym, nd = chain_transfer(model, tol)
-    lam = np.linalg.eigvalsh(T)
+    comp = chain_transfer(model)
+    lam = np.linalg.eigvalsh(comp.transfer)
     lam = lam[lam > 1e-13]
     E = np.sort(-np.log(lam))
     gap = float(E[1] - E[0]) if len(E) >= 2 else 0.0
-    return gap, {"asymmetry": asym, "null_defect": nd}
+    return gap, {"asymmetry": comp.asymmetry, "null_defect": comp.null_defect}

@@ -1,10 +1,19 @@
 """Osterwalder-Schrader quantization: quotient space, transfer operator, spectrum.
 
-quantize() turns a PSD Gram report into quotient data; the transfer operator
-compresses the away-from-the-plane shift onto the quotient.  Shifted basis
-monomials that stay on the chain are projected back onto the quotient through
-the Gram form of the extended monomial family (no truncation); shifts falling
-off the chain map to the zero class.
+One construction serves the algebra and the lattice side.  Take the RP form
+omega(theta(A) o B) on an extended family (a window basis followed by the
+shifts of its members that stay on the chain), quotient the window by the
+null space of the form, and compress the time shift onto the quotient
+(compress_shift).  Shifts falling off the chain map to the zero class.
+quantize() gives the quotient of a Gram report on its own.
+
+Null rule, shared by quantize, null_basis and compress_shift through
+verifier.split_gram: a window Gram eigenvalue is null iff it is <= tol.  The
+cut is absolute: algebra forms are normalized (omega(1) = 1, unitary
+monomials), while the eigenvalues of m = 12 chain-window Grams fill every
+decade from 1e-15 to 1e-6, so a cut scaled by the largest eigenvalue would
+move the quotient rank with that eigenvalue.  Lattice chain Grams have no
+eigenvalue between 1e-14 and 1e-6; either rule gives them the same rank.
 
 The compression is a self-adjoint contraction exactly when the functional is
 invariant under the shift on its support; the stated precondition is checked
@@ -18,11 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, StateFunctional, evaluate, theta, twisted_product
+from .algebra import Algebra, StateFunctional
 from .errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
-from .verifier import GramReport, _check_plus
+from .verifier import (GramReport, _check_plus, form_matrix, gram_report_from_matrix,
+                       split_gram)
 
 DEFAULT_TOL = 1e-10
+SHIFT_TOL = 1e-10   # shift-invariance gate, times max(1, max |M|)
+MAX_STEPS = 3       # the extended family holds shifts by up to MAX_STEPS x steps
 
 
 @dataclass
@@ -34,6 +46,7 @@ class QuotientSpace:
     gram_sqrt: np.ndarray
     null_vectors: np.ndarray
     tol: float
+    matrix: np.ndarray      # the Gram form that was quotiented
 
 
 def quantize(report: GramReport, tol: float | None = None) -> QuotientSpace:
@@ -41,14 +54,11 @@ def quantize(report: GramReport, tol: float | None = None) -> QuotientSpace:
     if not report.psd:
         raise PreconditionViolation("quantize requires a PSD Gram report")
     tol = report.tol if tol is None else tol
-    M = report.matrix
-    ev, vec = np.linalg.eigh(M)
-    keep = ev > tol
+    ev, vec, keep = split_gram(report.matrix, tol)
     iso = vec[:, keep] / np.sqrt(ev[keep])
-    nullv = vec[:, ~keep]
     sqrt = (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.conj().T
     return QuotientSpace(rank=int(keep.sum()), isometry=iso, gram_sqrt=sqrt,
-                         null_vectors=nullv, tol=tol)
+                         null_vectors=vec[:, ~keep], tol=tol, matrix=report.matrix)
 
 
 def time_shift(k, steps: int, cfg) -> tuple | None:
@@ -85,52 +95,31 @@ class TransferData:
     excluded: list = field(default_factory=list)
 
 
-def _extended_gram(omega: StateFunctional, algebra: Algebra, family):
-    elems = [algebra.monomial(k) for k in family]
-    n = len(elems)
-    M = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        Ta = theta(elems[a])
-        for b in range(n):
-            M[a, b] = evaluate(omega, twisted_product(Ta, elems[b]))
-    return (M + M.conj().T) / 2
-
-
 def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
-                      qspace: QuotientSpace | None = None, steps: int = 1,
-                      shift_tol: float = DEFAULT_TOL,
-                      max_steps: int = 3) -> TransferData:
+                      qspace: QuotientSpace | None = None, steps: int = 1) -> TransferData:
     """Compress the `steps`-generator shift onto the OS quotient of `basis`.
 
-    The quotient defaults to quantize(gram(omega, basis)).  dt equals
+    The form is evaluated on the basis and its shifts by up to MAX_STEPS x
+    `steps` generators; a given quotient supplies the basis block.  dt equals
     `steps` in lattice units and H = -(1/dt) log T on the strictly positive
     spectral part of T; kernel directions are reported as infinite-energy and
     excluded, never capped.
     """
-    from .verifier import gram  # cycle-free at call time
-
     _check_plus(algebra, basis)
-    cfg = algebra.cfg
     if steps < 0:
         raise InvalidArgument("transfer_operator needs steps >= 0")
-    if steps == 0:
-        # identity automorphism: T = 1 on the quotient, H = 0
-        if qspace is None:
-            rep = gram(omega, algebra, basis)
-            if not rep.psd:
-                raise PreconditionViolation("basis Gram is not PSD")
-            qspace = quantize(rep)
-        n = qspace.rank
-        return TransferData(transfer=np.eye(n), hamiltonian=np.zeros((n, n)), dt=1.0)
+    cfg = algebra.cfg
+    n = len(basis)
     family = list(basis)
     index = {k: i for i, k in enumerate(family)}
-    for j in range(steps, steps * max_steps + 1, steps):
+    for j in range(1, MAX_STEPS + 1):
         for k in basis:
-            sk = time_shift(k, j, cfg)
+            sk = time_shift(k, j * steps, cfg)
             if sk is not None and sk not in index:
                 index[sk] = len(family)
                 family.append(sk)
-    M = _extended_gram(omega, algebra, family)
+    M = form_matrix(omega, algebra, family, None if qspace is None else qspace.matrix)
+    M = (M + M.conj().T) / 2
     scale = max(1.0, float(np.abs(M).max()))
 
     # precondition: omega invariant under the shift automorphism on its support.
@@ -138,55 +127,33 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
     # omega(theta(alpha A) o B) = omega(theta(A) o alpha B), i.e.
     # M[shift a, b] = M[a, shift b]; this is exactly what makes the compressed
     # transfer self-adjoint.
+    shifted = [index.get(time_shift(k, steps, cfg)) for k in basis]
+    live = [(a, sa) for a, sa in enumerate(shifted) if sa is not None]
     defect = 0.0
-    for a in basis:
-        sa = time_shift(a, steps, cfg)
-        if sa is None:
-            continue
-        for b in basis:
-            sb = time_shift(b, steps, cfg)
-            if sb is None:
-                continue
-            defect = max(defect, abs(M[index[sa], index[b]] - M[index[a], index[sb]]))
-    if defect > shift_tol * scale:
+    for a, sa in live:
+        for b, sb in live:
+            defect = max(defect, float(abs(M[sa, b] - M[a, sb])))
+    if defect > SHIFT_TOL * scale:
         raise PreconditionViolation(
             f"functional not shift-invariant on the basis support "
-            f"(defect {defect:.3e}, gate {shift_tol:.1e} x {scale:.3g})")
+            f"(defect {defect:.3e}, gate {SHIFT_TOL:.1e} x {scale:.3g})")
 
-    sel = [index[k] for k in basis]
-    Mb = M[np.ix_(sel, sel)]
     if qspace is None:
-        rep = GramReport(basis=list(basis), matrix=Mb,
-                         min_eig=float(np.linalg.eigvalsh(Mb)[0]),
-                         psd=bool(np.linalg.eigvalsh(Mb)[0] >= -DEFAULT_TOL),
-                         witness=np.zeros(len(basis)), tol=DEFAULT_TOL,
-                         verdict="positive")
+        rep = gram_report_from_matrix(M[:n, :n], basis)
         if not rep.psd:
             raise PreconditionViolation("basis Gram is not PSD; run gram() first")
         qspace = quantize(rep)
-    iso = qspace.isometry
+    if steps == 0:
+        # identity automorphism: T = 1 on the quotient, H = 0
+        r = qspace.rank
+        return TransferData(transfer=np.eye(r), hamiltonian=np.zeros((r, r)), dt=1.0)
 
-    cols = np.zeros((len(family), len(basis)), dtype=complex)
-    for j, k in enumerate(basis):
-        sk = time_shift(k, steps, cfg)
-        if sk is not None:
-            cols[index[sk], j] = 1.0
-
-    # well-definedness: null classes must shift into the null space
-    worst_null = 0.0
-    worst_vec = None
-    for i in range(qspace.null_vectors.shape[1]):
-        v = cols @ qspace.null_vectors[:, i]
-        nrm = float(np.sqrt(abs(np.real(v.conj() @ M @ v))))
-        if nrm > worst_null:
-            worst_null, worst_vec = nrm, qspace.null_vectors[:, i]
-    if worst_null > 1e-8 * scale:
+    comp = compress_shift(M, range(n), shifted.__getitem__, qspace.tol)
+    if comp.null_defect > 1e-8 * scale:
         raise ReconstructionFailure(
-            f"null vector maps to a class of norm {worst_null:.3e}", witness=worst_vec)
-
-    T = iso.conj().T @ (M[sel, :] @ cols) @ iso
-    asym = float(np.abs(T - T.conj().T).max())
-    T = (T + T.conj().T) / 2
+            f"null vector maps to a class of norm {comp.null_defect:.3e}",
+            witness=comp.null_witness)
+    T = comp.transfer
     ev = np.linalg.eigvalsh(T)
     norm = 1.0
     if ev.size and ev[-1] > 1.0 + DEFAULT_TOL:
@@ -195,50 +162,59 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
         ev = ev / norm
     # TransferData invariant: T self-adjoint PSD.  A genuinely negative part
     # means the quantized shift is not a transfer operator for this state.
+    w, vec = np.linalg.eigh(T)
     if ev.size and ev[0] < -1e-9 * max(1.0, abs(ev[-1])):
-        w, vec = np.linalg.eigh(T)
         raise ReconstructionFailure(
             f"quantized shift is not positive (min eigenvalue {ev[0]:.3e})",
             witness=vec[:, 0])
 
-    ker_tol = 1e-12
-    w, vec = np.linalg.eigh(T)
-    pos = w > ker_tol
+    pos = w > 1e-12
     excluded = [float(x) for x in w[~pos]]
-    lam = w[pos]
-    Hdiag = -np.log(lam) / steps
     V = vec[:, pos]
-    H = (V * Hdiag) @ V.conj().T
+    H = (V * (-np.log(w[pos]) / steps)) @ V.conj().T
     return TransferData(transfer=T, hamiltonian=(H + H.conj().T) / 2, dt=float(steps),
-                        kernel_dim=int((~pos).sum()), asymmetry=asym,
-                        normalization=norm, shift_defect=float(defect),
-                        excluded=excluded)
+                        kernel_dim=int((~pos).sum()), asymmetry=comp.asymmetry,
+                        normalization=norm, shift_defect=defect, excluded=excluded)
 
 
-def compress_shift(M_full: np.ndarray, basis_idx, shift_of, tol: float = DEFAULT_TOL):
-    """Matrix-level shift compression shared with the lattice pipeline.
+@dataclass
+class ShiftCompression:
+    """A shift compressed onto the quotient of a window of an extended family."""
+
+    transfer: np.ndarray            # hermitian part of V^H M S V
+    asymmetry: float                # max |T - T^H| before symmetrizing
+    null_defect: float              # largest norm of a shifted null vector
+    null_witness: np.ndarray | None
+
+
+def compress_shift(M_full: np.ndarray, basis_idx, shift_of,
+                   tol: float = DEFAULT_TOL) -> ShiftCompression:
+    """The shift compression shared by the algebra and lattice pipelines.
 
     M_full is the Gram of an extended family; basis_idx selects the window;
-    shift_of maps window positions to family indices (None = falls off).
-    Returns (T symmetrized, quotient eigenvalues, asymmetry, null defect).
+    shift_of maps window positions to family indices (None = falls off).  V
+    is the isometry onto the range of the window Gram (eigenvalues > tol) and
+    S the shift as a family-by-window 0/1 matrix.
     """
     sel = list(basis_idx)
     Mb = M_full[np.ix_(sel, sel)]
-    ev, vec = np.linalg.eigh((Mb + Mb.conj().T) / 2)
-    keep = ev > tol * max(1.0, float(ev.max())) if ev.size else ev > tol
+    ev, vec, keep = split_gram((Mb + Mb.conj().T) / 2, tol)
     iso = vec[:, keep] / np.sqrt(ev[keep])
     cols = np.zeros((M_full.shape[0], len(sel)), dtype=complex)
     for j in range(len(sel)):
         tgt = shift_of(j)
         if tgt is not None:
             cols[tgt, j] = 1.0
-    null_defect = 0.0
-    for i in np.nonzero(~keep)[0]:
-        v = cols @ vec[:, i]
-        null_defect = max(null_defect, float(np.sqrt(abs(np.real(v.conj() @ M_full @ v)))))
+    null_defect, witness = 0.0, None
+    for v in vec[:, ~keep].T:
+        sv = cols @ v
+        nrm = float(np.sqrt(abs(np.real(sv.conj() @ M_full @ sv))))
+        if nrm > null_defect:
+            null_defect, witness = nrm, v
     T = iso.conj().T @ (M_full[sel, :] @ cols) @ iso
-    asym = float(np.abs(T - T.conj().T).max())
-    return (T + T.conj().T) / 2, ev, asym, null_defect
+    asym = float(np.abs(T - T.conj().T).max()) if T.size else 0.0
+    return ShiftCompression(transfer=(T + T.conj().T) / 2, asymmetry=asym,
+                            null_defect=null_defect, null_witness=witness)
 
 
 @dataclass

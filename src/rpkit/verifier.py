@@ -105,28 +105,49 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
         marginal=psd and min_eig < 0, eigenvalues=ev)
 
 
+def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) -> np.ndarray:
+    """M_ab = omega(theta(B_a) o B_b) over a monomial family, unsymmetrized.
+
+    A given `block` is the form already evaluated on the leading monomials.
+    """
+    elems = [algebra.monomial(k) for k in family]
+    n = len(elems)
+    M = np.zeros((n, n), dtype=complex)
+    r = 0
+    if block is not None:
+        r = block.shape[0]
+        M[:r, :r] = block
+    for a in range(n):
+        Ta = theta(elems[a])
+        for b in range(r if a < r else 0, n):
+            M[a, b] = evaluate(omega, twisted_product(Ta, elems[b]))
+    return M
+
+
 def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_TOL) -> GramReport:
     """M_ab = omega(theta(B_a) o B_b) over plus-half monomials, with verdict."""
     _check_plus(algebra, basis)
-    elems = [algebra.monomial(k) for k in basis]
-    n = len(elems)
     refl = 0.0
-    for E in elems:
+    for k in basis:
+        E = algebra.monomial(k)
         refl = max(refl, abs(evaluate(omega, theta(E)) - np.conj(evaluate(omega, E))))
-    M = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        Ta = theta(elems[a])
-        for b in range(n):
-            M[a, b] = evaluate(omega, twisted_product(Ta, elems[b]))
-    return gram_report_from_matrix(M, basis, tol, reflection_defect=float(refl))
+    return gram_report_from_matrix(form_matrix(omega, algebra, basis), basis, tol,
+                                   reflection_defect=float(refl))
+
+
+def split_gram(M: np.ndarray, tol: float):
+    """Eigenvalues, eigenvectors and range mask of a PSD Gram: the one null
+    rule of the package, ev <= tol (absolute) is null; see reconstruction."""
+    ev, vec = np.linalg.eigh(M)
+    return ev, vec, ev > tol
 
 
 def null_basis(report: GramReport) -> list:
-    """Orthonormal eigenvectors of the Gram with |eigenvalue| <= tol."""
+    """Orthonormal eigenvectors of the Gram outside its range (eigenvalue <= tol)."""
     if not report.psd:
         raise PreconditionViolation("null_basis requires a PSD Gram report")
-    ev, vec = np.linalg.eigh(report.matrix)
-    return [vec[:, i] for i in range(len(ev)) if abs(ev[i]) <= report.tol]
+    ev, vec, keep = split_gram(report.matrix, report.tol)
+    return list(vec[:, ~keep].T)
 
 
 # ---------------------------------------------------------------------------

@@ -279,3 +279,25 @@ class TestStateFunctional:
         c1, _ = alg.generators()
         with pytest.raises(InvalidState):
             StateFunctional(kind="gibbs", beta=1.0, hamiltonian=1j * c1)
+
+    @pytest.mark.parametrize("kind", ["trace", "gibbs"])
+    def test_reuse_on_other_config_raises(self, kind):
+        alg = make_algebra(2, 4)
+        H = alg.generators()[0]
+        om = StateFunctional(kind="trace") if kind == "trace" else \
+            StateFunctional(kind="gibbs", beta=1.0, hamiltonian=H + H.star())
+        evaluate(om, alg.identity())
+        with pytest.raises(ConfigMismatch):
+            evaluate(om, make_algebra(2, 6).identity())
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        alg = make_algebra(2, 2)
+        with pytest.raises(InvalidState):
+            StateFunctional(kind="gibbs", beta=beta, hamiltonian=alg.zero())
+
+    def test_non_finite_coefficient_rejected(self):
+        alg = make_algebra(2, 2)
+        with pytest.raises(InvalidState):
+            StateFunctional(kind="gibbs", beta=1.0,
+                            hamiltonian=alg.element({(1, 1): complex(float("nan"), 0.0)}))

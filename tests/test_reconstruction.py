@@ -1,11 +1,17 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpkit.algebra import AlgebraConfig, StateFunctional
 from rpkit.algebra import theta as theta_alg
 from rpkit.chains import finite_chain_hamiltonian, uniform_chain_state
-from rpkit.errors import InvalidArgument, PreconditionViolation
-from rpkit.reconstruction import quantize, spectrum_report, time_shift, transfer_operator
+from rpkit.cli import main
+from rpkit.errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
+from rpkit.reconstruction import (MAX_STEPS, compress_shift, quantize, spectrum_report,
+                                  time_shift, transfer_operator)
 from rpkit.verifier import (GramReport, coupling_element, draw_theorem_hamiltonian,
                             gram, plus_basis)
 
@@ -183,7 +189,9 @@ class TestTransferOperator:
         rep = gram(om, alg, basis)
         assert rep.min_eig >= -1e-10           # RP holds for the ferromagnetic chain
         q = quantize(rep)
-        with pytest.raises(PreconditionViolation):
+        with pytest.raises(PreconditionViolation, match=(
+                r"^functional not shift-invariant on the basis support "
+                r"\(defect \d\.\d{3}e[+-]\d\d, gate 1\.0e-10 x ")):
             transfer_operator(om, alg, basis, q)
 
 
@@ -201,3 +209,81 @@ class TestSpectrumReport:
     def test_single_level(self):
         td_like = type("TD", (), {"hamiltonian": np.array([[2.0]])})
         assert spectrum_report(td_like).gap == 0.0
+
+
+def _theorem_d2m4(seed):
+    alg = make_algebra(2, 4)
+    H = draw_theorem_hamiltonian(alg, np.random.default_rng(seed))
+    om = StateFunctional(kind="gibbs", beta=1.0, hamiltonian=H)
+    basis = plus_basis(alg.cfg)
+    return om, alg, basis, quantize(gram(om, alg, basis))
+
+
+class TestRefusalMessages:
+    """Refusal texts keep the prefixes and number formats that report readers parse."""
+
+    def test_null_class(self):
+        om, alg, basis, q = _theorem_d2m4(35)
+        with pytest.raises(ReconstructionFailure,
+                           match=r"^null vector maps to a class of norm \d\.\d{3}e[+-]\d\d$"):
+            transfer_operator(om, alg, basis, q)
+
+    def test_shift_not_positive(self):
+        om, alg, basis, q = _theorem_d2m4(0)
+        with pytest.raises(ReconstructionFailure, match=(
+                r"^quantized shift is not positive \(min eigenvalue -\d\.\d{3}e[+-]\d\d\)$")):
+            transfer_operator(om, alg, basis, q)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"d": 2, "m": 6, "state": "trace"},
+    {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": 1.0}, "basis_room": 2, "steps": 2},
+], ids=["trace-full-basis", "chain-window"])
+def test_reconstruct_evaluates_each_entry_once(tmp_path, monkeypatch, cfg):
+    # every evaluate() call reads the state's density exactly once
+    calls = []
+    density = StateFunctional.density
+    monkeypatch.setattr(StateFunctional, "density",
+                        lambda self, algebra: calls.append(1) or density(self, algebra))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["reconstruct", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    acfg = AlgebraConfig(cfg["d"], cfg["m"])
+    room = cfg.get("basis_room", 0)
+    basis = [k for k in plus_basis(acfg) if not room or not any(k[acfg.m - room:])]
+    family = set(basis) | {time_shift(k, j * cfg.get("steps", 1), acfg)
+                           for j in range(1, MAX_STEPS + 1) for k in basis}
+    family.discard(None)
+    assert len(calls) <= len(family) ** 2 + 2 * len(basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), extra=st.integers(0, 3), nulls=st.integers(0, 6),
+       scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_compress_shift_matches_dense_oracle(n, extra, nulls, scale, seed):
+    """Random PSD Gram with planted null directions, random partial shift."""
+    rng = np.random.default_rng(seed)
+    N, tol = n + extra, 1e-10
+    W = rng.normal(size=(N, max(n - nulls, 0))) + 1j * rng.normal(size=(N, max(n - nulls, 0)))
+    M = scale * (W @ W.conj().T)
+    M = (M + M.conj().T) / 2
+    targets = [None if rng.random() < 0.3 else int(rng.integers(N)) for _ in range(n)]
+    comp = compress_shift(M, range(n), targets.__getitem__, tol)
+
+    S = np.zeros((N, n))
+    for j, t in enumerate(targets):
+        if t is not None:
+            S[t, j] = 1.0
+    ev, V = np.linalg.eigh(M[:n, :n])
+    keep = ev > tol
+    iso = V[:, keep] / np.sqrt(ev[keep])
+    T = iso.conj().T @ (M[:n, :] @ S) @ iso
+    null_form = max((abs(np.real(v.conj() @ S.T @ M @ S @ v)) for v in V[:, ~keep].T),
+                    default=0.0)
+    atol = 1e-8 * max(1.0, scale)
+    assert comp.transfer.shape == (int(keep.sum()),) * 2
+    assert int((np.linalg.eigvalsh(M[:n, :n]) > tol).sum()) == int(keep.sum())
+    assert np.abs(comp.transfer - (T + T.conj().T) / 2).max(initial=0.0) <= atol
+    assert abs(comp.asymmetry - np.abs(T - T.conj().T).max(initial=0.0)) <= atol
+    assert abs(comp.null_defect ** 2 - null_form) <= atol

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from rpkit.cli import main
 from rpkit.report import curve_csv, to_text, truncate_witness
@@ -194,3 +195,29 @@ class TestCli:
         assert t1 == t2
         _, t3 = run_cli(tmp_path, "rp-gram", cfg, "--seed", "100")
         assert t1 != t3
+
+
+NAN, INF = float("nan"), float("inf")
+GIBBS_M2 = {"d": 2, "m": 2, "state": "gibbs", "beta": 1.0,
+            "hamiltonian": [[[0.0, 1.0], [1, 1]]]}
+CHAIN_M4 = {"d": 2, "m": 4, "chain": {"coupling": 1.0, "beta": 1.0}}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("green", {"dims": [8], "mass2": NAN}),
+    ("green", {"dims": [8], "mass2": INF}),
+    ("stochastic", {"dims": [8], "mass2": INF, "t_grid": [0.25]}),
+    ("rp-gram", {**GIBBS_M2, "beta": NAN}),
+    ("rp-gram", {**GIBBS_M2, "beta": INF}),
+    ("rp-gram", {**GIBBS_M2, "hamiltonian": [[[NAN, 0.0], [1, 1]]]}),
+    ("reconstruct", {**CHAIN_M4, "chain": {"coupling": NAN, "beta": 1.0}}),
+    ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1.0, "beta": NAN}}),
+    ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1.0, "beta": INF}}),
+], ids=["green-mass2-nan", "green-mass2-inf", "stochastic-mass2-inf", "gram-beta-nan",
+        "gram-beta-inf", "gram-coefficient-nan", "chain-coupling-nan", "chain-beta-nan",
+        "chain-beta-inf"])
+def test_non_finite_input_exit_3(tmp_path, capsys, command, cfg):
+    code, text = run_cli(tmp_path, command, cfg)
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err.startswith("rpkit: invalid config:")
