@@ -21,4 +21,16 @@ from .lattice import (GreenSet, LatticeModel, covariance_rp, green_set,
 from .boxes import (Box22, adjoint, dft_zd, cyclic_convolve, group_box,
                     identity_box, rot_pi, sft, sft_inv, star_product)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AlgebraConfig", "Algebra", "AlgebraElement", "StateFunctional", "build_algebra",
+    "clock_shift", "evaluate", "theta", "twisted_product",
+    "CouplingDecomposition", "GramReport", "coupling_decomposition", "coupling_element",
+    "gram", "null_basis", "plus_basis", "sft_positivity", "sft_positivity_sequence",
+    "QuotientSpace", "SpectrumReport", "TransferData", "quantize", "spectrum_report",
+    "time_shift", "transfer_operator",
+    "GreenSet", "LatticeModel", "covariance_rp", "green_set", "lattice_operator",
+    "monotonicity_verdict", "schwinger_moment", "stochastic_covariance",
+    "stochastic_rp_scan",
+    "Box22", "adjoint", "dft_zd", "cyclic_convolve", "group_box", "identity_box",
+    "rot_pi", "sft", "sft_inv", "star_product",
+]

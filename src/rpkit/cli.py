@@ -23,7 +23,7 @@ from .boxes import theta as theta_box
 from .chains import uniform_chain_state
 from .errors import (InvalidArgument, InvalidConfig, InvalidGeometry, InvalidState,
                      RpkitError, SizeLimit, WrongHalf)
-from .lattice import (LatticeModel, chain_gap, covariance_rp, green_set,
+from .lattice import (VIOLATION_TOL, LatticeModel, chain_gap, covariance_rp, green_set,
                       monotonicity_verdict, stochastic_rp_scan)
 from .reconstruction import quantize, spectrum_report, transfer_operator
 from .report import CONVENTIONS, curve_csv, to_text, truncate_witness
@@ -208,7 +208,7 @@ def run_green(cfg, tol, rng):
 def run_stochastic(cfg, tol, rng):
     model = _lattice_model(cfg)
     ts = [float(t) for t in _require(cfg, "t_grid", list)]
-    scan = stochastic_rp_scan(model, ts)
+    scan = stochastic_rp_scan(model, ts, tol)
     any_violation = any(v for _, _, v in scan.rows)
     results = {
         "verdict": NEGATIVE if any_violation else POSITIVE,
@@ -265,9 +265,12 @@ COMMANDS = {
 
 
 def _default_tol(command, cfg) -> float:
-    """Exact identities (relations, box pictures) use 1e-12; spectral gates 1e-10."""
+    """Exact identities (relations, box pictures) use 1e-12; spectral gates 1e-10;
+    the stochastic scan's violation gate 1e-8."""
     if command == "algebra-check" or (command == "sft-check" and "sequence" not in cfg):
         return 1e-12
+    if command == "stochastic":
+        return VIOLATION_TOL
     return 1e-10
 
 

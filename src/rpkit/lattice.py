@@ -12,6 +12,13 @@ operators are re-derivable from adjusted half-space stencils (phantom row
 equal to minus/plus the mirror value), which green-set consumers use as an
 independent cross-check.
 
+Sites are numbered in C order over dims (the order of itertools.product), so
+the time reflection r is an index permutation and R its 0/1 matrix.  The
+covariance Gram <theta f_i, C f_j> = (R f_i)^T C f_j on the delta basis of the
+half is the slice C[r(half), half]: R e_i = e_r(i), and every other term of
+the product is an exact zero, so the slice equals the product bit for bit.
+For the same reason C_r = C R is the column permutation C[:, r].
+
 Stochastic quantization relaxes from zero initial data with dphi = -A phi ds
 + sqrt(2) dW, so the time-s law has covariance C_t = A^{-1}(1 - exp(-2 t A));
 the scan tracks the minimal reflected-Gram eigenvalue along a t-grid.
@@ -29,7 +36,7 @@ from .verifier import NEGATIVE, POSITIVE, GramReport, gram_report_from_matrix
 
 DEFAULT_TOL = 1e-10
 SITE_CAP = 4096
-VIOLATION_TOL = 1e-8    # a scan row is violated when its min eigenvalue < -VIOLATION_TOL
+VIOLATION_TOL = 1e-8    # default gate: a scan row is violated when min eigenvalue < -tol
 CHAIN_TOL = 1e-12       # null tolerance of the chain transfer quotient
 
 
@@ -66,41 +73,46 @@ class LatticeModel:
     def reflect(self, s) -> tuple:
         return (self.dims[0] - 1 - s[0],) + tuple(s[1:])
 
+    def _grid(self) -> np.ndarray:
+        """Site indices laid out on the lattice (C order, the order of `sites`)."""
+        return np.arange(int(np.prod(self.dims))).reshape(self.dims)
+
+    def reflection_indices(self) -> np.ndarray:
+        """r[i] = index of the mirror image of site i."""
+        return self._grid()[::-1].ravel()
+
     def half_indices(self) -> list:
         """Positive-time sites: t >= dims[0] / 2."""
-        idx = self.site_index()
-        return [idx[s] for s in self.sites if s[0] >= self.dims[0] // 2]
+        return self._grid()[self.dims[0] // 2:].ravel().tolist()
 
 
 def lattice_operator(model: LatticeModel) -> np.ndarray:
     """A = -laplacian + mass2 with the chosen boundary condition."""
-    S = model.sites
-    idx = model.site_index()
-    n = len(S)
+    grid = model._grid()
+    n = grid.size
     A = np.zeros((n, n))
-    D = len(model.dims)
-    for s in S:
-        i = idx[s]
-        A[i, i] = 2 * D + model.mass2
-        for ax, L in enumerate(model.dims):
-            for delta in (-1, 1):
-                t = list(s)
-                t[ax] += delta
-                if model.bc == "torus":
-                    t[ax] %= L
-                    A[i, idx[tuple(t)]] -= 1.0
-                elif 0 <= t[ax] < L:
-                    A[i, idx[tuple(t)]] -= 1.0
+    A[np.diag_indices(n)] = 2 * len(model.dims) + model.mass2
+    for ax, L in enumerate(model.dims):
+        i, j = grid, np.roll(grid, -1, axis=ax)     # bonds to the +1 neighbour
+        if model.bc == "box":
+            i, j = i.take(range(L - 1), axis=ax), j.take(range(L - 1), axis=ax)
+        # fancy-index -= applies once per distinct (row, col); within one
+        # statement the pairs are distinct, so every bond subtracts once
+        A[i.ravel(), j.ravel()] -= 1.0
+        A[j.ravel(), i.ravel()] -= 1.0
     return A
 
 
 def reflection_matrix(model: LatticeModel) -> np.ndarray:
-    idx = model.site_index()
-    n = len(model.sites)
-    R = np.zeros((n, n))
-    for s in model.sites:
-        R[idx[s], idx[model.reflect(s)]] = 1.0
+    r = model.reflection_indices()
+    R = np.zeros((r.size, r.size))
+    R[np.arange(r.size), r] = 1.0
     return R
+
+
+def _reflected_block(model: LatticeModel, half, C: np.ndarray) -> np.ndarray:
+    """(R C)[half, half], taken as the slice C[r(half), half]."""
+    return C[np.ix_(model.reflection_indices()[half], half)]
 
 
 @dataclass
@@ -119,30 +131,24 @@ class GreenSet:
 def green_set(model: LatticeModel) -> GreenSet:
     A = lattice_operator(model)
     C = np.linalg.inv(A)
-    R = reflection_matrix(model)
-    C_r = C @ R
+    C_r = C[:, model.reflection_indices()]
     half = model.half_indices()
     sel = np.ix_(half, half)
-    return GreenSet(model=model, C=C, C_r=C_r,
-                    C_D=(C - C_r)[sel], C_N=(C + C_r)[sel],
-                    half=half, reflection=R)
+    C_h, C_rh = C[sel], C_r[sel]
+    return GreenSet(model=model, C=C, C_r=C_r, C_D=C_h - C_rh, C_N=C_h + C_rh,
+                    half=half, reflection=reflection_matrix(model))
 
 
 def _half_operator(model: LatticeModel, sign: float) -> np.ndarray:
     """Truncated stencil with the cut-bond rows adjusted by +-1 per cut bond."""
-    A = lattice_operator(model)
-    S = model.sites
     half = model.half_indices()
-    pos = {i: k for k, i in enumerate(half)}
-    Ah = A[np.ix_(half, half)].copy()
-    Nt = model.dims[0]
-    for i in half:
-        s = S[i]
-        cuts = int(s[0] == Nt // 2)
-        if model.bc == "torus" and s[0] == Nt - 1:
-            cuts += 1
-        if cuts:
-            Ah[pos[i], pos[i]] += sign * cuts
+    Ah = lattice_operator(model)[np.ix_(half, half)]
+    cuts = np.zeros((model.dims[0] // 2,) + model.dims[1:], dtype=int)
+    cuts[0] += 1                # bonds across the plane
+    if model.bc == "torus":
+        cuts[-1] += 1           # the wrap-around bond
+    k = np.flatnonzero(cuts)
+    Ah[k, k] += sign * cuts.ravel()[k]
     return np.linalg.inv(Ah)
 
 
@@ -178,34 +184,28 @@ def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL,
                   C: np.ndarray | None = None) -> GramReport:
     """Gram G_ij = (r f_i)^T C f_j for test functions supported on the half.
 
-    Defaults to the full half-space delta basis.  Passing C overrides the
-    model Green operator (used for hand-built counterexamples).
+    Defaults to the full half-space delta basis, where G is the slice
+    C[r(half), half].  Passing C overrides the model Green operator (used for
+    hand-built counterexamples and the stochastic scan).
     """
     C = gs.C if C is None else C
     n = C.shape[0]
-    half = set(gs.half)
     if testfns is None:
-        fns = []
-        labels = []
-        for i in gs.half:
-            f = np.zeros(n)
-            f[i] = 1.0
-            fns.append(f)
-            labels.append(gs.model.sites[i])
+        sites = gs.model.sites
+        labels = [sites[i] for i in gs.half]
+        G = _reflected_block(gs.model, gs.half, C)
     else:
         fns = [np.asarray(f, dtype=float) for f in testfns]
         labels = list(range(len(fns)))
-        for f in fns:
-            if f.shape != (n,):
-                raise InvalidArgument("test functions must be full-lattice vectors")
-            if any(abs(f[i]) > 0 for i in range(n) if i not in half):
-                raise WrongHalf("test functions must be supported on positive-time sites")
-    G = np.zeros((len(fns), len(fns)))
-    R = gs.reflection
-    for i, fi in enumerate(fns):
-        rfi = R @ fi
-        for j, fj in enumerate(fns):
-            G[i, j] = rfi @ C @ fj
+        if any(f.shape != (n,) for f in fns):
+            raise InvalidArgument("test functions must be full-lattice vectors")
+        F = np.array(fns).reshape(len(fns), n)
+        off = np.ones(n, dtype=bool)
+        off[gs.half] = False
+        if np.any(np.abs(F[:, off]) > 0):
+            raise WrongHalf("test functions must be supported on positive-time sites")
+        # rows of F R^T are the reflected test functions
+        G = F[:, gs.model.reflection_indices()] @ C @ F.T
     return gram_report_from_matrix(G.astype(complex), labels, tol)
 
 
@@ -248,10 +248,13 @@ def schwinger_moment(C: np.ndarray, points) -> float:
 
 def stochastic_covariance(model: LatticeModel, t: float) -> np.ndarray:
     """C_t = A^{-1}(1 - exp(-2 t A)), the time-t law of the OU relaxation."""
+    return _relaxed_covariance(*np.linalg.eigh(lattice_operator(model)), t)
+
+
+def _relaxed_covariance(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
+    """C_t from the eigenpairs (w, V) of A."""
     if t < 0:
         raise InvalidArgument("stochastic time must be >= 0")
-    A = lattice_operator(model)
-    w, V = np.linalg.eigh(A)
     f = (1.0 - np.exp(-2.0 * t * w)) / w
     return (V * f) @ V.T
 
@@ -265,14 +268,15 @@ class StochasticScan:
     witness: np.ndarray | None
 
 
-def stochastic_rp_scan(model: LatticeModel, ts) -> StochasticScan:
+def stochastic_rp_scan(model: LatticeModel, ts, tol: float = VIOLATION_TOL) -> StochasticScan:
+    """A row is violated when its minimal eigenvalue is below -tol."""
     gs = green_set(model)
+    w, V = np.linalg.eigh(lattice_operator(model))
     rows = []
     wit_t, wit = None, None
     for t in ts:
-        Ct = stochastic_covariance(model, float(t))
-        rep = covariance_rp(gs, C=Ct)
-        violated = rep.min_eig < -VIOLATION_TOL
+        rep = covariance_rp(gs, C=_relaxed_covariance(w, V, float(t)))
+        violated = rep.min_eig < -tol
         rows.append((float(t), rep.min_eig, violated))
         if violated and wit_t is None:
             wit_t, wit = float(t), rep.witness
@@ -289,20 +293,17 @@ def chain_transfer(model: LatticeModel):
     from .reconstruction import compress_shift
 
     gs = green_set(model)
-    idx = model.site_index()
-    half_sites = [model.sites[i] for i in gs.half]
     n = len(gs.half)
     M = np.zeros((n + 1, n + 1))
     M[0, 0] = 1.0
-    M[1:, 1:] = (gs.reflection @ gs.C)[np.ix_(gs.half, gs.half)]
-    pos_of = {s: k + 1 for k, s in enumerate(half_sites)}
+    M[1:, 1:] = _reflected_block(model, gs.half, gs.C)
+    # the half is C-ordered with time first: one step in time is `row` positions
+    row = n // (model.dims[0] // 2)
 
     def shift_of(j):
         if j == 0:
             return 0
-        s = half_sites[j - 1]
-        t = (s[0] + 1,) + s[1:]
-        return pos_of.get(t)
+        return j + row if j + row <= n else None
 
     return compress_shift(M.astype(complex), range(n + 1), shift_of, CHAIN_TOL)
 

@@ -148,7 +148,7 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
         r = qspace.rank
         return TransferData(transfer=np.eye(r), hamiltonian=np.zeros((r, r)), dt=1.0)
 
-    comp = compress_shift(M, range(n), shifted.__getitem__, qspace.tol)
+    comp = compress_shift(M, range(n), shifted.__getitem__, quotient=qspace)
     if comp.null_defect > 1e-8 * scale:
         raise ReconstructionFailure(
             f"null vector maps to a class of norm {comp.null_defect:.3e}",
@@ -187,26 +187,31 @@ class ShiftCompression:
     null_witness: np.ndarray | None
 
 
-def compress_shift(M_full: np.ndarray, basis_idx, shift_of,
-                   tol: float = DEFAULT_TOL) -> ShiftCompression:
+def compress_shift(M_full: np.ndarray, basis_idx, shift_of, tol: float = DEFAULT_TOL,
+                   quotient: QuotientSpace | None = None) -> ShiftCompression:
     """The shift compression shared by the algebra and lattice pipelines.
 
     M_full is the Gram of an extended family; basis_idx selects the window;
     shift_of maps window positions to family indices (None = falls off).  V
     is the isometry onto the range of the window Gram (eigenvalues > tol) and
-    S the shift as a family-by-window 0/1 matrix.
+    S the shift as a family-by-window 0/1 matrix.  A given quotient of the
+    window Gram supplies V and the null vectors (and its own tol) instead of
+    splitting the window Gram again.
     """
     sel = list(basis_idx)
-    Mb = M_full[np.ix_(sel, sel)]
-    ev, vec, keep = split_gram((Mb + Mb.conj().T) / 2, tol)
-    iso = vec[:, keep] / np.sqrt(ev[keep])
+    if quotient is None:
+        Mb = M_full[np.ix_(sel, sel)]
+        ev, vec, keep = split_gram((Mb + Mb.conj().T) / 2, tol)
+        iso, nulls = vec[:, keep] / np.sqrt(ev[keep]), vec[:, ~keep]
+    else:
+        iso, nulls = quotient.isometry, quotient.null_vectors
     cols = np.zeros((M_full.shape[0], len(sel)), dtype=complex)
     for j in range(len(sel)):
         tgt = shift_of(j)
         if tgt is not None:
             cols[tgt, j] = 1.0
     null_defect, witness = 0.0, None
-    for v in vec[:, ~keep].T:
+    for v in nulls.T:
         sv = cols @ v
         nrm = float(np.sqrt(abs(np.real(sv.conj() @ M_full @ sv))))
         if nrm > null_defect:

@@ -251,13 +251,14 @@ def test_criterion_6_os_reconstruction():
 
 def test_criterion_7_green_monotonicity():
     worst = np.inf
+    agree = True
     for dims in [(64,), (32, 32), (8, 8, 8)]:
         for mass2 in (0.1, 1.0, 4.0):
             gs = green_set(LatticeModel(dims, mass2, "box"))
             v = monotonicity_verdict(gs)
             worst = min(worst, v.min_eig)
+            agree &= v.verdict == covariance_rp(gs).verdict
     rng = np.random.default_rng(MASTER_SEED + 4)
-    agree = True
     for trial in range(20):
         nd = int(rng.integers(1, 3))
         dims = tuple(int(rng.choice([4, 6, 8])) for _ in range(nd))
@@ -280,7 +281,7 @@ def test_criterion_7_green_monotonicity():
         n_negative += mono.verdict == NEGATIVE
     ok = worst >= -1e-10 and agree and n_negative == 5
     record(7, ok, f"free-field min eig(C_N - C_D) {worst:+.2e} (>= -1e-10) up to 32x32/8^3; "
-                  f"verdict equivalence on 20 models + {n_negative}/5 counterexamples")
+                  f"verdict equivalence on those 9 + 20 models + {n_negative}/5 counterexamples")
 
 
 def _kernel_gap_oracle(mass2, L=12.0, n=801):

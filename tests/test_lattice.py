@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rpkit import reconstruction
 from rpkit.errors import InvalidArgument, InvalidConfig, InvalidGeometry, SizeLimit, WrongHalf
-from rpkit.lattice import (GreenSet, LatticeModel, chain_gap, counterexample_covariance,
-                           covariance_rp, dirichlet_half_green, green_set,
-                           lattice_operator, monotonicity_verdict, neumann_half_green,
-                           schwinger_moment, stochastic_covariance, stochastic_rp_scan)
-from rpkit.verifier import NEGATIVE, POSITIVE
+from rpkit.lattice import (VIOLATION_TOL, GreenSet, LatticeModel, chain_gap, chain_transfer,
+                           counterexample_covariance, covariance_rp, dirichlet_half_green,
+                           green_set, lattice_operator, monotonicity_verdict,
+                           neumann_half_green, reflection_matrix, schwinger_moment,
+                           stochastic_covariance, stochastic_rp_scan)
+from rpkit.verifier import NEGATIVE, POSITIVE, gram_report_from_matrix
 
 
 class TestLatticeOperator:
@@ -244,3 +248,164 @@ class TestChainGap:
     def test_gap_grows_with_mass(self):
         gaps = [chain_gap(LatticeModel((24,), m2, "box"))[0] for m2 in (0.5, 1.0, 2.0)]
         assert gaps[0] < gaps[1] < gaps[2]
+
+
+# ---------------------------------------------------------------------------
+# dense oracles: the per-site loops and reflection products the fast paths replace
+# ---------------------------------------------------------------------------
+
+def _loop_operator(model):
+    idx = {s: i for i, s in enumerate(model.sites)}
+    A = np.zeros((len(idx), len(idx)))
+    for s, i in idx.items():
+        A[i, i] = 2 * len(model.dims) + model.mass2
+        for ax, L in enumerate(model.dims):
+            for delta in (-1, 1):
+                t = list(s)
+                t[ax] += delta
+                if model.bc == "torus":
+                    t[ax] %= L
+                elif not 0 <= t[ax] < L:
+                    continue
+                A[i, idx[tuple(t)]] -= 1.0
+    return A
+
+
+def _loop_reflection(model):
+    idx = {s: i for i, s in enumerate(model.sites)}
+    R = np.zeros((len(idx), len(idx)))
+    for s, i in idx.items():
+        R[i, idx[model.reflect(s)]] = 1.0
+    return R
+
+
+def _loop_half(model):
+    return [i for i, s in enumerate(model.sites) if s[0] >= model.dims[0] // 2]
+
+
+def _loop_half_operator(model, sign):
+    half = _loop_half(model)
+    Ah = _loop_operator(model)[np.ix_(half, half)]
+    Nt = model.dims[0]
+    for k, i in enumerate(half):
+        t = model.sites[i][0]
+        cuts = int(t == Nt // 2) + int(model.bc == "torus" and t == Nt - 1)
+        if cuts:
+            Ah[k, k] += sign * cuts
+    return np.linalg.inv(Ah)
+
+
+def _loop_covariance(R, C, fns):
+    """G_ij = (R f_i) @ C @ f_j entry by entry, associated left to right."""
+    G = np.zeros((len(fns), len(fns)))
+    for i, fi in enumerate(fns):
+        row = (R @ fi) @ C
+        for j, fj in enumerate(fns):
+            G[i, j] = row @ fj
+    return G
+
+
+def _deltas(n, idx):
+    return [np.eye(n)[i] for i in idx]
+
+
+@st.composite
+def lattice_models(draw):
+    """Boxes and tori in 1-3 dimensions with at most 216 sites."""
+    nd = draw(st.integers(1, 3))
+    k_max, axis_max = {1: (108, 216), 2: (7, 14), 3: (3, 6)}[nd]
+    dims = [2 * draw(st.integers(1, k_max))]
+    dims += [draw(st.integers(2, axis_max)) for _ in range(nd - 1)]
+    return LatticeModel(tuple(dims), draw(st.floats(1e-3, 10.0)),
+                        draw(st.sampled_from(["box", "torus"])))
+
+
+class TestDenseOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(model=lattice_models())
+    def test_geometry_matches_loops(self, model):
+        assert np.array_equal(lattice_operator(model), _loop_operator(model))
+        R = _loop_reflection(model)
+        assert np.array_equal(reflection_matrix(model), R)
+        assert model.half_indices() == _loop_half(model)
+        assert model.site_index() == {s: i for i, s in enumerate(model.sites)}
+        assert np.array_equal(dirichlet_half_green(model), _loop_half_operator(model, +1.0))
+        assert np.array_equal(neumann_half_green(model), _loop_half_operator(model, -1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=lattice_models())
+    def test_green_set_matches_reflection_products(self, model):
+        gs = green_set(model)
+        R = _loop_reflection(model)
+        C_r = gs.C @ R
+        sel = np.ix_(gs.half, gs.half)
+        assert np.array_equal(gs.C_r, C_r)
+        assert np.array_equal(gs.C_D, (gs.C - C_r)[sel])
+        assert np.array_equal(gs.C_N, (gs.C + C_r)[sel])
+        assert np.array_equal(gs.reflection, R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=lattice_models(), seed=st.integers(0, 2**32 - 1))
+    def test_covariance_rp_matches_loop(self, model, seed):
+        gs = green_set(model)
+        R = _loop_reflection(model)
+        n = gs.C.shape[0]
+        labels = [model.sites[i] for i in gs.half]
+        want = gram_report_from_matrix(
+            _loop_covariance(R, gs.C, _deltas(n, gs.half)).astype(complex), labels)
+        rep = covariance_rp(gs)
+        assert rep.basis == want.basis
+        assert rep.herm_defect == want.herm_defect          # the raw Gram, before symmetrizing
+        assert np.array_equal(rep.matrix, want.matrix)
+        assert rep.min_eig == want.min_eig and np.array_equal(rep.witness, want.witness)
+
+        rng = np.random.default_rng(seed)
+        fns = []
+        for _ in range(int(rng.integers(1, 8))):
+            f = np.zeros(n)
+            f[gs.half] = rng.normal(size=len(gs.half))
+            fns.append(f)
+        want = _loop_covariance(R, gs.C, fns)
+        want = (want + want.T) / 2
+        got = covariance_rp(gs, fns).matrix
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=lattice_models())
+    def test_chain_transfer_gram_and_shift(self, model):
+        seen = {}
+
+        def capture(M, basis_idx, shift_of, tol):
+            seen.update(M=M, shift_of=[shift_of(j) for j in basis_idx], tol=tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconstruction, "compress_shift", capture)
+            chain_transfer(model)
+        C = np.linalg.inv(_loop_operator(model))
+        half = _loop_half(model)
+        assert np.array_equal(seen["M"][1:, 1:], (_loop_reflection(model) @ C)[np.ix_(half, half)])
+        assert seen["M"][0, 0] == 1.0 and not seen["M"][0, 1:].any()
+        pos = {model.sites[i]: k + 1 for k, i in enumerate(half)}
+        want = [0] + [pos.get((model.sites[i][0] + 1,) + model.sites[i][1:]) for i in half]
+        assert seen["shift_of"] == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(model=lattice_models(),
+           ts=st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 100.0]),
+                       min_size=1, max_size=4))
+    def test_stochastic_scan_matches_per_t_eigh(self, model, ts):
+        scan = stochastic_rp_scan(model, ts)
+        R = _loop_reflection(model)
+        half = _loop_half(model)
+        deltas = _deltas(R.shape[0], half)
+        rows, wit_t, wit = [], None, None
+        for t in ts:
+            w, V = np.linalg.eigh(_loop_operator(model))
+            Ct = (V * ((1.0 - np.exp(-2.0 * t * w)) / w)) @ V.T
+            rep = gram_report_from_matrix(_loop_covariance(R, Ct, deltas).astype(complex), half)
+            rows.append((t, rep.min_eig, rep.min_eig < -VIOLATION_TOL))
+            if rows[-1][2] and wit_t is None:
+                wit_t, wit = t, rep.witness
+        assert scan.rows == rows
+        assert scan.witness_t == wit_t
+        assert (wit is None and scan.witness is None) or np.array_equal(scan.witness, wit)

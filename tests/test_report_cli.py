@@ -66,6 +66,15 @@ def run_cli(tmp_path, command, cfg, *extra):
     return code, text
 
 
+def test_package_exports_names_not_submodules():
+    import types
+
+    import rpkit
+    assert len(set(rpkit.__all__)) == len(rpkit.__all__)
+    for name in rpkit.__all__:
+        assert not isinstance(getattr(rpkit, name), types.ModuleType), name
+
+
 class TestCli:
     def test_algebra_check(self, tmp_path):
         code, text = run_cli(tmp_path, "algebra-check", {"d": 3, "m": 4})
@@ -117,6 +126,13 @@ class TestCli:
         assert lines[0] == "t,min_eig,violated"
         assert lines[1].startswith("0.25") and lines[1].endswith(",1")
         assert lines[2].startswith("100") and lines[2].endswith(",0")
+
+    def test_stochastic_tol_is_the_violation_gate(self, tmp_path):
+        cfg = {"dims": [16], "mass2": 1.0, "bc": "box", "t_grid": [0.25, 100.0]}
+        code, text = run_cli(tmp_path, "stochastic", cfg, "--tol", "1.0")
+        assert code == 0                     # t=0.25 sits at -2.2e-4, above -1.0
+        rows = json.loads(text)["results"]["rows"]
+        assert rows[0]["min_eig"] < -1e-8 and not any(r["violated"] for r in rows)
 
     def test_sft_check_sequences(self, tmp_path):
         code, _ = run_cli(tmp_path, "sft-check", {"d": 2, "sequence": [1.0, 2.0]})
