@@ -129,6 +129,8 @@ def run_rp_gram(cfg, tol, rng):
         "marginal": rep.marginal,
         "hermiticity_defect": rep.herm_defect,
         "reflection_defect": rep.reflection_defect,
+        **({"not_applicable_reason": rep.not_applicable_reason}
+           if rep.verdict == NOT_APPLICABLE else {}),
         "basis_size": len(basis),
         "matrix": rep.matrix,
         "witness": truncate_witness(rep.witness),

@@ -186,7 +186,7 @@ def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL,
 
     Defaults to the full half-space delta basis, where G is the slice
     C[r(half), half].  Passing C overrides the model Green operator (used for
-    hand-built counterexamples and the stochastic scan).
+    hand-built counterexamples).  Non-finite test functions are refused.
     """
     C = gs.C if C is None else C
     n = C.shape[0]
@@ -200,6 +200,9 @@ def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL,
         if any(f.shape != (n,) for f in fns):
             raise InvalidArgument("test functions must be full-lattice vectors")
         F = np.array(fns).reshape(len(fns), n)
+        if not np.all(np.isfinite(F)):
+            # abs(nan) > 0 is False: the support check below would pass NaN
+            raise InvalidArgument("test functions must be finite")
         off = np.ones(n, dtype=bool)
         off[gs.half] = False
         if np.any(np.abs(F[:, off]) > 0):
@@ -269,13 +272,17 @@ class StochasticScan:
 
 
 def stochastic_rp_scan(model: LatticeModel, ts, tol: float = VIOLATION_TOL) -> StochasticScan:
-    """A row is violated when its minimal eigenvalue is below -tol."""
-    gs = green_set(model)
+    """A row is violated when its minimal eigenvalue is below -tol.
+
+    Each row is the delta-basis covariance Gram of C_t (see covariance_rp).
+    """
+    half = model.half_indices()
     w, V = np.linalg.eigh(lattice_operator(model))
     rows = []
     wit_t, wit = None, None
     for t in ts:
-        rep = covariance_rp(gs, C=_relaxed_covariance(w, V, float(t)))
+        G = _reflected_block(model, half, _relaxed_covariance(w, V, float(t)))
+        rep = gram_report_from_matrix(G.astype(complex), half)
         violated = rep.min_eig < -tol
         rows.append((float(t), rep.min_eig, violated))
         if violated and wit_t is None:

@@ -79,6 +79,7 @@ class GramReport:
     reflection_defect: float = 0.0
     marginal: bool = False
     eigenvalues: np.ndarray | None = None
+    not_applicable_reason: str = ""     # the gate that tripped: reflection or hermiticity
 
 
 def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
@@ -95,32 +96,43 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
         min_eig = 0.0
         witness = np.zeros(0)
     psd = min_eig >= -tol
-    if reflection_defect > 1e-10 or herm > 1e-8:
-        verdict = NOT_APPLICABLE
-    else:
-        verdict = POSITIVE if psd else NEGATIVE
+    reason = "reflection" if reflection_defect > 1e-10 else "hermiticity" if herm > 1e-8 else ""
+    verdict = NOT_APPLICABLE if reason else POSITIVE if psd else NEGATIVE
     return GramReport(
         basis=list(basis), matrix=Ms, min_eig=min_eig, psd=psd, witness=witness,
         tol=tol, verdict=verdict, herm_defect=herm, reflection_defect=reflection_defect,
-        marginal=psd and min_eig < 0, eigenvalues=ev)
+        marginal=psd and min_eig < 0, eigenvalues=ev, not_applicable_reason=reason)
 
 
 def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) -> np.ndarray:
     """M_ab = omega(theta(B_a) o B_b) over a monomial family, unsymmetrized.
 
-    A given `block` is the form already evaluated on the leading monomials.
+    B_a and theta(B_a) are single homogeneous monomials of the same grade
+    g_a = sum(k_a) mod d, so the twisted product is the operator product times
+    one phase, theta(B_a) o B_b = xi^(g_a g_b) theta(B_a) B_b.  `rep` is a
+    homomorphism, hence
+
+        M_ab = xi^(g_a g_b) tr(rho L_a R_b),   L_a = theta(B_a).rep,  R_b = B_b.rep,
+
+    with theta's phase carried in L_a.  With X_a = rho L_a, tr(X_a R_b) is the
+    dot product of X_a and R_b^T flattened, so all traces are one matrix
+    product over 2 |family| one-sided reps.  A given `block` is the form
+    already evaluated on the leading monomials and replaces those entries.
     """
     elems = [algebra.monomial(k) for k in family]
-    n = len(elems)
-    M = np.zeros((n, n), dtype=complex)
-    r = 0
+    n, dim = len(elems), algebra.cfg.dim
+    L = np.empty((n, dim, dim), dtype=complex)
+    Rt = np.empty((n, dim, dim), dtype=complex)
+    for a, E in enumerate(elems):
+        L[a] = theta(E).rep
+        Rt[a] = E.rep.T
+    X = omega.density(algebra) @ L
+    M = X.reshape(n, dim * dim) @ Rt.reshape(n, dim * dim).T
+    g = np.array([E.grade for E in elems], dtype=int)
+    M *= algebra.cfg.twist(g[:, None], g[None, :])
     if block is not None:
         r = block.shape[0]
         M[:r, :r] = block
-    for a in range(n):
-        Ta = theta(elems[a])
-        for b in range(r if a < r else 0, n):
-            M[a, b] = evaluate(omega, twisted_product(Ta, elems[b]))
     return M
 
 

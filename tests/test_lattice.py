@@ -162,6 +162,17 @@ class TestCovarianceRp:
         with pytest.raises(WrongHalf):
             covariance_rp(gs, [f])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("site", [0, 4], ids=["minus-half", "plus-half"])
+    def test_non_finite_function_rejected(self, bad, site):
+        # abs(nan) > 0 is False, so NaN off the half used to pass the support check
+        gs = green_set(LatticeModel((6,), 1.0, "box"))
+        f = np.zeros(6)
+        f[site] = bad
+        f[4 if site == 0 else 5] = 1.0
+        with pytest.raises(InvalidArgument, match="finite"):
+            covariance_rp(gs, [f])
+
 
 class TestSchwingerMoment:
     def test_two_points(self):
@@ -226,6 +237,13 @@ class TestStochastic:
         model = LatticeModel((8,), 1.0, "box")
         C = np.linalg.inv(lattice_operator(model))
         assert np.abs(stochastic_covariance(model, 60.0) - C).max() < 1e-10
+
+    def test_scan_builds_no_green_set(self, monkeypatch):
+        inv = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv.append(1) or real_inv(a))
+        stochastic_rp_scan(LatticeModel((4, 3), 1.0, "box"), [0.25, 1.0])
+        assert inv == []
 
     def test_scan_violation_pattern(self):
         model = LatticeModel((16,), 1.0, "box")

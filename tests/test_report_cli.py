@@ -111,6 +111,21 @@ class TestCli:
         assert code in (0, 1)
         assert rep["results"]["verdict"] in ("positive", "negative")
 
+    @pytest.mark.parametrize("term, reason", [
+        ([[0.0, 1.0], [0, 0, 1, 1]], "reflection"),     # i c3 c4: omega(c3 c4) != 0 = omega(theta(c3 c4))
+        ([[0.0, 1.5], [0, 1, 1, 1]], "hermiticity"),    # i c2 c3 c4
+    ])
+    def test_rp_gram_names_the_gate_that_tripped(self, tmp_path, term, reason):
+        cfg = {"d": 2, "m": 4, "state": "gibbs", "beta": 1.0, "hamiltonian": [term]}
+        code, text = run_cli(tmp_path, "rp-gram", cfg)
+        res = json.loads(text)["results"]
+        assert code == 2 and res["verdict"] == "not-applicable"
+        assert res["not_applicable_reason"] == reason
+
+    def test_rp_gram_applicable_report_has_no_reason(self, tmp_path):
+        code, text = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 4, "state": "trace"})
+        assert code == 0 and "not_applicable_reason" not in json.loads(text)["results"]
+
     def test_green_positive(self, tmp_path):
         code, text = run_cli(tmp_path, "green", {"dims": [8], "mass2": 1.0, "bc": "box"})
         assert code == 0

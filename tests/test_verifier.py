@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rpkit.algebra import AlgebraConfig, StateFunctional, theta
+from rpkit.algebra import (Algebra, AlgebraConfig, StateFunctional, evaluate, theta,
+                           twisted_product)
 from rpkit.boxes import dft_zd
 from rpkit.errors import PreconditionViolation, SizeLimit, WrongHalf
+from rpkit.reconstruction import MAX_STEPS, time_shift
 from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                             coupling_element, cross_phase,
-                            draw_generic_hamiltonian, draw_theorem_hamiltonian, gram,
-                            null_basis, plus_basis, sft_positivity,
-                            sft_positivity_sequence)
+                            draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
+                            gram, gram_report_from_matrix, null_basis, plus_basis,
+                            sft_positivity, sft_positivity_sequence)
 
 from conftest import make_algebra, random_element
 
@@ -273,3 +277,92 @@ class TestRandomSuites:
                 H = coupling_element(alg, k, 0.8)
                 assert (H.star() - H).norm_max() < 1e-12
                 assert (theta(H) - H).norm_max() < 1e-12
+
+
+class TestNotApplicableReason:
+    def test_reflection_gate_named_first(self):
+        M = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)     # not hermitian either
+        rep = gram_report_from_matrix(M, [0, 1], reflection_defect=1e-6)
+        assert (rep.verdict, rep.not_applicable_reason) == (NOT_APPLICABLE, "reflection")
+
+    def test_hermiticity_gate(self):
+        M = np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
+        rep = gram_report_from_matrix(M, [0, 1], reflection_defect=1e-16)
+        assert (rep.verdict, rep.not_applicable_reason) == (NOT_APPLICABLE, "hermiticity")
+
+    @pytest.mark.parametrize("M", [np.eye(2), -np.eye(2)])
+    def test_applicable_has_no_reason(self, M):
+        rep = gram_report_from_matrix(M.astype(complex), [0, 1], reflection_defect=1e-11)
+        assert rep.verdict in (POSITIVE, NEGATIVE) and rep.not_applicable_reason == ""
+
+
+# ---------------------------------------------------------------------------
+# form_matrix against the per-entry form it replaced
+# ---------------------------------------------------------------------------
+
+FORM_CONFIGS = [(2, m) for m in (2, 4, 6, 8, 10, 12)] + [(3, 2), (3, 4), (3, 6),
+                                                          (4, 2), (4, 4), (4, 6)]
+
+
+def form_oracle(omega, algebra, family, block=None):
+    """omega(theta(B_a) o B_b) entry by entry: theta, twisted product, evaluate."""
+    elems = [algebra.monomial(k) for k in family]
+    n = len(elems)
+    M = np.zeros((n, n), dtype=complex)
+    r = 0
+    if block is not None:
+        r = block.shape[0]
+        M[:r, :r] = block
+    for a in range(n):
+        Ta = theta(elems[a])
+        for b in range(r if a < r else 0, n):
+            M[a, b] = evaluate(omega, twisted_product(Ta, elems[b]))
+    return M
+
+
+@st.composite
+def form_cases(draw):
+    """Random d, m (dim <= 64), trace or Gibbs state, and plus-half family."""
+    d, m = draw(st.sampled_from(FORM_CONFIGS))
+    algebra = Algebra(AlgebraConfig(d, m))   # fresh: the oracle caches every product
+    cfg = algebra.cfg
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        omega = StateFunctional(kind="trace")
+    else:
+        H = random_element(algebra, rng, terms=draw(st.integers(1, 5)))
+        omega = StateFunctional(kind="gibbs", beta=draw(st.floats(0.0, 3.0)),
+                                hamiltonian=H + H.star())
+    pool = plus_basis(cfg, draw(st.one_of(st.none(), st.integers(0, (d - 1) * m // 2))))
+    # sizes and shifts from the seeded rng: hypothesis would favour the smallest
+    size = int(rng.integers(1, min(len(pool), 8) + 1))
+    basis = [pool[i] for i in sorted(rng.choice(len(pool), size, replace=False))]
+    family = list(basis)
+    steps = int(rng.integers(0, 3))         # 0: the basis alone
+    for j in range(1, MAX_STEPS + 1 if steps else 1):
+        for k in basis:
+            sk = time_shift(k, j * steps, cfg)
+            if sk is not None and sk not in family:
+                family.append(sk)
+    return algebra, omega, basis, family
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=form_cases(), with_block=st.booleans())
+def test_form_matrix_matches_entry_oracle(case, with_block):
+    algebra, omega, basis, family = case
+    block = None
+    if with_block:
+        B = form_oracle(omega, algebra, basis)
+        block = (B + B.conj().T) / 2        # a quotient carries the symmetrized form
+    want = form_oracle(omega, algebra, family, block)
+    got = form_matrix(omega, algebra, family, block)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+    if with_block:
+        assert np.array_equal(got[:len(basis), :len(basis)], block)
+    # the reflection defect stays on evaluate of dense reps, bit for bit
+    refl = 0.0
+    for k in family:
+        E = algebra.monomial(k)
+        refl = max(refl, abs(evaluate(omega, theta(E)) - np.conj(evaluate(omega, E))))
+    assert gram(omega, algebra, family).reflection_defect == float(refl)
