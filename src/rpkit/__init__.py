@@ -16,8 +16,8 @@ from .verifier import (CouplingDecomposition, GramReport, coupling_decomposition
 from .reconstruction import (QuotientSpace, SpectrumReport, TransferData, quantize,
                              spectrum_report, time_shift, transfer_operator)
 from .lattice import (GreenSet, LatticeModel, covariance_rp, green_set,
-                      lattice_operator, monotonicity_verdict, schwinger_moment,
-                      stochastic_covariance, stochastic_rp_scan)
+                      lattice_operator, monotonicity_verdict, stochastic_covariance,
+                      stochastic_rp_scan)
 from .boxes import (Box22, adjoint, dft_zd, cyclic_convolve, group_box,
                     identity_box, rot_pi, sft, sft_inv, star_product)
 
@@ -29,8 +29,7 @@ __all__ = [
     "QuotientSpace", "SpectrumReport", "TransferData", "quantize", "spectrum_report",
     "time_shift", "transfer_operator",
     "GreenSet", "LatticeModel", "covariance_rp", "green_set", "lattice_operator",
-    "monotonicity_verdict", "schwinger_moment", "stochastic_covariance",
-    "stochastic_rp_scan",
+    "monotonicity_verdict", "stochastic_covariance", "stochastic_rp_scan",
     "Box22", "adjoint", "dft_zd", "cyclic_convolve", "group_box", "identity_box",
     "rot_pi", "sft", "sft_inv", "star_product",
 ]

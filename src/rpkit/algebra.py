@@ -59,11 +59,10 @@ def clock_shift(d: int):
 
 @dataclass(frozen=True)
 class AlgebraConfig:
-    """Degree d, generator count m, and the size cap for the matrix dimension."""
+    """Degree d and generator count m; the matrix dimension is capped at DEFAULT_CAP."""
 
     d: int
     m: int
-    cap: int = DEFAULT_CAP
 
     def __post_init__(self):
         if not isinstance(self.d, (int, np.integer)) or self.d < 2:
@@ -119,9 +118,9 @@ class Algebra:
     """Shared context: configuration, generator matrices, monomial-rep cache."""
 
     def __init__(self, cfg: AlgebraConfig):
-        if cfg.dim > cfg.cap:
+        if cfg.dim > DEFAULT_CAP:
             raise SizeLimit(
-                f"matrix dimension d^(m/2) = {cfg.dim} exceeds cap {cfg.cap}")
+                f"matrix dimension d^(m/2) = {cfg.dim} exceeds cap {DEFAULT_CAP}")
         self.cfg = cfg
         d, m = cfg.d, cfg.m
         U, V = clock_shift(d)

@@ -2,8 +2,12 @@
 
 Exit codes: 0 positive verdicts, 1 negative (violation found), 2
 not-applicable or reconstruction failure, 3 config/parse error, 4 size cap
-exceeded, 5 I/O failure.  Reports are written atomically; identical config
-and seed give byte-identical output (timing is only included on --timing).
+exceeded, 5 I/O failure, 6 internal error (any other exception, reported as
+one line "rpkit: internal error: <Type>: <message>" without a traceback).
+Config numbers are read through one coercion (_number), so a string, a bool
+or a non-integral count is a config error (3), never a crash.  Reports are
+written atomically; identical config and seed give byte-identical output
+(timing is only included on --timing).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_PARSE = 3
 EXIT_SIZE = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
 
 
 class ConfigError(Exception):
@@ -50,6 +55,25 @@ def _require(cfg, key, kind=None):
     if kind is not None and not isinstance(val, kind):
         raise ConfigError(f"config field '{key}' has wrong type {type(val).__name__}")
     return val
+
+
+def _number(val, kind, key):
+    """A config number as int, float or complex; ConfigError for anything else.
+
+    Strings and bools are refused, except that complex parses strings such as
+    "1-2j" (JSON has no complex literal).  int takes integral values only, so
+    4.0 is 4 while 4.5, nan and inf are refused.  Non-finite floats pass: the
+    pipelines refuse them as invalid config.
+    """
+    allowed = (int, float, str) if kind is complex else (int, float)
+    try:
+        if isinstance(val, bool) or not isinstance(val, allowed):
+            raise TypeError(f"expected a number, got {type(val).__name__}")
+        if kind is int and isinstance(val, float) and not val.is_integer():
+            raise ValueError(f"expected an integer, got {val!r}")
+        return kind(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config field '{key}': {exc}") from exc
 
 
 def _hamiltonian_from_terms(algebra, terms):
@@ -69,7 +93,7 @@ def _state_from_config(cfg, algebra, rng):
         return StateFunctional(kind="trace")
     if kind != "gibbs":
         raise ConfigError(f"state must be 'trace' or 'gibbs', got {kind!r}")
-    beta = float(cfg.get("beta", 1.0))
+    beta = _number(cfg.get("beta", 1.0), float, "beta")
     if "hamiltonian" in cfg:
         H = _hamiltonian_from_terms(algebra, cfg["hamiltonian"])
     elif "draw" in cfg:
@@ -90,7 +114,8 @@ def _state_from_config(cfg, algebra, rng):
 # ---------------------------------------------------------------------------
 
 def _algebra_config(cfg):
-    return AlgebraConfig(int(_require(cfg, "d")), int(_require(cfg, "m")))
+    return AlgebraConfig(_number(_require(cfg, "d"), int, "d"),
+                         _number(_require(cfg, "m"), int, "m"))
 
 
 def run_algebra_check(cfg, tol, rng):
@@ -120,7 +145,9 @@ def run_algebra_check(cfg, tol, rng):
 def run_rp_gram(cfg, tol, rng):
     algebra = Algebra(_algebra_config(cfg))
     omega = _state_from_config(cfg, algebra, rng)
-    basis = plus_basis(algebra.cfg, cfg.get("max_grade"))
+    max_grade = cfg.get("max_grade")
+    basis = plus_basis(algebra.cfg,
+                       None if max_grade is None else _number(max_grade, int, "max_grade"))
     rep = gram(omega, algebra, basis, tol)
     results = {
         "verdict": rep.verdict,
@@ -147,13 +174,13 @@ def run_rp_gram(cfg, tol, rng):
 def run_reconstruct(cfg, tol, rng):
     algebra = Algebra(_algebra_config(cfg))
     if "chain" in cfg:
-        ch = cfg["chain"]
-        omega = uniform_chain_state(algebra, float(ch.get("coupling", 1.0)),
-                                    float(ch.get("beta", 1.0)))
+        ch = _require(cfg, "chain", dict)
+        omega = uniform_chain_state(algebra, _number(ch.get("coupling", 1.0), float, "coupling"),
+                                    _number(ch.get("beta", 1.0), float, "beta"))
     else:
         omega = _state_from_config(cfg, algebra, rng)
-    room = int(cfg.get("basis_room", 0))
-    steps = int(cfg.get("steps", 1))
+    room = _number(cfg.get("basis_room", 0), int, "basis_room")
+    steps = _number(cfg.get("steps", 1), int, "steps")
     basis = [k for k in plus_basis(algebra.cfg)
              if not any(k[algebra.cfg.m - room:])] if room else plus_basis(algebra.cfg)
     greport = gram(omega, algebra, basis, tol)
@@ -184,8 +211,8 @@ def run_reconstruct(cfg, tol, rng):
 
 
 def _lattice_model(cfg):
-    return LatticeModel(dims=tuple(_require(cfg, "dims", list)),
-                        mass2=float(_require(cfg, "mass2")),
+    return LatticeModel(dims=tuple(_number(n, int, "dims") for n in _require(cfg, "dims", list)),
+                        mass2=_number(_require(cfg, "mass2"), float, "mass2"),
                         bc=cfg.get("bc", "box"))
 
 
@@ -203,13 +230,13 @@ def run_green(cfg, tol, rng):
         "witness": truncate_witness(mono.witness),
     }
     if len(model.dims) == 1:
-        results["chain_gap"] = chain_gap(model)[0]
+        results["chain_gap"] = chain_gap(gs)[0]
     return mono.verdict, results
 
 
 def run_stochastic(cfg, tol, rng):
     model = _lattice_model(cfg)
-    ts = [float(t) for t in _require(cfg, "t_grid", list)]
+    ts = [_number(t, float, "t_grid") for t in _require(cfg, "t_grid", list)]
     scan = stochastic_rp_scan(model, ts, tol)
     any_violation = any(v for _, _, v in scan.rows)
     results = {
@@ -222,15 +249,16 @@ def run_stochastic(cfg, tol, rng):
 
 
 def run_sft_check(cfg, tol, rng):
-    d = int(cfg.get("d", 2))
+    d = _number(cfg.get("d", 2), int, "d")
     results = {}
     if "sequence" in cfg:
-        sv = sft_positivity_sequence([complex(x) for x in cfg["sequence"]], d, tol)
+        seq = _require(cfg, "sequence", list)
+        sv = sft_positivity_sequence([_number(x, complex, "sequence") for x in seq], d, tol)
         results["verdict"] = sv.verdict
         results["dft"] = sv.eigenvalues
         results["reason"] = sv.reason
         return sv.verdict, results
-    count = int(cfg.get("boxes", 20))
+    count = _number(cfg.get("boxes", 20), int, "boxes")
     worst_rot = 0.0
     worst_sft4 = 0.0
     worst_conv = 0.0
@@ -291,6 +319,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except Exception as exc:    # a bug, not a verdict: exit 6, never 1
+        msg = " ".join(str(exc).split())
+        print(f"rpkit: internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _main(argv) -> int:
     parser = argparse.ArgumentParser(prog="rpkit",
                                      description="reflection positivity verification toolkit")
     parser.add_argument("command", choices=COMMANDS)

@@ -3,21 +3,23 @@
 A = -laplacian + mass2 on a box (Dirichlet outside) or torus, time axis first
 with even length so the reflection plane sits between lattice rows.  The
 Green operator C = A^{-1} yields the half-space Dirichlet and Neumann Green
-operators by image charges,
+operators by image charges, C_D = (C - C_r)|half and C_N = (C + C_r)|half with
+C_r(x, y) = C(x, r y), so that
 
-    C_D = (C - C_r)|half,    C_N = (C + C_r)|half,    C_r(x, y) = C(x, r y),
+    C_N - C_D = 2 C[r(half), half]      (C commutes with r),
 
-and RP for the Gaussian field is equivalent to C_D <= C_N.  Both half
-operators are re-derivable from adjusted half-space stencils (phantom row
-equal to minus/plus the mirror value), which green-set consumers use as an
-independent cross-check.
+and RP for the Gaussian field, C_D <= C_N, is positivity of that one
+reflected block.  A GreenSet therefore holds only C and the half; C_D and C_N
+are never formed.  The tests rebuild both half operators from adjusted
+half-space stencils (phantom row equal to minus/plus the mirror value) as an
+independent cross-check of the identity.
 
 Sites are numbered in C order over dims (the order of itertools.product), so
-the time reflection r is an index permutation and R its 0/1 matrix.  The
-covariance Gram <theta f_i, C f_j> = (R f_i)^T C f_j on the delta basis of the
-half is the slice C[r(half), half]: R e_i = e_r(i), and every other term of
-the product is an exact zero, so the slice equals the product bit for bit.
-For the same reason C_r = C R is the column permutation C[:, r].
+the time reflection r is an index permutation.  The covariance Gram
+<theta f_i, C f_j> = (R f_i)^T C f_j on the delta basis of the half, with R
+the 0/1 matrix of r, is the same slice C[r(half), half]: R e_i = e_r(i), and
+every other term of the product is an exact zero, so the slice equals the
+product bit for bit.
 
 Stochastic quantization relaxes from zero initial data with dphi = -A phi ds
 + sqrt(2) dW, so the time-s law has covariance C_t = A^{-1}(1 - exp(-2 t A));
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidConfig, InvalidGeometry, SizeLimit, WrongHalf
-from .verifier import NEGATIVE, POSITIVE, GramReport, gram_report_from_matrix
+from .verifier import GramReport, gram_report_from_matrix
 
 DEFAULT_TOL = 1e-10
 SITE_CAP = 4096
@@ -47,7 +49,6 @@ class LatticeModel:
     dims: tuple
     mass2: float
     bc: str = "box"
-    cap: int = SITE_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
@@ -60,18 +61,12 @@ class LatticeModel:
         if not np.isfinite(self.mass2) or self.mass2 <= 0:
             raise InvalidConfig(f"mass2 must be finite and > 0 (torus would be singular): "
                                 f"{self.mass2}")
-        if int(np.prod(self.dims)) > self.cap:
-            raise SizeLimit(f"lattice volume {int(np.prod(self.dims))} exceeds cap {self.cap}")
+        if int(np.prod(self.dims)) > SITE_CAP:
+            raise SizeLimit(f"lattice volume {int(np.prod(self.dims))} exceeds cap {SITE_CAP}")
 
     @property
     def sites(self) -> list:
         return list(itertools.product(*[range(n) for n in self.dims]))
-
-    def site_index(self) -> dict:
-        return {s: i for i, s in enumerate(self.sites)}
-
-    def reflect(self, s) -> tuple:
-        return (self.dims[0] - 1 - s[0],) + tuple(s[1:])
 
     def _grid(self) -> np.ndarray:
         """Site indices laid out on the lattice (C order, the order of `sites`)."""
@@ -103,13 +98,6 @@ def lattice_operator(model: LatticeModel) -> np.ndarray:
     return A
 
 
-def reflection_matrix(model: LatticeModel) -> np.ndarray:
-    r = model.reflection_indices()
-    R = np.zeros((r.size, r.size))
-    R[np.arange(r.size), r] = 1.0
-    return R
-
-
 def _reflected_block(model: LatticeModel, half, C: np.ndarray) -> np.ndarray:
     """(R C)[half, half], taken as the slice C[r(half), half]."""
     return C[np.ix_(model.reflection_indices()[half], half)]
@@ -117,83 +105,34 @@ def _reflected_block(model: LatticeModel, half, C: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GreenSet:
-    """Full and half-space Green operators for one lattice model."""
+    """Green operator C = A^{-1} of one lattice model and its positive-time half."""
 
     model: LatticeModel
     C: np.ndarray
-    C_r: np.ndarray
-    C_D: np.ndarray
-    C_N: np.ndarray
     half: list
-    reflection: np.ndarray
 
 
 def green_set(model: LatticeModel) -> GreenSet:
-    A = lattice_operator(model)
-    C = np.linalg.inv(A)
-    C_r = C[:, model.reflection_indices()]
-    half = model.half_indices()
-    sel = np.ix_(half, half)
-    C_h, C_rh = C[sel], C_r[sel]
-    return GreenSet(model=model, C=C, C_r=C_r, C_D=C_h - C_rh, C_N=C_h + C_rh,
-                    half=half, reflection=reflection_matrix(model))
+    return GreenSet(model=model, C=np.linalg.inv(lattice_operator(model)),
+                    half=model.half_indices())
 
 
-def _half_operator(model: LatticeModel, sign: float) -> np.ndarray:
-    """Truncated stencil with the cut-bond rows adjusted by +-1 per cut bond."""
-    half = model.half_indices()
-    Ah = lattice_operator(model)[np.ix_(half, half)]
-    cuts = np.zeros((model.dims[0] // 2,) + model.dims[1:], dtype=int)
-    cuts[0] += 1                # bonds across the plane
-    if model.bc == "torus":
-        cuts[-1] += 1           # the wrap-around bond
-    k = np.flatnonzero(cuts)
-    Ah[k, k] += sign * cuts.ravel()[k]
-    return np.linalg.inv(Ah)
+def monotonicity_verdict(gs: GreenSet, tol: float = DEFAULT_TOL) -> GramReport:
+    """PSD test of C_N - C_D = 2 C[r(half), half] (the operator monotonicity form of RP)."""
+    return gram_report_from_matrix(2 * _reflected_block(gs.model, gs.half, gs.C), gs.half, tol)
 
 
-def dirichlet_half_green(model: LatticeModel) -> np.ndarray:
-    """Half-space Green operator with the phantom row pinned to minus the mirror."""
-    return _half_operator(model, +1.0)
-
-
-def neumann_half_green(model: LatticeModel) -> np.ndarray:
-    """Half-space Green operator with the phantom row equal to the mirror."""
-    return _half_operator(model, -1.0)
-
-
-@dataclass
-class MonotonicityVerdict:
-    verdict: str
-    min_eig: float
-    witness: np.ndarray
-    tol: float
-
-
-def monotonicity_verdict(gs: GreenSet, tol: float = DEFAULT_TOL) -> MonotonicityVerdict:
-    """PSD test of C_N - C_D (the operator monotonicity form of RP)."""
-    D = gs.C_N - gs.C_D
-    D = (D + D.T) / 2
-    ev, vec = np.linalg.eigh(D)
-    verdict = POSITIVE if ev[0] >= -tol else NEGATIVE
-    return MonotonicityVerdict(verdict=verdict, min_eig=float(ev[0]),
-                               witness=vec[:, 0], tol=tol)
-
-
-def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL,
-                  C: np.ndarray | None = None) -> GramReport:
+def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL) -> GramReport:
     """Gram G_ij = (r f_i)^T C f_j for test functions supported on the half.
 
     Defaults to the full half-space delta basis, where G is the slice
-    C[r(half), half].  Passing C overrides the model Green operator (used for
-    hand-built counterexamples).  Non-finite test functions are refused.
+    C[r(half), half].  Non-finite test functions are refused.
     """
-    C = gs.C if C is None else C
-    n = C.shape[0]
+    n = gs.C.shape[0]
     if testfns is None:
         sites = gs.model.sites
         labels = [sites[i] for i in gs.half]
-        G = _reflected_block(gs.model, gs.half, C)
+        G = _reflected_block(gs.model, gs.half, gs.C)
     else:
         fns = [np.asarray(f, dtype=float) for f in testfns]
         labels = list(range(len(fns)))
@@ -208,45 +147,8 @@ def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL,
         if np.any(np.abs(F[:, off]) > 0):
             raise WrongHalf("test functions must be supported on positive-time sites")
         # rows of F R^T are the reflected test functions
-        G = F[:, gs.model.reflection_indices()] @ C @ F.T
-    return gram_report_from_matrix(G.astype(complex), labels, tol)
-
-
-def counterexample_covariance(gs: GreenSet, strength: float = 1.0,
-                              rng: np.random.Generator | None = None) -> np.ndarray:
-    """Symmetric bump that keeps the reflected Gram hermitian but breaks RP.
-
-    Adds strength * w w^T with w antisymmetric under the reflection, which
-    shifts the reflected Gram by -strength * (w w^T)|half.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    n = gs.C.shape[0]
-    x = rng.normal(size=n)
-    w = (x - gs.reflection @ x) / 2
-    w /= np.linalg.norm(w)
-    return gs.C + strength * np.outer(w, w)
-
-
-def schwinger_moment(C: np.ndarray, points) -> float:
-    """Gaussian 2k-point moment: sum over perfect pairings of C entries."""
-    pts = list(points)
-    if len(pts) % 2:
-        raise InvalidArgument("schwinger_moment needs an even number of points")
-    if not pts:
-        return 1.0
-
-    def pairings(rest):
-        if not rest:
-            yield 1.0
-            return
-        a = rest[0]
-        for i in range(1, len(rest)):
-            b = rest[i]
-            sub = rest[1:i] + rest[i + 1:]
-            for val in pairings(sub):
-                yield C[a, b] * val
-
-    return float(sum(pairings(pts)))
+        G = F[:, gs.model.reflection_indices()] @ gs.C @ F.T
+    return gram_report_from_matrix(G, labels, tol)
 
 
 def stochastic_covariance(model: LatticeModel, t: float) -> np.ndarray:
@@ -256,8 +158,8 @@ def stochastic_covariance(model: LatticeModel, t: float) -> np.ndarray:
 
 def _relaxed_covariance(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
     """C_t from the eigenpairs (w, V) of A."""
-    if t < 0:
-        raise InvalidArgument("stochastic time must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise InvalidArgument(f"stochastic time must be finite and >= 0, got {t}")
     f = (1.0 - np.exp(-2.0 * t * w)) / w
     return (V * f) @ V.T
 
@@ -282,7 +184,7 @@ def stochastic_rp_scan(model: LatticeModel, ts, tol: float = VIOLATION_TOL) -> S
     wit_t, wit = None, None
     for t in ts:
         G = _reflected_block(model, half, _relaxed_covariance(w, V, float(t)))
-        rep = gram_report_from_matrix(G.astype(complex), half)
+        rep = gram_report_from_matrix(G, half)
         violated = rep.min_eig < -tol
         rows.append((float(t), rep.min_eig, violated))
         if violated and wit_t is None:
@@ -290,7 +192,7 @@ def stochastic_rp_scan(model: LatticeModel, ts, tol: float = VIOLATION_TOL) -> S
     return StochasticScan(rows=rows, witness_t=wit_t, witness=wit)
 
 
-def chain_transfer(model: LatticeModel):
+def chain_transfer(gs: GreenSet):
     """OS transfer data for the Gaussian two-point sector plus the vacuum.
 
     Basis: the constant (vacuum) plus delta functions on positive-time sites;
@@ -299,13 +201,12 @@ def chain_transfer(model: LatticeModel):
     """
     from .reconstruction import compress_shift
 
-    gs = green_set(model)
     n = len(gs.half)
     M = np.zeros((n + 1, n + 1))
     M[0, 0] = 1.0
-    M[1:, 1:] = _reflected_block(model, gs.half, gs.C)
+    M[1:, 1:] = _reflected_block(gs.model, gs.half, gs.C)
     # the half is C-ordered with time first: one step in time is `row` positions
-    row = n // (model.dims[0] // 2)
+    row = n // (gs.model.dims[0] // 2)
 
     def shift_of(j):
         if j == 0:
@@ -315,9 +216,9 @@ def chain_transfer(model: LatticeModel):
     return compress_shift(M.astype(complex), range(n + 1), shift_of, CHAIN_TOL)
 
 
-def chain_gap(model: LatticeModel):
+def chain_gap(gs: GreenSet):
     """Spectral gap of the reconstructed Hamiltonian for the Gaussian chain."""
-    comp = chain_transfer(model)
+    comp = chain_transfer(gs)
     lam = np.linalg.eigvalsh(comp.transfer)
     lam = lam[lam > 1e-13]
     E = np.sort(-np.log(lam))

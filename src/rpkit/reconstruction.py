@@ -39,11 +39,10 @@ MAX_STEPS = 3       # the extended family holds shifts by up to MAX_STEPS x step
 
 @dataclass
 class QuotientSpace:
-    """Rank, isometry into basis-coefficient space, and the PSD square root."""
+    """Rank, isometry into basis-coefficient space, and the null vectors."""
 
     rank: int
     isometry: np.ndarray
-    gram_sqrt: np.ndarray
     null_vectors: np.ndarray
     tol: float
     matrix: np.ndarray      # the Gram form that was quotiented
@@ -56,9 +55,8 @@ def quantize(report: GramReport, tol: float | None = None) -> QuotientSpace:
     tol = report.tol if tol is None else tol
     ev, vec, keep = split_gram(report.matrix, tol)
     iso = vec[:, keep] / np.sqrt(ev[keep])
-    sqrt = (vec * np.sqrt(np.clip(ev, 0.0, None))) @ vec.conj().T
-    return QuotientSpace(rank=int(keep.sum()), isometry=iso, gram_sqrt=sqrt,
-                         null_vectors=vec[:, ~keep], tol=tol, matrix=report.matrix)
+    return QuotientSpace(rank=int(keep.sum()), isometry=iso, null_vectors=vec[:, ~keep],
+                         tol=tol, matrix=report.matrix)
 
 
 def time_shift(k, steps: int, cfg) -> tuple | None:

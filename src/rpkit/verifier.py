@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraConfig, AlgebraElement, StateFunctional, evaluate, theta, twisted_product
+from .algebra import (DEFAULT_CAP, Algebra, AlgebraConfig, AlgebraElement, StateFunctional,
+                      evaluate, theta, twisted_product)
 from .boxes import dft_zd
 from .errors import PreconditionViolation, SizeLimit, WrongHalf
 
@@ -45,8 +46,8 @@ def plus_basis(cfg: AlgebraConfig, max_grade: int | None = None) -> list:
     c_{m/2+2}, ..., matching the documented report layout.
     """
     w = cfg.m // 2
-    if cfg.d**w > cfg.cap:
-        raise SizeLimit(f"plus basis size {cfg.d ** w} exceeds cap {cfg.cap}")
+    if cfg.d**w > DEFAULT_CAP:
+        raise SizeLimit(f"plus basis size {cfg.d ** w} exceeds cap {DEFAULT_CAP}")
     keys = sorted(itertools.product(range(cfg.d), repeat=w),
                   key=lambda t: tuple(reversed(t)))
     out = []

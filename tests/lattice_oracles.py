@@ -1,0 +1,85 @@
+"""Lattice helpers that only the tests use.
+
+Explicit site geometry, the 0/1 reflection matrix, the half-space Green
+operators from adjusted stencils (the independent cross-check of the image
+charge identity C_N - C_D = 2 C[r(half), half]), a hand-built covariance that
+breaks RP, and Gaussian moments by Wick pairing.
+"""
+
+import numpy as np
+
+from rpkit.errors import InvalidArgument
+from rpkit.lattice import lattice_operator
+
+
+def site_index(model) -> dict:
+    return {s: i for i, s in enumerate(model.sites)}
+
+
+def reflect(model, s) -> tuple:
+    return (model.dims[0] - 1 - s[0],) + tuple(s[1:])
+
+
+def reflection_matrix(model) -> np.ndarray:
+    r = model.reflection_indices()
+    R = np.zeros((r.size, r.size))
+    R[np.arange(r.size), r] = 1.0
+    return R
+
+
+def _half_operator(model, sign: float) -> np.ndarray:
+    """Truncated stencil with the cut-bond rows adjusted by +-1 per cut bond."""
+    half = model.half_indices()
+    Ah = lattice_operator(model)[np.ix_(half, half)]
+    cuts = np.zeros((model.dims[0] // 2,) + model.dims[1:], dtype=int)
+    cuts[0] += 1                # bonds across the plane
+    if model.bc == "torus":
+        cuts[-1] += 1           # the wrap-around bond
+    k = np.flatnonzero(cuts)
+    Ah[k, k] += sign * cuts.ravel()[k]
+    return np.linalg.inv(Ah)
+
+
+def dirichlet_half_green(model) -> np.ndarray:
+    """Half-space Green operator with the phantom row pinned to minus the mirror."""
+    return _half_operator(model, +1.0)
+
+
+def neumann_half_green(model) -> np.ndarray:
+    """Half-space Green operator with the phantom row equal to the mirror."""
+    return _half_operator(model, -1.0)
+
+
+def counterexample_covariance(gs, strength: float = 1.0, rng=None) -> np.ndarray:
+    """Symmetric bump that keeps the reflected Gram hermitian but breaks RP.
+
+    Adds strength * w w^T with w antisymmetric under the reflection, which
+    shifts the reflected Gram by -strength * (w w^T)|half.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    x = rng.normal(size=gs.C.shape[0])
+    w = (x - x[gs.model.reflection_indices()]) / 2
+    w /= np.linalg.norm(w)
+    return gs.C + strength * np.outer(w, w)
+
+
+def schwinger_moment(C: np.ndarray, points) -> float:
+    """Gaussian 2k-point moment: sum over perfect pairings of C entries."""
+    pts = list(points)
+    if len(pts) % 2:
+        raise InvalidArgument("schwinger_moment needs an even number of points")
+    if not pts:
+        return 1.0
+
+    def pairings(rest):
+        if not rest:
+            yield 1.0
+            return
+        a = rest[0]
+        for i in range(1, len(rest)):
+            b = rest[i]
+            sub = rest[1:i] + rest[i + 1:]
+            for val in pairings(sub):
+                yield C[a, b] * val
+
+    return float(sum(pairings(pts)))

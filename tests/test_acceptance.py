@@ -9,16 +9,15 @@ import time
 
 import numpy as np
 
-from rpkit.algebra import AlgebraConfig, StateFunctional, build_algebra, theta
+from rpkit.algebra import DEFAULT_CAP, AlgebraConfig, StateFunctional, build_algebra, theta
 from rpkit.boxes import (Box22, adjoint, cyclic_convolve, dft_zd, group_box, rot_pi,
                          sft, star_product)
 from rpkit.boxes import theta as theta_box
 from rpkit.chains import uniform_chain_state
 from rpkit.cli import main as cli_main
 from rpkit.errors import PreconditionViolation
-from rpkit.lattice import (GreenSet, LatticeModel, chain_gap, counterexample_covariance,
-                           covariance_rp, green_set, lattice_operator,
-                           monotonicity_verdict, stochastic_covariance,
+from rpkit.lattice import (GreenSet, LatticeModel, chain_gap, covariance_rp, green_set,
+                           lattice_operator, monotonicity_verdict, stochastic_covariance,
                            stochastic_rp_scan)
 from rpkit.reconstruction import quantize, time_shift
 from rpkit.report import curve_csv
@@ -27,6 +26,7 @@ from rpkit.verifier import (NEGATIVE, POSITIVE, coupling_decomposition,
                             plus_basis, sft_positivity)
 
 from conftest import acceptance_lines, make_algebra, random_element
+from lattice_oracles import counterexample_covariance
 
 
 def record(index, ok, detail):
@@ -62,7 +62,7 @@ def test_criterion_1_algebra_relations():
     for d in (2, 3, 4):
         for m in (2, 4, 6):
             cfg = AlgebraConfig(d, m)
-            if cfg.dim > cfg.cap:
+            if cfg.dim > DEFAULT_CAP:
                 continue
             gens = build_algebra(cfg)
             q = cfg.q
@@ -271,12 +271,9 @@ def test_criterion_7_green_monotonicity():
         model = LatticeModel((8,), 1.0, "box")
         gs = green_set(model)
         Cbad = counterexample_covariance(gs, strength=1.0 + trial, rng=rng)
-        sel = np.ix_(gs.half, gs.half)
-        Cr = Cbad @ gs.reflection
-        bad = GreenSet(model=model, C=Cbad, C_r=Cr, C_D=(Cbad - Cr)[sel],
-                       C_N=(Cbad + Cr)[sel], half=gs.half, reflection=gs.reflection)
+        bad = GreenSet(model=model, C=Cbad, half=gs.half)
         mono = monotonicity_verdict(bad)
-        cov = covariance_rp(bad, C=Cbad)
+        cov = covariance_rp(bad)
         agree &= mono.verdict == cov.verdict
         n_negative += mono.verdict == NEGATIVE
     ok = worst >= -1e-10 and agree and n_negative == 5
@@ -302,7 +299,7 @@ def test_criterion_8_gaussian_chain_gap():
         oracle = _kernel_gap_oracle(mass2)
         closed = float(np.arccosh(1 + mass2 / 2))
         assert abs(oracle - closed) < 1e-8     # oracle self-consistency
-        gap, diag = chain_gap(LatticeModel((32,), mass2, "box"))
+        gap, diag = chain_gap(green_set(LatticeModel((32,), mass2, "box")))
         err = abs(gap - oracle)
         worst = max(worst, err)
         details.append(f"m2={mass2}: |gap-oracle|={err:.1e}")

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from rpkit import reconstruction
 from rpkit.errors import InvalidArgument, InvalidConfig, InvalidGeometry, SizeLimit, WrongHalf
+from rpkit.cli import run_green
 from rpkit.lattice import (VIOLATION_TOL, GreenSet, LatticeModel, chain_gap, chain_transfer,
-                           counterexample_covariance, covariance_rp, dirichlet_half_green,
-                           green_set, lattice_operator, monotonicity_verdict,
-                           neumann_half_green, reflection_matrix, schwinger_moment,
+                           covariance_rp, green_set, lattice_operator, monotonicity_verdict,
                            stochastic_covariance, stochastic_rp_scan)
 from rpkit.verifier import NEGATIVE, POSITIVE, gram_report_from_matrix
+
+from lattice_oracles import (counterexample_covariance, dirichlet_half_green,
+                             neumann_half_green, reflect, reflection_matrix,
+                             schwinger_moment, site_index)
 
 
 class TestLatticeOperator:
@@ -53,12 +56,20 @@ class TestLatticeOperator:
             LatticeModel((100, 100), 1.0, "box")
 
 
+def _image_charges(gs):
+    """C_D and C_N = (C -+ C R)|half from the Green operator and the loop reflection."""
+    C_r = gs.C @ _loop_reflection(gs.model)
+    sel = np.ix_(gs.half, gs.half)
+    return (gs.C - C_r)[sel], (gs.C + C_r)[sel]
+
+
 class TestGreenSet:
     def test_image_charge_identity_exact(self):
         gs = green_set(LatticeModel((8,), 1.0, "box"))
-        lhs = gs.C_N - gs.C_D
-        rhs = 2 * gs.C_r[np.ix_(gs.half, gs.half)]
-        assert np.abs(lhs - rhs).max() < 1e-14
+        C_D, C_N = _image_charges(gs)
+        r = gs.model.reflection_indices()
+        rhs = 2 * gs.C[np.ix_(r[gs.half], gs.half)]
+        assert np.abs((C_N - C_D) - rhs).max() < 1e-14
 
     @pytest.mark.parametrize("dims,bc", [((8,), "box"), ((8,), "torus"),
                                          ((4, 4), "box"), ((4, 4), "torus"),
@@ -67,24 +78,24 @@ class TestGreenSet:
     def test_half_operator_cross_check(self, dims, bc, mass2):
         # independent construction: adjusted half-space stencils
         model = LatticeModel(dims, mass2, bc)
-        gs = green_set(model)
-        assert np.abs(gs.C_D - dirichlet_half_green(model)).max() < 1e-10
-        assert np.abs(gs.C_N - neumann_half_green(model)).max() < 1e-10
+        C_D, C_N = _image_charges(green_set(model))
+        assert np.abs(C_D - dirichlet_half_green(model)).max() < 1e-10
+        assert np.abs(C_N - neumann_half_green(model)).max() < 1e-10
 
     def test_monotonicity_on_free_field(self):
-        gs = green_set(LatticeModel((8,), 1.0, "box"))
-        assert np.linalg.eigvalsh((gs.C_N - gs.C_D + (gs.C_N - gs.C_D).T) / 2).min() >= -1e-12
+        C_D, C_N = _image_charges(green_set(LatticeModel((8,), 1.0, "box")))
+        assert np.linalg.eigvalsh((C_N - C_D + (C_N - C_D).T) / 2).min() >= -1e-12
 
     def test_reflection_covariance(self):
         model = LatticeModel((6, 3), 1.0, "torus")
         gs = green_set(model)
-        R = gs.reflection
+        R = reflection_matrix(model)
         assert np.abs(R @ gs.C @ R - gs.C).max() < 1e-12
         assert np.abs(R @ R - np.eye(R.shape[0])).max() == 0.0
 
     def test_symmetry(self):
         gs = green_set(LatticeModel((6, 4), 0.5, "box"))
-        for mat in (gs.C, gs.C_D, gs.C_N):
+        for mat in (gs.C, *_image_charges(gs)):
             assert np.abs(mat - mat.T).max() < 1e-12
 
 
@@ -98,11 +109,10 @@ class TestMonotonicityVerdict:
 
     def test_zero_reflected_kernel_is_marginal_positive(self):
         gs = green_set(LatticeModel((8,), 1.0, "box"))
-        flat = GreenSet(model=gs.model, C=gs.C, C_r=np.zeros_like(gs.C_r),
-                        C_D=gs.C[np.ix_(gs.half, gs.half)],
-                        C_N=gs.C[np.ix_(gs.half, gs.half)],
-                        half=gs.half, reflection=gs.reflection)
-        v = monotonicity_verdict(flat)
+        rh = gs.model.reflection_indices()[gs.half]
+        C = gs.C.copy()
+        C[np.ix_(rh, gs.half)] = C[np.ix_(gs.half, rh)] = 0.0
+        v = monotonicity_verdict(GreenSet(model=gs.model, C=C, half=gs.half))
         assert v.verdict == POSITIVE
         assert abs(v.min_eig) < 1e-14
 
@@ -111,14 +121,11 @@ class TestMonotonicityVerdict:
         model = LatticeModel((8,), 1.0, "box")
         gs = green_set(model)
         Cbad = counterexample_covariance(gs, strength=1.0, rng=rng)
-        half = gs.half
-        sel = np.ix_(half, half)
-        Cr = Cbad @ gs.reflection
-        bad = GreenSet(model=model, C=Cbad, C_r=Cr, C_D=(Cbad - Cr)[sel],
-                       C_N=(Cbad + Cr)[sel], half=half, reflection=gs.reflection)
+        bad = GreenSet(model=model, C=Cbad, half=gs.half)
         v = monotonicity_verdict(bad)
         assert v.verdict == NEGATIVE
-        D = (bad.C_N - bad.C_D + (bad.C_N - bad.C_D).T) / 2
+        C_D, C_N = _image_charges(bad)
+        D = (C_N - C_D + (C_N - C_D).T) / 2
         assert abs(np.real(v.witness @ D @ v.witness) - v.min_eig) < 1e-10
 
 
@@ -141,12 +148,12 @@ class TestCovarianceRp:
     def test_plane_adjacent_delta(self):
         model = LatticeModel((8,), 1.0, "box")
         gs = green_set(model)
-        idx = model.site_index()
+        idx = site_index(model)
         site = idx[(4,)]                     # first positive-time site
         f = np.zeros(len(model.sites))
         f[site] = 1.0
         rep = covariance_rp(gs, [f])
-        refl = idx[model.reflect((4,))]
+        refl = idx[reflect(model, (4,))]
         assert abs(rep.matrix[0, 0] - gs.C[refl, site]) < 1e-14
         assert rep.matrix[0, 0].real > 0
 
@@ -259,13 +266,23 @@ class TestChainGap:
     def test_gap_approaches_dispersion_value(self):
         # half-window of 16 sites reproduces arccosh(1 + m^2/2) to ~1e-9
         model = LatticeModel((32,), 1.0, "box")
-        gap, diag = chain_gap(model)
+        gap, diag = chain_gap(green_set(model))
         assert abs(gap - np.arccosh(1.5)) < 1e-6
         assert diag["asymmetry"] < 1e-10
 
     def test_gap_grows_with_mass(self):
-        gaps = [chain_gap(LatticeModel((24,), m2, "box"))[0] for m2 in (0.5, 1.0, 2.0)]
+        gaps = [chain_gap(green_set(LatticeModel((24,), m2, "box")))[0]
+                for m2 in (0.5, 1.0, 2.0)]
         assert gaps[0] < gaps[1] < gaps[2]
+
+    def test_green_check_inverts_once(self, monkeypatch):
+        # the chain gap reuses the GreenSet of the monotonicity check
+        inv = []
+        real_inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv.append(1) or real_inv(a))
+        verdict, results = run_green({"dims": [16], "mass2": 1.0}, 1e-10, None)
+        assert verdict == POSITIVE and "chain_gap" in results
+        assert inv == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +310,7 @@ def _loop_reflection(model):
     idx = {s: i for i, s in enumerate(model.sites)}
     R = np.zeros((len(idx), len(idx)))
     for s, i in idx.items():
-        R[i, idx[model.reflect(s)]] = 1.0
+        R[i, idx[reflect(model, s)]] = 1.0
     return R
 
 
@@ -346,7 +363,6 @@ class TestDenseOracles:
         R = _loop_reflection(model)
         assert np.array_equal(reflection_matrix(model), R)
         assert model.half_indices() == _loop_half(model)
-        assert model.site_index() == {s: i for i, s in enumerate(model.sites)}
         assert np.array_equal(dirichlet_half_green(model), _loop_half_operator(model, +1.0))
         assert np.array_equal(neumann_half_green(model), _loop_half_operator(model, -1.0))
 
@@ -354,13 +370,16 @@ class TestDenseOracles:
     @given(model=lattice_models())
     def test_green_set_matches_reflection_products(self, model):
         gs = green_set(model)
-        R = _loop_reflection(model)
-        C_r = gs.C @ R
-        sel = np.ix_(gs.half, gs.half)
-        assert np.array_equal(gs.C_r, C_r)
-        assert np.array_equal(gs.C_D, (gs.C - C_r)[sel])
-        assert np.array_equal(gs.C_N, (gs.C + C_r)[sel])
-        assert np.array_equal(gs.reflection, R)
+        assert gs.half == _loop_half(model)
+        assert np.array_equal(gs.C, np.linalg.inv(_loop_operator(model)))
+        C_D, C_N = _image_charges(gs)
+        scale = np.abs(gs.C).max()
+        # stencil cross-check of the image charges (worst seen 3e-14 relative)
+        assert np.abs(C_D - dirichlet_half_green(model)).max() <= 1e-10 * scale
+        assert np.abs(C_N - neumann_half_green(model)).max() <= 1e-10 * scale
+        D = C_N - C_D
+        D = (D + D.T) / 2
+        assert np.abs(monotonicity_verdict(gs).matrix - D).max() <= 1e-14 * scale
 
     @settings(max_examples=40, deadline=None)
     @given(model=lattice_models(), seed=st.integers(0, 2**32 - 1))
@@ -370,7 +389,7 @@ class TestDenseOracles:
         n = gs.C.shape[0]
         labels = [model.sites[i] for i in gs.half]
         want = gram_report_from_matrix(
-            _loop_covariance(R, gs.C, _deltas(n, gs.half)).astype(complex), labels)
+            _loop_covariance(R, gs.C, _deltas(n, gs.half)), labels)
         rep = covariance_rp(gs)
         assert rep.basis == want.basis
         assert rep.herm_defect == want.herm_defect          # the raw Gram, before symmetrizing
@@ -398,7 +417,7 @@ class TestDenseOracles:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reconstruction, "compress_shift", capture)
-            chain_transfer(model)
+            chain_transfer(green_set(model))
         C = np.linalg.inv(_loop_operator(model))
         half = _loop_half(model)
         assert np.array_equal(seen["M"][1:, 1:], (_loop_reflection(model) @ C)[np.ix_(half, half)])
@@ -420,7 +439,7 @@ class TestDenseOracles:
         for t in ts:
             w, V = np.linalg.eigh(_loop_operator(model))
             Ct = (V * ((1.0 - np.exp(-2.0 * t * w)) / w)) @ V.T
-            rep = gram_report_from_matrix(_loop_covariance(R, Ct, deltas).astype(complex), half)
+            rep = gram_report_from_matrix(_loop_covariance(R, Ct, deltas), half)
             rows.append((t, rep.min_eig, rep.min_eig < -VIOLATION_TOL))
             if rows[-1][2] and wit_t is None:
                 wit_t, wit = t, rep.witness

@@ -55,13 +55,6 @@ class TestQuantize:
         with pytest.raises(PreconditionViolation):
             quantize(rep)
 
-    def test_gram_sqrt(self):
-        rng = np.random.default_rng(5)
-        W = rng.normal(size=(4, 4))
-        M = W @ W.T
-        q = quantize(fake_report(M))
-        assert np.abs(q.gram_sqrt @ q.gram_sqrt - M).max() < 1e-10
-
 
 class TestTimeShift:
     def test_basic_shift(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rpkit import cli
 from rpkit.cli import main
 from rpkit.report import curve_csv, to_text, truncate_witness
 
@@ -238,13 +239,15 @@ CHAIN_M4 = {"d": 2, "m": 4, "chain": {"coupling": 1.0, "beta": 1.0}}
     ("green", {"dims": [8], "mass2": NAN}),
     ("green", {"dims": [8], "mass2": INF}),
     ("stochastic", {"dims": [8], "mass2": INF, "t_grid": [0.25]}),
+    ("stochastic", {"dims": [8], "mass2": 1.0, "t_grid": [0.25, NAN]}),
     ("rp-gram", {**GIBBS_M2, "beta": NAN}),
     ("rp-gram", {**GIBBS_M2, "beta": INF}),
     ("rp-gram", {**GIBBS_M2, "hamiltonian": [[[NAN, 0.0], [1, 1]]]}),
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": NAN, "beta": 1.0}}),
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1.0, "beta": NAN}}),
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1.0, "beta": INF}}),
-], ids=["green-mass2-nan", "green-mass2-inf", "stochastic-mass2-inf", "gram-beta-nan",
+], ids=["green-mass2-nan", "green-mass2-inf", "stochastic-mass2-inf", "stochastic-t-nan",
+        "gram-beta-nan",
         "gram-beta-inf", "gram-coefficient-nan", "chain-coupling-nan", "chain-beta-nan",
         "chain-beta-inf"])
 def test_non_finite_input_exit_3(tmp_path, capsys, command, cfg):
@@ -252,3 +255,34 @@ def test_non_finite_input_exit_3(tmp_path, capsys, command, cfg):
     assert code == 3
     assert text == ""
     assert capsys.readouterr().err.startswith("rpkit: invalid config:")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("green", {"dims": [NAN, 4], "mass2": 1.0}),
+    ("green", {"dims": [4.5, 4], "mass2": 1.0}),
+    ("green", {"dims": [8], "mass2": "heavy"}),
+    ("algebra-check", {"d": "2", "m": 4}),
+    ("algebra-check", {"d": 2, "m": "four"}),
+    ("rp-gram", {**GIBBS_M2, "beta": "hot"}),
+    ("rp-gram", {"d": 2, "m": 4, "max_grade": "1"}),
+    ("reconstruct", {**CHAIN_M4, "basis_room": "2"}),
+    ("stochastic", {"dims": [8], "mass2": 1.0, "t_grid": ["0.25"]}),
+    ("sft-check", {"d": 2, "sequence": ["one", 1.0]}),
+], ids=["dims-nan", "dims-fraction", "mass2-string", "d-string", "m-string", "beta-string",
+        "max-grade-string", "basis-room-string", "t-grid-string", "sequence-string"])
+def test_wrong_type_config_exit_3(tmp_path, capsys, command, cfg):
+    code, text = run_cli(tmp_path, command, cfg)
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err.startswith("rpkit: config error: config field")
+
+
+def test_internal_error_exit_6(tmp_path, capsys, monkeypatch):
+    def broken(cfg, tol, rng):
+        raise RuntimeError("broken\npipeline")
+
+    monkeypatch.setitem(cli.COMMANDS, "green", broken)
+    code, text = run_cli(tmp_path, "green", {"dims": [8], "mass2": 1.0})
+    assert code == 6
+    assert text == ""
+    assert capsys.readouterr().err == "rpkit: internal error: RuntimeError: broken pipeline\n"
