@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .algebra import (AlgebraConfig, Algebra, AlgebraElement, StateFunctional,
                       build_algebra, clock_shift, evaluate, theta, twisted_product)
 from .verifier import (CouplingDecomposition, GramReport, coupling_decomposition,
-                       coupling_element, gram, null_basis, plus_basis,
+                       coupling_element, gram, plus_basis,
                        sft_positivity, sft_positivity_sequence)
 from .reconstruction import (QuotientSpace, SpectrumReport, TransferData, quantize,
                              spectrum_report, time_shift, transfer_operator)
@@ -25,7 +25,7 @@ __all__ = [
     "AlgebraConfig", "Algebra", "AlgebraElement", "StateFunctional", "build_algebra",
     "clock_shift", "evaluate", "theta", "twisted_product",
     "CouplingDecomposition", "GramReport", "coupling_decomposition", "coupling_element",
-    "gram", "null_basis", "plus_basis", "sft_positivity", "sft_positivity_sequence",
+    "gram", "plus_basis", "sft_positivity", "sft_positivity_sequence",
     "QuotientSpace", "SpectrumReport", "TransferData", "quantize", "spectrum_report",
     "time_shift", "transfer_operator",
     "GreenSet", "LatticeModel", "covariance_rp", "green_set", "lattice_operator",

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, InvalidConfig, InvalidGeometry, SizeLimit, WrongHalf
+from .reconstruction import compress_shift, energies, quantize
 from .verifier import GramReport, gram_report_from_matrix
 
 DEFAULT_TOL = 1e-10
@@ -51,7 +52,13 @@ class LatticeModel:
     bc: str = "box"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
+        try:
+            dims = tuple(int(n) for n in self.dims)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidConfig(f"dims must be integers: {self.dims}") from exc
+        if dims != tuple(self.dims):
+            raise InvalidConfig(f"dims must be integers: {self.dims}")
+        object.__setattr__(self, "dims", dims)
         if not self.dims or any(n < 2 for n in self.dims):
             raise InvalidConfig(f"dims must be nonempty with every axis >= 2: {self.dims}")
         if self.bc not in ("box", "torus"):
@@ -197,12 +204,12 @@ def chain_transfer(gs: GreenSet):
 
     Basis: the constant (vacuum) plus delta functions on positive-time sites;
     the shift moves deltas one step in time away from the plane.  Returns
-    the ShiftCompression of that shift.
+    the ShiftCompression of that shift onto the quotient of the Gram at
+    null tolerance CHAIN_TOL; a Gram that is not PSD raises
+    PreconditionViolation.
     """
-    from .reconstruction import compress_shift
-
     n = len(gs.half)
-    M = np.zeros((n + 1, n + 1))
+    M = np.zeros((n + 1, n + 1), dtype=complex)
     M[0, 0] = 1.0
     M[1:, 1:] = _reflected_block(gs.model, gs.half, gs.C)
     # the half is C-ordered with time first: one step in time is `row` positions
@@ -213,14 +220,13 @@ def chain_transfer(gs: GreenSet):
             return 0
         return j + row if j + row <= n else None
 
-    return compress_shift(M.astype(complex), range(n + 1), shift_of, CHAIN_TOL)
+    quotient = quantize(gram_report_from_matrix(M, range(n + 1), CHAIN_TOL))
+    return compress_shift(M, range(n + 1), shift_of, quotient)
 
 
 def chain_gap(gs: GreenSet):
     """Spectral gap of the reconstructed Hamiltonian for the Gaussian chain."""
     comp = chain_transfer(gs)
-    lam = np.linalg.eigvalsh(comp.transfer)
-    lam = lam[lam > 1e-13]
-    E = np.sort(-np.log(lam))
+    E = energies(np.linalg.eigvalsh(comp.transfer), 1.0)
     gap = float(E[1] - E[0]) if len(E) >= 2 else 0.0
     return gap, {"asymmetry": comp.asymmetry, "null_defect": comp.null_defect}

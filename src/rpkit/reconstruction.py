@@ -3,38 +3,44 @@
 One construction serves the algebra and the lattice side.  Take the RP form
 omega(theta(A) o B) on an extended family (a window basis followed by the
 shifts of its members that stay on the chain), quotient the window by the
-null space of the form, and compress the time shift onto the quotient
-(compress_shift).  Shifts falling off the chain map to the zero class.
-quantize() gives the quotient of a Gram report on its own.
+null space of the form (quantize), and compress the time shift onto the
+quotient (compress_shift).  Shifts falling off the chain map to the zero class.
 
-Null rule, shared by quantize, null_basis and compress_shift through
-verifier.split_gram: a window Gram eigenvalue is null iff it is <= tol.  The
-cut is absolute: algebra forms are normalized (omega(1) = 1, unitary
-monomials), while the eigenvalues of m = 12 chain-window Grams fill every
-decade from 1e-15 to 1e-6, so a cut scaled by the largest eigenvalue would
-move the quotient rank with that eigenvalue.  Lattice chain Grams have no
-eigenvalue between 1e-14 and 1e-6; either rule gives them the same rank.
+Null rule, in quantize only: a window Gram eigenvalue is null iff it is
+<= tol.  quantize reads the eigenpairs and tol of the GramReport, so the
+window Gram is diagonalized once, in gram_report_from_matrix.  The cut is
+absolute: algebra forms are normalized (omega(1) = 1, unitary monomials),
+while the eigenvalues of m = 12 chain-window Grams fill every decade from
+1e-15 to 1e-6, so a cut scaled by the largest eigenvalue would move the
+quotient rank with that eigenvalue.  Lattice chain Grams have no eigenvalue
+between 1e-14 and 1e-6; either rule gives them the same rank.
 
 The compression is a self-adjoint contraction exactly when the functional is
 invariant under the shift on its support; the stated precondition is checked
 and a PreconditionViolation raised otherwise, since the raw compression of a
 shift-variant functional is not a transfer operator in any useful sense.
+
+The transfer T is diagonalized once, in transfer_operator.  H = -(1/dt) log T
+lives on (ker T)^perp only: energies() takes -log(w)/dt over the eigenvalues
+w > KERNEL_TOL, and kernel directions have no finite energy, so they are
+counted (kernel_dim) but never listed as energies.  lattice.chain_gap uses the
+same energies() and KERNEL_TOL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import Algebra, StateFunctional
 from .errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
-from .verifier import (GramReport, _check_plus, form_matrix, gram_report_from_matrix,
-                       split_gram)
+from .verifier import GramReport, _check_plus, form_matrix
 
 DEFAULT_TOL = 1e-10
 SHIFT_TOL = 1e-10   # shift-invariance gate, times max(1, max |M|)
 MAX_STEPS = 3       # the extended family holds shifts by up to MAX_STEPS x steps
+KERNEL_TOL = 1e-12  # transfer eigenvalues at or below this are ker T
 
 
 @dataclass
@@ -44,19 +50,19 @@ class QuotientSpace:
     rank: int
     isometry: np.ndarray
     null_vectors: np.ndarray
-    tol: float
     matrix: np.ndarray      # the Gram form that was quotiented
 
 
-def quantize(report: GramReport, tol: float | None = None) -> QuotientSpace:
-    """Quotient the basis span by the null space of the Gram form."""
+def quantize(report: GramReport) -> QuotientSpace:
+    """Quotient the basis span by the null space of the Gram form: eigenvalues
+    of the report at or below report.tol are null."""
     if not report.psd:
         raise PreconditionViolation("quantize requires a PSD Gram report")
-    tol = report.tol if tol is None else tol
-    ev, vec, keep = split_gram(report.matrix, tol)
+    ev, vec = report.eigenvalues, report.eigenvectors
+    keep = ev > report.tol
     iso = vec[:, keep] / np.sqrt(ev[keep])
     return QuotientSpace(rank=int(keep.sum()), isometry=iso, null_vectors=vec[:, ~keep],
-                         tol=tol, matrix=report.matrix)
+                         matrix=report.matrix)
 
 
 def time_shift(k, steps: int, cfg) -> tuple | None:
@@ -79,29 +85,34 @@ def time_shift(k, steps: int, cfg) -> tuple | None:
     return tuple([0] * w + [0] * steps + plus[:w - steps])
 
 
+def energies(w: np.ndarray, dt: float) -> np.ndarray:
+    """Ascending -log(w)/dt over the transfer eigenvalues w > KERNEL_TOL."""
+    # + 0.0 turns -log(1) = -0.0 into 0.0
+    return np.sort(-np.log(w[w > KERNEL_TOL]) / dt) + 0.0
+
+
 @dataclass
 class TransferData:
-    """Quantized one-step time translation and its Hamiltonian."""
+    """Quantized time translation T, its spectrum, and the energies of H = -log(T)/dt."""
 
     transfer: np.ndarray
-    hamiltonian: np.ndarray
+    eigenvalues: np.ndarray     # ascending spectrum of T
+    energies: np.ndarray        # energies(eigenvalues, dt); none for eigenvalues[:kernel_dim]
     dt: float = 1.0
     kernel_dim: int = 0
     asymmetry: float = 0.0
     normalization: float = 1.0
     shift_defect: float = 0.0
-    excluded: list = field(default_factory=list)
 
 
 def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
-                      qspace: QuotientSpace | None = None, steps: int = 1) -> TransferData:
-    """Compress the `steps`-generator shift onto the OS quotient of `basis`.
+                      qspace: QuotientSpace, steps: int = 1) -> TransferData:
+    """Compress the `steps`-generator shift onto the OS quotient `qspace` of `basis`.
 
     The form is evaluated on the basis and its shifts by up to MAX_STEPS x
-    `steps` generators; a given quotient supplies the basis block.  dt equals
-    `steps` in lattice units and H = -(1/dt) log T on the strictly positive
-    spectral part of T; kernel directions are reported as infinite-energy and
-    excluded, never capped.
+    `steps` generators; the quotient supplies the basis block.  dt equals
+    `steps` in lattice units.  T is diagonalized once: its eigenvalues feed
+    the normalization and positivity gates and energies().
     """
     _check_plus(algebra, basis)
     if steps < 0:
@@ -116,7 +127,7 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
             if sk is not None and sk not in index:
                 index[sk] = len(family)
                 family.append(sk)
-    M = form_matrix(omega, algebra, family, None if qspace is None else qspace.matrix)
+    M = form_matrix(omega, algebra, family, qspace.matrix)
     M = (M + M.conj().T) / 2
     scale = max(1.0, float(np.abs(M).max()))
 
@@ -136,43 +147,32 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
             f"functional not shift-invariant on the basis support "
             f"(defect {defect:.3e}, gate {SHIFT_TOL:.1e} x {scale:.3g})")
 
-    if qspace is None:
-        rep = gram_report_from_matrix(M[:n, :n], basis)
-        if not rep.psd:
-            raise PreconditionViolation("basis Gram is not PSD; run gram() first")
-        qspace = quantize(rep)
     if steps == 0:
         # identity automorphism: T = 1 on the quotient, H = 0
-        r = qspace.rank
-        return TransferData(transfer=np.eye(r), hamiltonian=np.zeros((r, r)), dt=1.0)
+        w = np.ones(qspace.rank)
+        return TransferData(transfer=np.eye(qspace.rank), eigenvalues=w, energies=energies(w, 1.0))
 
-    comp = compress_shift(M, range(n), shifted.__getitem__, quotient=qspace)
+    comp = compress_shift(M, range(n), shifted.__getitem__, qspace)
     if comp.null_defect > 1e-8 * scale:
         raise ReconstructionFailure(
             f"null vector maps to a class of norm {comp.null_defect:.3e}",
             witness=comp.null_witness)
     T = comp.transfer
-    ev = np.linalg.eigvalsh(T)
+    w, vec = np.linalg.eigh(T)
     norm = 1.0
-    if ev.size and ev[-1] > 1.0 + DEFAULT_TOL:
-        norm = float(ev[-1])
+    if w.size and w[-1] > 1.0 + DEFAULT_TOL:
+        norm = float(w[-1])
         T = T / norm
-        ev = ev / norm
+        w = w / norm
     # TransferData invariant: T self-adjoint PSD.  A genuinely negative part
     # means the quantized shift is not a transfer operator for this state.
-    w, vec = np.linalg.eigh(T)
-    if ev.size and ev[0] < -1e-9 * max(1.0, abs(ev[-1])):
+    if w.size and w[0] < -1e-9 * max(1.0, abs(w[-1])):
         raise ReconstructionFailure(
-            f"quantized shift is not positive (min eigenvalue {ev[0]:.3e})",
+            f"quantized shift is not positive (min eigenvalue {w[0]:.3e})",
             witness=vec[:, 0])
-
-    pos = w > 1e-12
-    excluded = [float(x) for x in w[~pos]]
-    V = vec[:, pos]
-    H = (V * (-np.log(w[pos]) / steps)) @ V.conj().T
-    return TransferData(transfer=T, hamiltonian=(H + H.conj().T) / 2, dt=float(steps),
-                        kernel_dim=int((~pos).sum()), asymmetry=comp.asymmetry,
-                        normalization=norm, shift_defect=defect, excluded=excluded)
+    return TransferData(transfer=T, eigenvalues=w, energies=energies(w, steps), dt=float(steps),
+                        kernel_dim=int((w <= KERNEL_TOL).sum()), asymmetry=comp.asymmetry,
+                        normalization=norm, shift_defect=defect)
 
 
 @dataclass
@@ -185,24 +185,17 @@ class ShiftCompression:
     null_witness: np.ndarray | None
 
 
-def compress_shift(M_full: np.ndarray, basis_idx, shift_of, tol: float = DEFAULT_TOL,
-                   quotient: QuotientSpace | None = None) -> ShiftCompression:
+def compress_shift(M_full: np.ndarray, basis_idx, shift_of,
+                   quotient: QuotientSpace) -> ShiftCompression:
     """The shift compression shared by the algebra and lattice pipelines.
 
     M_full is the Gram of an extended family; basis_idx selects the window;
-    shift_of maps window positions to family indices (None = falls off).  V
-    is the isometry onto the range of the window Gram (eigenvalues > tol) and
-    S the shift as a family-by-window 0/1 matrix.  A given quotient of the
-    window Gram supplies V and the null vectors (and its own tol) instead of
-    splitting the window Gram again.
+    shift_of maps window positions to family indices (None = falls off).  The
+    quotient of the window Gram supplies the isometry V onto its range and
+    its null vectors; S is the shift as a family-by-window 0/1 matrix.
     """
     sel = list(basis_idx)
-    if quotient is None:
-        Mb = M_full[np.ix_(sel, sel)]
-        ev, vec, keep = split_gram((Mb + Mb.conj().T) / 2, tol)
-        iso, nulls = vec[:, keep] / np.sqrt(ev[keep]), vec[:, ~keep]
-    else:
-        iso, nulls = quotient.isometry, quotient.null_vectors
+    iso, nulls = quotient.isometry, quotient.null_vectors
     cols = np.zeros((M_full.shape[0], len(sel)), dtype=complex)
     for j in range(len(sel)):
         tgt = shift_of(j)
@@ -229,6 +222,6 @@ class SpectrumReport:
 
 
 def spectrum_report(td: TransferData) -> SpectrumReport:
-    ev = np.sort(np.linalg.eigvalsh(td.hamiltonian))
+    ev = td.energies
     gap = float(ev[1] - ev[0]) if len(ev) >= 2 else 0.0
     return SpectrumReport(eigenvalues=ev, gap=gap)

@@ -30,9 +30,10 @@ import numpy as np
 from .algebra import (DEFAULT_CAP, Algebra, AlgebraConfig, AlgebraElement, StateFunctional,
                       evaluate, theta, twisted_product)
 from .boxes import dft_zd
-from .errors import PreconditionViolation, SizeLimit, WrongHalf
+from .errors import InvalidArgument, SizeLimit, WrongHalf
 
 DEFAULT_TOL = 1e-10
+FORM_BYTES = 2**30      # memory budget of form_matrix's three n x dim^2 complex stacks
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -80,6 +81,7 @@ class GramReport:
     reflection_defect: float = 0.0
     marginal: bool = False
     eigenvalues: np.ndarray | None = None
+    eigenvectors: np.ndarray | None = None  # columns pair with `eigenvalues`
     not_applicable_reason: str = ""     # the gate that tripped: reflection or hermiticity
 
 
@@ -93,7 +95,7 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
         min_eig = float(ev[0])
         witness = vec[:, 0]
     else:
-        ev = np.zeros(0)
+        ev, vec = np.zeros(0), np.zeros((0, 0))
         min_eig = 0.0
         witness = np.zeros(0)
     psd = min_eig >= -tol
@@ -102,7 +104,8 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
     return GramReport(
         basis=list(basis), matrix=Ms, min_eig=min_eig, psd=psd, witness=witness,
         tol=tol, verdict=verdict, herm_defect=herm, reflection_defect=reflection_defect,
-        marginal=psd and min_eig < 0, eigenvalues=ev, not_applicable_reason=reason)
+        marginal=psd and min_eig < 0, eigenvalues=ev, eigenvectors=vec,
+        not_applicable_reason=reason)
 
 
 def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) -> np.ndarray:
@@ -119,9 +122,15 @@ def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) ->
     dot product of X_a and R_b^T flattened, so all traces are one matrix
     product over 2 |family| one-sided reps.  A given `block` is the form
     already evaluated on the leading monomials and replaces those entries.
+    The stacks L, R^T and rho L take 48 n dim^2 bytes; a form over FORM_BYTES
+    is refused with SizeLimit before any rep is built.
     """
+    n, dim = len(family), algebra.cfg.dim
+    need = 48 * n * dim * dim
+    if need > FORM_BYTES:
+        raise SizeLimit(f"Gram form over {n} monomials at dimension {dim} needs "
+                        f"{need / 2**30:.1f} GiB, over the {FORM_BYTES / 2**30:.0f} GiB budget")
     elems = [algebra.monomial(k) for k in family]
-    n, dim = len(elems), algebra.cfg.dim
     L = np.empty((n, dim, dim), dtype=complex)
     Rt = np.empty((n, dim, dim), dtype=complex)
     for a, E in enumerate(elems):
@@ -140,27 +149,12 @@ def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) ->
 def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_TOL) -> GramReport:
     """M_ab = omega(theta(B_a) o B_b) over plus-half monomials, with verdict."""
     _check_plus(algebra, basis)
+    M = form_matrix(omega, algebra, basis)     # first: it refuses an oversized form
     refl = 0.0
     for k in basis:
         E = algebra.monomial(k)
         refl = max(refl, abs(evaluate(omega, theta(E)) - np.conj(evaluate(omega, E))))
-    return gram_report_from_matrix(form_matrix(omega, algebra, basis), basis, tol,
-                                   reflection_defect=float(refl))
-
-
-def split_gram(M: np.ndarray, tol: float):
-    """Eigenvalues, eigenvectors and range mask of a PSD Gram: the one null
-    rule of the package, ev <= tol (absolute) is null; see reconstruction."""
-    ev, vec = np.linalg.eigh(M)
-    return ev, vec, ev > tol
-
-
-def null_basis(report: GramReport) -> list:
-    """Orthonormal eigenvectors of the Gram outside its range (eigenvalue <= tol)."""
-    if not report.psd:
-        raise PreconditionViolation("null_basis requires a PSD Gram report")
-    ev, vec, keep = split_gram(report.matrix, report.tol)
-    return list(vec[:, ~keep].T)
+    return gram_report_from_matrix(M, basis, tol, reflection_defect=float(refl))
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +325,15 @@ def sft_positivity_sequence(seq, d: int | None = None, tol: float = DEFAULT_TOL)
 
     The sequence reshuffles into the circulant block K_{kl} = J_{(k-l) mod d};
     its eigenvalues are the DFT of the sequence, so the verdict is positive
-    iff the DFT is entrywise real >= -tol (scaled).
+    iff the DFT is entrywise real >= -tol (scaled).  A non-finite or
+    wrong-length sequence is refused with InvalidArgument.
     """
     J = np.asarray(seq, dtype=complex)
     d = len(J) if d is None else d
     if len(J) != d:
-        raise PreconditionViolation(f"sequence length {len(J)} != d = {d}")
+        raise InvalidArgument(f"sequence length {len(J)} != d = {d}")
+    if not np.all(np.isfinite(J)):
+        raise InvalidArgument(f"sequence must be finite: {seq}")
     K = np.empty((d, d), dtype=complex)
     for a in range(d):
         for b in range(d):

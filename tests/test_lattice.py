@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpkit import reconstruction
-from rpkit.errors import InvalidArgument, InvalidConfig, InvalidGeometry, SizeLimit, WrongHalf
+from rpkit import lattice
+from rpkit.errors import (InvalidArgument, InvalidConfig, InvalidGeometry,
+                          PreconditionViolation, SizeLimit, WrongHalf)
 from rpkit.cli import run_green
-from rpkit.lattice import (VIOLATION_TOL, GreenSet, LatticeModel, chain_gap, chain_transfer,
-                           covariance_rp, green_set, lattice_operator, monotonicity_verdict,
-                           stochastic_covariance, stochastic_rp_scan)
+from rpkit.lattice import (CHAIN_TOL, VIOLATION_TOL, GreenSet, LatticeModel, chain_gap,
+                           chain_transfer, covariance_rp, green_set, lattice_operator,
+                           monotonicity_verdict, stochastic_covariance, stochastic_rp_scan)
 from rpkit.verifier import NEGATIVE, POSITIVE, gram_report_from_matrix
 
 from lattice_oracles import (counterexample_covariance, dirichlet_half_green,
@@ -46,6 +47,12 @@ class TestLatticeOperator:
             LatticeModel((4,), 0.0, "torus")
         with pytest.raises(InvalidConfig):
             LatticeModel((4,), -1.0, "box")
+
+    def test_non_integral_dims_rejected(self):
+        assert LatticeModel((4.0, 4), 1.0).dims == (4, 4)
+        for dims in ((4.5, 4), (4, float("nan")), (float("inf"), 4), ("4", 4)):
+            with pytest.raises(InvalidConfig):
+                LatticeModel(dims, 1.0)
 
     def test_odd_time_axis_rejected(self):
         with pytest.raises(InvalidGeometry):
@@ -275,6 +282,16 @@ class TestChainGap:
                 for m2 in (0.5, 1.0, 2.0)]
         assert gaps[0] < gaps[1] < gaps[2]
 
+    def test_counterexample_gram_is_refused(self):
+        # a chain Gram that is not PSD has no OS quotient: refused, not quantized
+        model = LatticeModel((16,), 1.0, "box")
+        gs = green_set(model)
+        bad = GreenSet(model=model, C=counterexample_covariance(
+            gs, strength=1.0, rng=np.random.default_rng(7)), half=gs.half)
+        assert monotonicity_verdict(bad).verdict == NEGATIVE
+        with pytest.raises(PreconditionViolation):
+            chain_gap(bad)
+
     def test_green_check_inverts_once(self, monkeypatch):
         # the chain gap reuses the GreenSet of the monotonicity check
         inv = []
@@ -412,16 +429,19 @@ class TestDenseOracles:
     def test_chain_transfer_gram_and_shift(self, model):
         seen = {}
 
-        def capture(M, basis_idx, shift_of, tol):
-            seen.update(M=M, shift_of=[shift_of(j) for j in basis_idx], tol=tol)
+        def capture(M, basis_idx, shift_of, quotient):
+            seen.update(M=M, shift_of=[shift_of(j) for j in basis_idx], quotient=quotient)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reconstruction, "compress_shift", capture)
+            mp.setattr(lattice, "compress_shift", capture)
             chain_transfer(green_set(model))
         C = np.linalg.inv(_loop_operator(model))
         half = _loop_half(model)
         assert np.array_equal(seen["M"][1:, 1:], (_loop_reflection(model) @ C)[np.ix_(half, half)])
         assert seen["M"][0, 0] == 1.0 and not seen["M"][0, 1:].any()
+        Ms = (seen["M"] + seen["M"].conj().T) / 2      # the window Gram the quotient splits
+        assert np.array_equal(seen["quotient"].matrix, Ms)
+        assert seen["quotient"].rank == int((np.linalg.eigvalsh(Ms) > CHAIN_TOL).sum())
         pos = {model.sites[i]: k + 1 for k, i in enumerate(half)}
         want = [0] + [pos.get((model.sites[i][0] + 1,) + model.sites[i][1:]) for i in half]
         assert seen["shift_of"] == want

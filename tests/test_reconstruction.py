@@ -10,19 +10,24 @@ from rpkit.algebra import theta as theta_alg
 from rpkit.chains import finite_chain_hamiltonian, uniform_chain_state
 from rpkit.cli import main
 from rpkit.errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
-from rpkit.reconstruction import (compress_shift, quantize, spectrum_report, time_shift,
-                                  transfer_operator)
-from rpkit.verifier import (GramReport, coupling_element, draw_theorem_hamiltonian,
-                            gram, plus_basis)
+from rpkit.reconstruction import (KERNEL_TOL, compress_shift, quantize, spectrum_report,
+                                  time_shift, transfer_operator)
+from rpkit.verifier import (coupling_element, draw_theorem_hamiltonian, gram,
+                            gram_report_from_matrix, plus_basis)
 
 from conftest import make_algebra
 
 
 def fake_report(M, tol=1e-10):
-    ev = np.linalg.eigvalsh(M)
-    return GramReport(basis=list(range(M.shape[0])), matrix=M.astype(complex),
-                      min_eig=float(ev[0]), psd=bool(ev[0] >= -tol),
-                      witness=np.zeros(M.shape[0]), tol=tol, verdict="positive")
+    return gram_report_from_matrix(M.astype(complex), range(M.shape[0]), tol)
+
+
+def assert_energies(td):
+    """energies = sorted -log(w)/dt over the transfer spectrum above KERNEL_TOL."""
+    w = np.linalg.eigvalsh(td.transfer)
+    want = np.sort(-np.log(w[w > KERNEL_TOL])) / td.dt
+    assert td.energies.shape == want.shape
+    assert np.abs(td.energies - want).max(initial=0.0) <= 1e-12
 
 
 class TestQuantize:
@@ -93,7 +98,8 @@ class TestTransferOperator:
             ev = np.linalg.eigvalsh(td.transfer)
             assert ev.min() >= -1e-9
             assert ev.max() <= 1 + 1e-10
-            assert np.linalg.eigvalsh(td.hamiltonian).min() >= -1e-9
+            assert td.energies.min(initial=0.0) >= -1e-9
+            assert_energies(td)
 
     def test_trace_state_rank_one(self):
         alg = make_algebra(2, 6)
@@ -104,15 +110,16 @@ class TestTransferOperator:
         td = transfer_operator(om, alg, basis, q)
         assert td.transfer.shape == (1, 1)
         assert abs(td.transfer[0, 0] - 1.0) < 1e-12
-        assert abs(td.hamiltonian[0, 0]) < 1e-12
+        assert td.energies.shape == (1,) and abs(td.energies[0]) < 1e-12
+        assert_energies(td)
 
     def test_steps_zero_is_identity(self):
         alg = make_algebra(2, 4)
         om = StateFunctional(kind="trace")
         basis = plus_basis(alg.cfg)
-        td = transfer_operator(om, alg, basis, steps=0)
+        td = transfer_operator(om, alg, basis, quantize(gram(om, alg, basis)), steps=0)
         assert np.abs(td.transfer - np.eye(td.transfer.shape[0])).max() == 0.0
-        assert np.abs(td.hamiltonian).max() == 0.0
+        assert np.array_equal(td.energies, np.zeros(td.transfer.shape[0]))
 
     def test_semigroup_on_trace_state(self):
         alg = make_algebra(2, 8)
@@ -142,6 +149,7 @@ class TestTransferOperator:
         td = transfer_operator(om, alg, basis, q, steps=1)
         ev = np.linalg.eigvalsh(td.transfer)
         assert ev.min() >= -1e-9 and ev.max() <= 1 + 1e-10
+        assert_energies(td)
         idx = {k: i for i, k in enumerate(basis)}
 
         def smat(steps):
@@ -172,7 +180,8 @@ class TestTransferOperator:
         assert td.asymmetry < 1e-10
         assert ev.min() >= -1e-9
         assert ev.max() <= 1 + 1e-10
-        assert np.linalg.eigvalsh(td.hamiltonian).min() >= -1e-9
+        assert td.energies.min(initial=0.0) >= -1e-9
+        assert_energies(td)
 
     def test_finite_chain_gibbs_is_rp_but_shift_variant(self):
         alg = make_algebra(2, 6)
@@ -190,17 +199,17 @@ class TestTransferOperator:
 
 class TestSpectrumReport:
     def test_explicit_gap(self):
-        td_like = type("TD", (), {"hamiltonian": np.diag([0.0, 1.0, 3.0])})
+        td_like = type("TD", (), {"energies": np.array([0.0, 1.0, 3.0])})
         rep = spectrum_report(td_like)
         assert abs(rep.gap - 1.0) < 1e-14
         assert np.abs(rep.eigenvalues - np.array([0.0, 1.0, 3.0])).max() == 0.0
 
     def test_zero_hamiltonian(self):
-        td_like = type("TD", (), {"hamiltonian": np.zeros((3, 3))})
+        td_like = type("TD", (), {"energies": np.zeros(3)})
         assert spectrum_report(td_like).gap == 0.0
 
     def test_single_level(self):
-        td_like = type("TD", (), {"hamiltonian": np.array([[2.0]])})
+        td_like = type("TD", (), {"energies": np.array([2.0])})
         assert spectrum_report(td_like).gap == 0.0
 
 
@@ -249,6 +258,23 @@ def test_reconstruct_reads_density_once_per_form(tmp_path, monkeypatch, cfg):
     assert len(calls) <= 2 * len(basis) + 2
 
 
+def test_chain_window_diagonalizes_each_form_once(tmp_path, monkeypatch):
+    # bath covariance and its window (2), Gibbs density (1), window Gram (1),
+    # transfer (1): the quotient, the energies and the report reuse these
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _real=getattr(np.linalg, name), **kw):
+            calls.append(1)
+            return _real(*args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": 1.0}, "basis_room": 2, "steps": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["reconstruct", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), extra=st.integers(0, 3), nulls=st.integers(0, 6),
        scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2**32 - 1))
@@ -260,7 +286,8 @@ def test_compress_shift_matches_dense_oracle(n, extra, nulls, scale, seed):
     M = scale * (W @ W.conj().T)
     M = (M + M.conj().T) / 2
     targets = [None if rng.random() < 0.3 else int(rng.integers(N)) for _ in range(n)]
-    comp = compress_shift(M, range(n), targets.__getitem__, tol)
+    comp = compress_shift(M, range(n), targets.__getitem__,
+                          quantize(gram_report_from_matrix(M[:n, :n], range(n), tol)))
 
     S = np.zeros((N, n))
     for j, t in enumerate(targets):

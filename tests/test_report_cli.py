@@ -1,9 +1,11 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 from rpkit import cli
+from rpkit.algebra import Algebra
 from rpkit.cli import main
 from rpkit.report import curve_csv, to_text, truncate_witness
 
@@ -173,6 +175,18 @@ class TestCli:
         assert max(ev) <= 1 + 1e-10
         assert min(rep["results"]["hamiltonian_spectrum"]) >= -1e-9
 
+    def test_reconstruct_kernel_has_no_energy(self, tmp_path):
+        # this draw has a one-dimensional ker T: no finite energy, no second vacuum
+        cfg = {"d": 2, "m": 4, "state": "gibbs", "beta": 0.5, "draw": {"family": "theorem"}}
+        code, text = run_cli(tmp_path, "reconstruct", cfg, "--seed", "1880224405")
+        assert code == 0
+        res = json.loads(text)["results"]
+        assert res["kernel_dim"] == 1
+        spec, ev = res["hamiltonian_spectrum"], res["transfer_eigenvalues"]
+        assert len(spec) == res["rank"] - res["kernel_dim"]
+        want = sorted(-np.log(w) / res["dt"] for w in ev if w > 1e-12)
+        assert np.abs(np.array(spec) - want).max() <= 1e-12
+
     def test_parse_error_exit_3(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")
@@ -190,6 +204,19 @@ class TestCli:
     def test_size_cap_exit_4(self, tmp_path):
         code, _ = run_cli(tmp_path, "algebra-check", {"d": 2, "m": 30})
         assert code == 4
+
+    def test_gram_memory_budget_exit_4(self, tmp_path, monkeypatch, capsys):
+        # the d=2, m=18 form needs 6 GiB: refused before any monomial rep is built
+        reps = []
+        real = Algebra.monomial_rep
+        monkeypatch.setattr(Algebra, "monomial_rep",
+                            lambda self, k: reps.append(1) or real(self, k))
+        start = time.perf_counter()
+        code, _ = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 18, "state": "trace"})
+        assert code == 4
+        assert time.perf_counter() - start < 30
+        assert reps == []
+        assert capsys.readouterr().err.startswith("rpkit: size cap exceeded:")
 
     def test_csv_only_for_stochastic(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -246,10 +273,12 @@ CHAIN_M4 = {"d": 2, "m": 4, "chain": {"coupling": 1.0, "beta": 1.0}}
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": NAN, "beta": 1.0}}),
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1.0, "beta": NAN}}),
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1.0, "beta": INF}}),
+    ("sft-check", {"d": 2, "sequence": [NAN, 1.0]}),
+    ("sft-check", {"d": 2, "sequence": [1.0, INF]}),
 ], ids=["green-mass2-nan", "green-mass2-inf", "stochastic-mass2-inf", "stochastic-t-nan",
         "gram-beta-nan",
         "gram-beta-inf", "gram-coefficient-nan", "chain-coupling-nan", "chain-beta-nan",
-        "chain-beta-inf"])
+        "chain-beta-inf", "sequence-nan", "sequence-inf"])
 def test_non_finite_input_exit_3(tmp_path, capsys, command, cfg):
     code, text = run_cli(tmp_path, command, cfg)
     assert code == 3
@@ -268,13 +297,30 @@ def test_non_finite_input_exit_3(tmp_path, capsys, command, cfg):
     ("reconstruct", {**CHAIN_M4, "basis_room": "2"}),
     ("stochastic", {"dims": [8], "mass2": 1.0, "t_grid": ["0.25"]}),
     ("sft-check", {"d": 2, "sequence": ["one", 1.0]}),
+    ("sft-check", {"d": 2, "boxes": -5}),
+    ("sft-check", {"d": 2, "boxes": 0}),
+    ("rp-gram", {"d": 2, "m": 4, "max_grade": -1}),
+    ("stochastic", {"dims": [8], "mass2": 1.0, "t_grid": []}),
+    ("reconstruct", {**CHAIN_M4, "basis_room": 2}),
+    ("reconstruct", {**CHAIN_M4, "basis_room": 4}),
+    ("reconstruct", {**CHAIN_M4, "basis_room": -2}),
 ], ids=["dims-nan", "dims-fraction", "mass2-string", "d-string", "m-string", "beta-string",
-        "max-grade-string", "basis-room-string", "t-grid-string", "sequence-string"])
+        "max-grade-string", "basis-room-string", "t-grid-string", "sequence-string",
+        "boxes-negative", "boxes-zero", "max-grade-negative", "t-grid-empty",
+        "basis-room-half", "basis-room-full", "basis-room-negative"])
 def test_wrong_type_config_exit_3(tmp_path, capsys, command, cfg):
     code, text = run_cli(tmp_path, command, cfg)
     assert code == 3
     assert text == ""
     assert capsys.readouterr().err.startswith("rpkit: config error: config field")
+
+
+@pytest.mark.parametrize("sequence", [[], [1.0, 1.0, 1.0]], ids=["empty", "too-long"])
+def test_sft_sequence_length_mismatch_exit_3(tmp_path, capsys, sequence):
+    code, text = run_cli(tmp_path, "sft-check", {"d": 2, "sequence": sequence})
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err.startswith("rpkit: invalid config:")
 
 
 def test_internal_error_exit_6(tmp_path, capsys, monkeypatch):

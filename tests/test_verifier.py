@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from rpkit.algebra import (Algebra, AlgebraConfig, StateFunctional, evaluate, theta,
                            twisted_product)
 from rpkit.boxes import dft_zd
-from rpkit.errors import PreconditionViolation, SizeLimit, WrongHalf
-from rpkit.reconstruction import MAX_STEPS, time_shift
+from rpkit.errors import InvalidArgument, PreconditionViolation, SizeLimit, WrongHalf
+from rpkit.reconstruction import MAX_STEPS, quantize, time_shift
 from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                             coupling_element, cross_phase,
                             draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
-                            gram, gram_report_from_matrix, null_basis, plus_basis,
+                            gram, gram_report_from_matrix, plus_basis,
                             sft_positivity, sft_positivity_sequence)
 
 from conftest import make_algebra, random_element
@@ -104,10 +104,12 @@ class TestGram:
 
 
 class TestNullBasis:
+    """The null space of a Gram report is quantize(rep).null_vectors (columns)."""
+
     def test_explicit_kernel(self):
         alg = make_algebra(2, 2)
         rep = gram(StateFunctional(kind="trace"), alg, plus_basis(alg.cfg))
-        nb = null_basis(rep)
+        nb = quantize(rep).null_vectors.T
         assert len(nb) == 1
         assert np.abs(np.abs(nb[0]) - np.array([0.0, 1.0])).max() < 1e-12
 
@@ -118,12 +120,12 @@ class TestNullBasis:
         om = StateFunctional(kind="gibbs", beta=1.0, hamiltonian=H)
         rep = gram(om, alg, plus_basis(alg.cfg))
         assert rep.min_eig > 1e-3
-        assert null_basis(rep) == []
+        assert quantize(rep).null_vectors.shape == (2, 0)
 
     def test_rank_plus_nullity(self):
         alg = make_algebra(2, 4)
         rep = gram(StateFunctional(kind="trace"), alg, plus_basis(alg.cfg))
-        nb = null_basis(rep)
+        nb = quantize(rep).null_vectors.T
         rank = int((np.linalg.eigvalsh(rep.matrix) > rep.tol).sum())
         assert rank + len(nb) == 4
 
@@ -137,7 +139,7 @@ class TestNullBasis:
             if not rep.psd:
                 break
         with pytest.raises(PreconditionViolation):
-            null_basis(rep)
+            quantize(rep)
 
 
 class TestCouplingDecomposition:
@@ -228,6 +230,12 @@ class TestSftPositivity:
         sv = sft_positivity_sequence([1.0, 1.0], 2)
         assert sv.verdict == POSITIVE
         assert np.abs(sv.eigenvalues - np.array([2.0, 0.0])).max() < 1e-12
+
+    @pytest.mark.parametrize("seq, d", [([np.nan, 1.0], 2), ([1.0, np.inf], 2),
+                                        ([1.0, 1.0, 1.0], 2), ([], 2)])
+    def test_sequence_refuses_non_finite_and_wrong_length(self, seq, d):
+        with pytest.raises(InvalidArgument):
+            sft_positivity_sequence(seq, d)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_bochner_bridge(self, d):
