@@ -4,11 +4,22 @@ finite_chain_hamiltonian builds the open uniform nearest-neighbor chain
 H = -sum_j kappa_j i c_j c_{j+1}; its Gibbs functional is reflection positive
 but, on a finite chain, not shift-invariant.
 
-uniform_chain_state embeds the window of m generators in a long uniform chain
-and returns the reduced Gibbs state, which is translation invariant on the
-window to machine precision.  The reduced state of a quadratic chain is again
-Gibbs of a quadratic (entanglement) Hamiltonian, recovered from the window
-covariance through arctanh, so the result is an ordinary StateFunctional.
+uniform_chain_state returns the reduced Gibbs state of the infinite uniform
+chain on a window of m generators.  Translation invariance makes the window
+covariance Toeplitz, <c_a c_b> = delta_ab + g(a - b), with g(x) the Fourier
+coefficient of the chain's symbol tanh(beta kappa sin k) (iA acts on e^{ikj}
+as 2 kappa sin k).  g is the trapezoid sum over the RING points
+k_n = 2 pi n / RING, which is exactly the window of the uniform ring of RING
+sites: the state is shift-invariant at every beta, so no bath length has to
+grow with beta.  The sum aliases g(x) with g(x + j RING); the symbol is
+analytic for |Im k| < asinh(pi / (2 beta |kappa|)), so the ring matches the
+infinite chain within about exp(-RING asinh(pi / (2 beta |kappa|))), below
+1e-16 for beta |kappa| <= 170.  The symbol is odd, so g = i h with h real and
+odd, and the window built from h is exactly Toeplitz and hermitian.
+
+The reduced state of a quadratic chain is again Gibbs of a quadratic
+(entanglement) Hamiltonian, recovered from the window covariance through
+arctanh, so the result is an ordinary StateFunctional.
 """
 
 from __future__ import annotations
@@ -17,6 +28,8 @@ import numpy as np
 
 from .algebra import Algebra, AlgebraElement, StateFunctional
 from .errors import InvalidArgument
+
+RING = 4096     # symbol grid: the sum is the window of a uniform ring of RING sites
 
 
 def finite_chain_hamiltonian(algebra: Algebra, hopping: float,
@@ -36,30 +49,25 @@ def finite_chain_hamiltonian(algebra: Algebra, hopping: float,
     return H
 
 
-def _window_covariance(m: int, coupling: float, beta: float, length: int) -> np.ndarray:
-    """<c_a c_b> on an m-generator window centered in a length-L uniform chain."""
-    A = np.zeros((length, length))
-    for j in range(length - 1):
-        A[j, j + 1] = -coupling
-        A[j + 1, j] = +coupling
-    w, V = np.linalg.eigh(1j * A)
-    Gamma = np.eye(length) + (V * np.tanh(beta * w / 2)) @ V.conj().T
-    off = (length - m) // 2
-    off -= off % 2
-    return Gamma[off:off + m, off:off + m]
+def _window_covariance(m: int, coupling: float, beta: float) -> np.ndarray:
+    """<c_a c_b> = delta_ab + i h(a - b) on m generators of the RING-site uniform ring."""
+    k = 2 * np.pi * np.arange(RING) / RING
+    h = np.sin(np.outer(np.arange(m), k)) @ np.tanh(beta * coupling * np.sin(k)) / RING
+    x = np.subtract.outer(np.arange(m), np.arange(m))
+    return np.eye(m) + 1j * np.sign(x) * h[np.abs(x)]
 
 
-def uniform_chain_state(algebra: Algebra, coupling: float = 1.0, beta: float = 1.0,
-                        length: int = 240) -> StateFunctional:
+def uniform_chain_state(algebra: Algebra, coupling: float = 1.0,
+                        beta: float = 1.0) -> StateFunctional:
     """Reduced Gibbs state of the infinite uniform Majorana chain on m generators."""
     cfg = algebra.cfg
     if cfg.d != 2:
         raise InvalidArgument("Majorana chains require degree d = 2")
-    if length < 4 * cfg.m:
-        raise InvalidArgument("bath length must be well beyond the window")
     if not (np.isfinite(coupling) and np.isfinite(beta)):
         raise InvalidArgument(f"chain coupling and beta must be finite: {coupling}, {beta}")
-    Gw = _window_covariance(cfg.m, coupling, beta, length)
+    if beta < 0:
+        raise InvalidArgument(f"chain beta must be >= 0 for a Gibbs state: {beta}")
+    Gw = _window_covariance(cfg.m, coupling, beta)
     T = Gw - np.eye(cfg.m)
     T = (T + T.conj().T) / 2
     w, V = np.linalg.eigh(T)

@@ -30,7 +30,7 @@ from .chains import uniform_chain_state
 from .errors import (InvalidArgument, InvalidConfig, InvalidGeometry, InvalidState,
                      RpkitError, SizeLimit, WrongHalf)
 from .lattice import (VIOLATION_TOL, LatticeModel, chain_gap, covariance_rp, green_set,
-                      monotonicity_verdict, stochastic_rp_scan)
+                      monotonicity_of, stochastic_rp_scan)
 from .reconstruction import quantize, spectrum_report, transfer_operator
 from .report import CONVENTIONS, curve_csv, to_text, truncate_witness
 from .verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
@@ -227,8 +227,8 @@ def _lattice_model(cfg):
 def run_green(cfg, tol, rng):
     model = _lattice_model(cfg)
     gs = green_set(model)
-    mono = monotonicity_verdict(gs, tol)
     cov = covariance_rp(gs, tol=tol)
+    mono = monotonicity_of(cov)
     results = {
         "verdict": mono.verdict,
         "monotonicity_min_eig": mono.min_eig,
@@ -237,7 +237,7 @@ def run_green(cfg, tol, rng):
         "verdicts_agree": mono.verdict == cov.verdict,
         "witness": truncate_witness(mono.witness),
     }
-    if len(model.dims) == 1:
+    if len(model.dims) == 1 and model.bc == "box":
         results["chain_gap"] = chain_gap(gs)[0]
     return mono.verdict, results
 

@@ -90,19 +90,30 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
     """PSD verdict machinery shared by the algebra and lattice Gram forms."""
     herm = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
     Ms = (M + M.conj().T) / 2
-    if M.size:
-        ev, vec = np.linalg.eigh(Ms)
-        min_eig = float(ev[0])
-        witness = vec[:, 0]
-    else:
-        ev, vec = np.zeros(0), np.zeros((0, 0))
-        min_eig = 0.0
-        witness = np.zeros(0)
+    ev, vec = np.linalg.eigh(Ms) if M.size else (np.zeros(0), np.zeros((0, 0)))
+    return _judged(list(basis), Ms, ev, vec, tol, herm, reflection_defect)
+
+
+def scaled_report(rep: GramReport, factor: float) -> GramReport:
+    """The report of factor * rep.matrix, from rep's eigenpairs and without a solve.
+
+    For a power of two the scaling is exact, and eigh(factor M) is
+    factor * eigh(M) bit for bit, eigenvectors included; the verdict is taken
+    again on the scaled eigenvalues against the same tol.
+    """
+    return _judged(rep.basis, factor * rep.matrix, factor * rep.eigenvalues, rep.eigenvectors,
+                   rep.tol, factor * rep.herm_defect, rep.reflection_defect)
+
+
+def _judged(basis, Ms, ev, vec, tol, herm, reflection_defect) -> GramReport:
+    """The one verdict rule: the gates, then PSD against -tol."""
+    min_eig = float(ev[0]) if ev.size else 0.0
+    witness = vec[:, 0] if ev.size else np.zeros(0)
     psd = min_eig >= -tol
     reason = "reflection" if reflection_defect > 1e-10 else "hermiticity" if herm > 1e-8 else ""
     verdict = NOT_APPLICABLE if reason else POSITIVE if psd else NEGATIVE
     return GramReport(
-        basis=list(basis), matrix=Ms, min_eig=min_eig, psd=psd, witness=witness,
+        basis=basis, matrix=Ms, min_eig=min_eig, psd=psd, witness=witness,
         tol=tol, verdict=verdict, herm_defect=herm, reflection_defect=reflection_defect,
         marginal=psd and min_eig < 0, eigenvalues=ev, eigenvectors=vec,
         not_applicable_reason=reason)

@@ -301,6 +301,26 @@ class TestChainGap:
         assert verdict == POSITIVE and "chain_gap" in results
         assert inv == [1]
 
+    def test_green_check_decomposes_once(self, monkeypatch):
+        # both verdicts read one eigendecomposition of the reflected block
+        eigh = []
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh.append(1) or real_eigh(a))
+        verdict, results = run_green({"dims": [6, 4], "mass2": 1.0}, 1e-10, None)
+        assert verdict == POSITIVE and results["verdicts_agree"]
+        assert results["monotonicity_min_eig"] == 2 * results["covariance_rp_min_eig"]
+        assert eigh == [1]
+
+    @pytest.mark.parametrize("sites", [4, 16])
+    def test_torus_has_no_chain_gap(self, sites):
+        # a torus compression is no transfer operator: refused, and green omits the gap
+        gs = green_set(LatticeModel((sites,), 0.5, "torus"))
+        with pytest.raises(InvalidGeometry, match="needs a box"):
+            chain_gap(gs)
+        verdict, results = run_green({"dims": [sites], "mass2": 0.5, "bc": "torus"},
+                                     1e-10, None)
+        assert verdict == POSITIVE and "chain_gap" not in results
+
 
 # ---------------------------------------------------------------------------
 # dense oracles: the per-site loops and reflection products the fast paths replace
@@ -426,7 +446,27 @@ class TestDenseOracles:
 
     @settings(max_examples=40, deadline=None)
     @given(model=lattice_models())
+    def test_monotonicity_matches_doubled_block_eigh(self, model):
+        # the scaled covariance report against a solve of 2 (R C)[half, half]
+        gs = green_set(model)
+        half = _loop_half(model)
+        want = gram_report_from_matrix(
+            2 * (_loop_reflection(model) @ gs.C)[np.ix_(half, half)], gs.half)
+        rep = monotonicity_verdict(gs)
+        assert rep.verdict == want.verdict and rep.min_eig == want.min_eig
+        assert rep.herm_defect == want.herm_defect and rep.marginal == want.marginal
+        assert np.array_equal(rep.matrix, want.matrix)
+        assert np.array_equal(rep.eigenvalues, want.eigenvalues)
+        assert np.array_equal(rep.eigenvectors, want.eigenvectors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=lattice_models())
     def test_chain_transfer_gram_and_shift(self, model):
+        if model.bc == "torus":
+            # the positive half meets the negative half at both ends: no transfer
+            with pytest.raises(InvalidGeometry, match="needs a box"):
+                chain_transfer(green_set(model))
+            return
         seen = {}
 
         def capture(M, basis_idx, shift_of, quotient):

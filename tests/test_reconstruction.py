@@ -259,8 +259,8 @@ def test_reconstruct_reads_density_once_per_form(tmp_path, monkeypatch, cfg):
 
 
 def test_chain_window_diagonalizes_each_form_once(tmp_path, monkeypatch):
-    # bath covariance and its window (2), Gibbs density (1), window Gram (1),
-    # transfer (1): the quotient, the energies and the report reuse these
+    # window covariance (1), Gibbs density (1), window Gram (1), transfer (1):
+    # the quotient, the energies and the report reuse these
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _real=getattr(np.linalg, name), **kw):
@@ -272,7 +272,7 @@ def test_chain_window_diagonalizes_each_form_once(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["reconstruct", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out.json")]) == 0
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -287,6 +287,20 @@ def test_non_finite_input_exit_3(tmp_path, capsys, command, cfg):
 
 
 @pytest.mark.parametrize("command, cfg", [
+    ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1.0, "beta": -1.0}}),
+    ("reconstruct", {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": -1.0},
+                     "basis_room": 2, "steps": 2}),
+], ids=["chain-beta-negative", "chain-window-beta-negative"])
+def test_negative_chain_beta_exit_3(tmp_path, capsys, command, cfg):
+    # a Gibbs state needs beta >= 0: refused as config (as a Gibbs draw is),
+    # never a gram_verdict "negative"
+    code, text = run_cli(tmp_path, command, cfg)
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err.startswith("rpkit: invalid config:")
+
+
+@pytest.mark.parametrize("command, cfg", [
     ("green", {"dims": [NAN, 4], "mass2": 1.0}),
     ("green", {"dims": [4.5, 4], "mass2": 1.0}),
     ("green", {"dims": [8], "mass2": "heavy"}),

@@ -1,0 +1,28 @@
+"""The benchmark tracer's patch table must name functions that exist."""
+
+import types
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    """Execute tracer.py from its source text: nothing is written next to it."""
+    module = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("name, module, path, count", tracer.TARGETS,
+                         ids=[f"{t[0]}:{t[2]}" for t in tracer.TARGETS])
+def test_tracer_target_resolves_to_callable(name, module, path, count):
+    owner, attr = tracer._resolve(module, path)
+    # patch() reads the attribute from the owner's own namespace
+    assert attr in vars(owner), f"{module}.{path} is not defined on its owner"
+    assert callable(vars(owner)[attr])
+    assert count is None or callable(count)
