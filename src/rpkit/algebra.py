@@ -6,9 +6,22 @@ The degree-d algebra on m generators satisfies
 
 and is represented on C^(d^(m/2)) by pairing two generators per Z_d tensor
 factor (a Jordan-Wigner-type construction built from clock and shift
-matrices).  Elements carry both a normal-ordered coefficient table and the
-dense matrix; the two are kept consistent by construction and re-checked in
-the test suite.
+matrices U and V):
+
+    c_{2s+1} = U x ... x U x V x 1 x ... x 1,
+    c_{2s+2} = eta U x ... x U x VU x 1 x ... x 1,    eta = exp(i*pi*(d-1)/d),
+
+with s factors U.  Every such word, and so every monomial, has one nonzero
+entry per row: it is a pair (perm, phase) with rep[i, perm[i]] = phase[i].
+On basis states with digits (i_0, ..., i_{m/2-1}) the generator pair steps
+digit s and carries the phase q^(i_0 + ... + i_{s-1}), times eta q^(i_s + 1)
+for c_{2s+2}.  Products compose the pairs, (A B) = (perm_B[perm_A],
+phase_A * phase_B[perm_A]), in O(dim) (Algebra.monomial_perm); the dense
+monomial matrix is that pair scattered into zeros (Algebra.monomial_rep).
+Elements carry a normal-ordered coefficient table and build their dense
+matrix on demand from the monomial reps; the two are kept consistent by
+construction and re-checked in the test suite against dense Kronecker
+products of clock and shift matrices.
 
 The reflection theta mirrors generator indices (c_j -> c_{m+1-j}) and extends
 antilinearly as a homomorphism.  The twisted product of homogeneous elements
@@ -115,24 +128,15 @@ def _reorder(factors, d):
 
 
 class Algebra:
-    """Shared context: configuration, generator matrices, monomial-rep cache."""
+    """Shared context: configuration, generator pairs, monomial caches."""
 
     def __init__(self, cfg: AlgebraConfig):
         if cfg.dim > DEFAULT_CAP:
             raise SizeLimit(
                 f"matrix dimension d^(m/2) = {cfg.dim} exceeds cap {DEFAULT_CAP}")
         self.cfg = cfg
-        d, m = cfg.d, cfg.m
-        U, V = clock_shift(d)
-        eta = np.exp(1j * np.pi * (d - 1) / d)
-        eye = np.eye(d)
-        gens = []
-        for s in range(m // 2):
-            left = [U] * s
-            right = [eye] * (m // 2 - s - 1)
-            gens.append(_kron(left + [V] + right))
-            gens.append(eta * _kron(left + [V @ U] + right))
-        self._gen_mats = gens
+        self._gens = _generator_perms(cfg.d, cfg.m)
+        self._perm_cache: dict[tuple, tuple] = {}
         self._mono_cache: dict[tuple, np.ndarray] = {}
 
     # -- element constructors -------------------------------------------------
@@ -166,24 +170,55 @@ class Algebra:
             raise InvalidConfig(f"exponent tuple length {len(k)} != m = {self.cfg.m}")
         return tuple(int(x) % self.cfg.d for x in k)
 
+    def monomial_perm(self, k) -> tuple:
+        """(perm, phase) of c_1^{k_1} ... c_m^{k_m}: rep[i, perm[i]] = phase[i]."""
+        k = self._canon(k)
+        hit = self._perm_cache.get(k)
+        if hit is not None:
+            return hit
+        out = (np.arange(self.cfg.dim), np.ones(self.cfg.dim, dtype=complex))
+        for i, e in enumerate(k):
+            for _ in range(e):
+                out = _compose(out, self._gens[i])
+        self._perm_cache[k] = out
+        return out
+
     def monomial_rep(self, k) -> np.ndarray:
+        """Dense matrix of the monomial: its (perm, phase) pair scattered into zeros."""
         k = self._canon(k)
         hit = self._mono_cache.get(k)
         if hit is not None:
             return hit
-        mat = np.eye(self.cfg.dim, dtype=complex)
-        for i, e in enumerate(k):
-            if e:
-                mat = mat @ np.linalg.matrix_power(self._gen_mats[i], e)
+        perm, phase = self.monomial_perm(k)
+        mat = np.zeros((self.cfg.dim, self.cfg.dim), dtype=complex)
+        mat[np.arange(self.cfg.dim), perm] = phase
         self._mono_cache[k] = mat
         return mat
 
 
-def _kron(ops):
-    out = np.array([[1.0 + 0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
+def _generator_perms(d: int, m: int) -> list:
+    """(perm, phase) of c_1 ... c_m, the phases multiplied in Kronecker order."""
+    w = m // 2
+    dim = d**w
+    idx = np.arange(dim)
+    u = np.array([unit_root(d, k) for k in range(d)])
+    eta = np.exp(1j * np.pi * (d - 1) / d)
+    gens = []
+    prefix = np.ones(dim, dtype=complex)        # q^(i_0 + ... + i_{s-1})
+    for s in range(w):
+        place = d ** (w - 1 - s)
+        digit = (idx // place) % d
+        perm = np.where(digit == d - 1, idx - (d - 1) * place, idx + place)
+        gens.append((perm, prefix))
+        gens.append((perm, eta * (prefix * u[(digit + 1) % d])))
+        prefix = prefix * u[digit]
+    return gens
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The pair of the product A B: row i of A meets row perm_A[i] of B."""
+    (pa, ha), (pb, hb) = a, b
+    return pb[pa], ha * hb[pa]
 
 
 def build_algebra(cfg: AlgebraConfig) -> list:
@@ -192,7 +227,7 @@ def build_algebra(cfg: AlgebraConfig) -> list:
 
 
 class AlgebraElement:
-    """Normal-ordered coefficient table plus a dense matrix representation."""
+    """Normal-ordered coefficient table plus its dense matrix, built on demand."""
 
     __slots__ = ("algebra", "coeffs", "_rep")
 

@@ -65,6 +65,9 @@ def uniform_chain_state(algebra: Algebra, coupling: float = 1.0,
         raise InvalidArgument("Majorana chains require degree d = 2")
     if not (np.isfinite(coupling) and np.isfinite(beta)):
         raise InvalidArgument(f"chain coupling and beta must be finite: {coupling}, {beta}")
+    if not np.isfinite(beta * coupling):
+        # the symbol tanh(beta kappa sin k) would read inf * sin(0) = nan
+        raise InvalidArgument(f"chain beta x coupling overflows: {beta} x {coupling}")
     if beta < 0:
         raise InvalidArgument(f"chain beta must be >= 0 for a Gibbs state: {beta}")
     Gw = _window_covariance(cfg.m, coupling, beta)

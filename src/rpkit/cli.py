@@ -45,6 +45,12 @@ EXIT_SIZE = 4
 EXIT_IO = 5
 EXIT_INTERNAL = 6
 
+# sft-check boxes: each box draws two d^2 x d^2 complex matrices and runs a
+# fixed number of same-size transforms and two products on them, so its
+# memory grows as d^4 and the run as d^4 x boxes.  2^20 entries allow one
+# box at d = 32 (16 MiB a matrix) or 65,536 boxes at d = 2.
+SFT_ENTRIES = 2**20
+
 
 class ConfigError(Exception):
     pass
@@ -259,7 +265,7 @@ def run_stochastic(cfg, tol, rng):
 
 
 def run_sft_check(cfg, tol, rng):
-    d = _number(cfg.get("d", 2), int, "d")
+    d = _count(cfg.get("d", 2), "d", 2)
     results = {}
     if "sequence" in cfg:
         seq = _require(cfg, "sequence", list)
@@ -269,6 +275,10 @@ def run_sft_check(cfg, tol, rng):
         results["reason"] = sv.reason
         return sv.verdict, results
     count = _count(cfg.get("boxes", 20), "boxes", 1)
+    if d**4 * count > SFT_ENTRIES:
+        field = "d" if d**4 > SFT_ENTRIES else "boxes"
+        raise SizeLimit(f"config field '{field}': d^4 x boxes = {d**4 * count} "
+                        f"entries, over the budget of {SFT_ENTRIES}")
     worst_rot = 0.0
     worst_sft4 = 0.0
     worst_conv = 0.0

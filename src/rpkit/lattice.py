@@ -122,8 +122,22 @@ class GreenSet:
 
 
 def green_set(model: LatticeModel) -> GreenSet:
-    return GreenSet(model=model, C=np.linalg.inv(lattice_operator(model)),
-                    half=model.half_indices())
+    """C = A^{-1} and the half; a C that is not finite, or whose reflected block
+    is identically zero, is refused with InvalidConfig.
+
+    Exactly, C is entrywise positive on a connected lattice, so the block is
+    not zero.  A zero block is underflow (mass2 = 1e308 puts C at 1e-308 on
+    the diagonal and below the smallest double off it): both RP forms then
+    vanish, and their "positive" verdict would rest on no entry at all.
+    """
+    C = np.linalg.inv(lattice_operator(model))
+    half = model.half_indices()
+    if not np.all(np.isfinite(C)):
+        raise InvalidConfig(f"the Green operator at mass2 = {model.mass2} is not finite")
+    if not _reflected_block(model, half, C).any():
+        raise InvalidConfig(f"the Green operator at mass2 = {model.mass2} underflows: "
+                            f"its reflected block is zero")
+    return GreenSet(model=model, C=C, half=half)
 
 
 def monotonicity_verdict(gs: GreenSet, tol: float = DEFAULT_TOL) -> GramReport:

@@ -137,11 +137,7 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
     # M[shift a, b] = M[a, shift b]; this is exactly what makes the compressed
     # transfer self-adjoint.
     shifted = [index.get(time_shift(k, steps, cfg)) for k in basis]
-    live = [(a, sa) for a, sa in enumerate(shifted) if sa is not None]
-    defect = 0.0
-    for a, sa in live:
-        for b, sb in live:
-            defect = max(defect, float(abs(M[sa, b] - M[a, sb])))
+    defect = shift_defect(M, shifted)
     if defect > SHIFT_TOL * scale:
         raise PreconditionViolation(
             f"functional not shift-invariant on the basis support "
@@ -173,6 +169,21 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
     return TransferData(transfer=T, eigenvalues=w, energies=energies(w, steps), dt=float(steps),
                         kernel_dim=int((w <= KERNEL_TOL).sum()), asymmetry=comp.asymmetry,
                         normalization=norm, shift_defect=defect)
+
+
+def shift_defect(M: np.ndarray, shifted) -> float:
+    """max |M[sa, b] - M[a, sb]| over the window positions a, b whose shifts sa, sb
+    stay in the family (shifted[a] is None when a falls off); 0.0 when none do.
+
+    The modulus is hypot(re, im), as Python's abs(complex) takes it; numpy's
+    complex abs can differ from it in the last bit.
+    """
+    live = [a for a, sa in enumerate(shifted) if sa is not None]
+    if not live:
+        return 0.0
+    s = [shifted[a] for a in live]
+    diff = M[np.ix_(s, live)] - M[np.ix_(live, s)]
+    return float(np.hypot(diff.real, diff.imag).max())
 
 
 @dataclass

@@ -33,7 +33,7 @@ from .boxes import dft_zd
 from .errors import InvalidArgument, SizeLimit, WrongHalf
 
 DEFAULT_TOL = 1e-10
-FORM_BYTES = 2**30      # memory budget of form_matrix's three n x dim^2 complex stacks
+FORM_BYTES = 2**30      # memory budget of gram's 2 n cached dense reps, 32 n dim^2 bytes
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -124,32 +124,39 @@ def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) ->
 
     B_a and theta(B_a) are single homogeneous monomials of the same grade
     g_a = sum(k_a) mod d, so the twisted product is the operator product times
-    one phase, theta(B_a) o B_b = xi^(g_a g_b) theta(B_a) B_b.  `rep` is a
-    homomorphism, hence
+    one phase, theta(B_a) o B_b = xi^(g_a g_b) theta(B_a) B_b.  Each monomial
+    is a pair (perm, phase) with rep[i, perm[i]] = phase[i]
+    (Algebra.monomial_perm).  With (pL_a, hL_a) the pair of theta(B_a), its
+    coefficient folded into the phase, and (pR_b, hR_b) that of B_b, the
+    product theta(B_a) B_b has row i equal to hL_a(i) hR_b(pL_a(i)) at
+    column pR_b(pL_a(i)), hence
 
-        M_ab = xi^(g_a g_b) tr(rho L_a R_b),   L_a = theta(B_a).rep,  R_b = B_b.rep,
+        M_ab = xi^(g_a g_b) sum_i rho[pR_b(pL_a(i)), i] hL_a(i) hR_b(pL_a(i)),
 
-    with theta's phase carried in L_a.  With X_a = rho L_a, tr(X_a R_b) is the
-    dot product of X_a and R_b^T flattened, so all traces are one matrix
-    product over 2 |family| one-sided reps.  A given `block` is the form
-    already evaluated on the leading monomials and replaces those entries.
-    The stacks L, R^T and rho L take 48 n dim^2 bytes; a form over FORM_BYTES
-    is refused with SizeLimit before any rep is built.
+    one gather over the family per row a: O(n^2 dim) work in all, and no dense
+    rep.  It holds the four n x dim pair tables, one n x dim gather at a time
+    and the n x n result.  A given `block` is the form already evaluated on
+    the leading monomials and replaces those entries.
     """
     n, dim = len(family), algebra.cfg.dim
-    need = 48 * n * dim * dim
-    if need > FORM_BYTES:
-        raise SizeLimit(f"Gram form over {n} monomials at dimension {dim} needs "
-                        f"{need / 2**30:.1f} GiB, over the {FORM_BYTES / 2**30:.0f} GiB budget")
-    elems = [algebra.monomial(k) for k in family]
-    L = np.empty((n, dim, dim), dtype=complex)
-    Rt = np.empty((n, dim, dim), dtype=complex)
-    for a, E in enumerate(elems):
-        L[a] = theta(E).rep
-        Rt[a] = E.rep.T
-    X = omega.density(algebra) @ L
-    M = X.reshape(n, dim * dim) @ Rt.reshape(n, dim * dim).T
-    g = np.array([E.grade for E in elems], dtype=int)
+    PL = np.empty((n, dim), dtype=np.intp)
+    PR = np.empty((n, dim), dtype=np.intp)
+    HL = np.empty((n, dim), dtype=complex)
+    HR = np.empty((n, dim), dtype=complex)
+    g = np.empty(n, dtype=int)
+    for a, k in enumerate(family):
+        E = algebra.monomial(k)
+        (kt, c), = theta(E).coeffs.items()
+        PR[a], HR[a] = algebra.monomial_perm(k)
+        PL[a], hL = algebra.monomial_perm(kt)
+        HL[a] = c * hL
+        g[a] = E.grade
+    rho = omega.density(algebra).ravel()
+    cols = np.arange(dim)
+    M = np.empty((n, n), dtype=complex)
+    for a in range(n):
+        pl = PL[a]
+        M[a] = (rho[PR[:, pl] * dim + cols] * HR[:, pl]) @ HL[a]
     M *= algebra.cfg.twist(g[:, None], g[None, :])
     if block is not None:
         r = block.shape[0]
@@ -158,9 +165,20 @@ def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) ->
 
 
 def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_TOL) -> GramReport:
-    """M_ab = omega(theta(B_a) o B_b) over plus-half monomials, with verdict."""
+    """M_ab = omega(theta(B_a) o B_b) over plus-half monomials, with verdict.
+
+    The reflection defect max_a |omega(theta(B_a)) - conj(omega(B_a))| is
+    evaluated on the dense reps of B_a and theta(B_a), which the algebra
+    caches: 2 n reps of dim^2 complex entries, 32 n dim^2 bytes.  A basis
+    over FORM_BYTES is refused with SizeLimit before any rep is built.
+    """
     _check_plus(algebra, basis)
-    M = form_matrix(omega, algebra, basis)     # first: it refuses an oversized form
+    n, dim = len(basis), algebra.cfg.dim
+    need = 32 * n * dim * dim
+    if need > FORM_BYTES:
+        raise SizeLimit(f"Gram form over {n} monomials at dimension {dim} needs "
+                        f"{need / 2**30:.1f} GiB, over the {FORM_BYTES / 2**30:.0f} GiB budget")
+    M = form_matrix(omega, algebra, basis)
     refl = 0.0
     for k in basis:
         E = algebra.monomial(k)
@@ -337,7 +355,8 @@ def sft_positivity_sequence(seq, d: int | None = None, tol: float = DEFAULT_TOL)
     The sequence reshuffles into the circulant block K_{kl} = J_{(k-l) mod d};
     its eigenvalues are the DFT of the sequence, so the verdict is positive
     iff the DFT is entrywise real >= -tol (scaled).  A non-finite or
-    wrong-length sequence is refused with InvalidArgument.
+    wrong-length sequence is refused with InvalidArgument, and so is one so
+    large that its DFT, modulus or hermiticity defect overflows.
     """
     J = np.asarray(seq, dtype=complex)
     d = len(J) if d is None else d
@@ -349,9 +368,12 @@ def sft_positivity_sequence(seq, d: int | None = None, tol: float = DEFAULT_TOL)
     for a in range(d):
         for b in range(d):
             K[a, b] = J[(a - b) % d]
-    spec = dft_zd(J)
-    scale = max(1.0, float(np.abs(J).max()))
-    herm = float(np.abs(K - K.conj().T).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = dft_zd(J)
+        scale = max(1.0, float(np.abs(J).max()))
+        herm = float(np.abs(K - K.conj().T).max())
+    if not (np.all(np.isfinite(spec)) and np.isfinite(scale) and np.isfinite(herm)):
+        raise InvalidArgument("sequence overflows: its DFT or hermiticity defect is not finite")
     if herm > tol * scale:
         return SftVerdict(NEGATIVE, {i: J[i] for i in range(d)}, spec,
                           reason=f"coupling block not hermitian (defect {herm:.3e})")

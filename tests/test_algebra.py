@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpkit.algebra import (AlgebraConfig, Algebra, StateFunctional, build_algebra,
                            clock_shift, evaluate, theta, twisted_product)
 from rpkit.errors import ConfigMismatch, InvalidConfig, InvalidState, SizeLimit, WrongHalf
 
+from algebra_oracles import dense_generators, dense_monomial_rep
 from conftest import make_algebra, random_element, random_plus_element
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -301,3 +304,81 @@ class TestStateFunctional:
         with pytest.raises(InvalidState):
             StateFunctional(kind="gibbs", beta=1.0,
                             hamiltonian=alg.element({(1, 1): complex(float("nan"), 0.0)}))
+
+
+# ---------------------------------------------------------------------------
+# (perm, phase) monomial reps against the dense Kronecker products they replace
+# ---------------------------------------------------------------------------
+
+REP_CONFIGS = [(2, m) for m in (2, 4, 6, 8)] + [(3, m) for m in (2, 4, 6)] + \
+    [(4, m) for m in (2, 4, 6)]
+_DENSE = {}
+
+
+def kron_generators(cfg):
+    if cfg not in _DENSE:
+        _DENSE[cfg] = dense_generators(cfg)
+    return _DENSE[cfg]
+
+
+@st.composite
+def monomials(draw):
+    d, m = draw(st.sampled_from(REP_CONFIGS))
+    return make_algebra(d, m), tuple(draw(st.lists(st.integers(0, d - 1), min_size=m,
+                                                   max_size=m)))
+
+
+@st.composite
+def element_pairs(draw):
+    d, m = draw(st.sampled_from(REP_CONFIGS))
+    alg = make_algebra(d, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (alg, random_element(alg, rng, draw(st.integers(1, 5))),
+            random_element(alg, rng, draw(st.integers(1, 5))))
+
+
+def fresh_rep(E):
+    """The rep built from E's coefficient table, not carried over from its operands."""
+    return E.algebra.element(E.coeffs).rep
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=monomials())
+def test_monomial_rep_matches_kron_oracle(case):
+    alg, k = case
+    dim = alg.cfg.dim
+    got = alg.monomial_rep(k)
+    want = dense_monomial_rep(kron_generators(alg.cfg), k)
+    if alg.cfg.d == 2:
+        assert np.array_equal(got, want)        # phases are +-1, +-i: exact products
+    else:
+        assert np.abs(got - want).max() <= 1e-15
+    perm, phase = alg.monomial_perm(k)
+    assert np.array_equal(np.sort(perm), np.arange(dim))
+    assert np.count_nonzero(got) == dim
+    assert np.array_equal(got[np.arange(dim), perm], phase)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=element_pairs())
+def test_rep_is_multiplicative(case):
+    alg, A, B = case
+    want = A.rep @ B.rep
+    assert np.abs(fresh_rep(A * B) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=element_pairs())
+def test_star_is_conjugate_transpose(case):
+    alg, A, _ = case
+    want = A.rep.conj().T
+    assert np.abs(fresh_rep(A.star()) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=element_pairs())
+def test_theta_is_an_involution(case):
+    alg, A, _ = case
+    assert (theta(theta(A)) - A).norm_max() <= 1e-12 * max(1.0, A.norm_max())
+    assert np.abs(fresh_rep(theta(theta(A))) - A.rep).max() <= \
+        1e-12 * max(1.0, np.abs(A.rep).max())

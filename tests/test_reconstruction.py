@@ -10,8 +10,8 @@ from rpkit.algebra import theta as theta_alg
 from rpkit.chains import finite_chain_hamiltonian, uniform_chain_state
 from rpkit.cli import main
 from rpkit.errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
-from rpkit.reconstruction import (KERNEL_TOL, compress_shift, quantize, spectrum_report,
-                                  time_shift, transfer_operator)
+from rpkit.reconstruction import (KERNEL_TOL, compress_shift, quantize, shift_defect,
+                                  spectrum_report, time_shift, transfer_operator)
 from rpkit.verifier import (coupling_element, draw_theorem_hamiltonian, gram,
                             gram_report_from_matrix, plus_basis)
 
@@ -305,3 +305,19 @@ def test_compress_shift_matches_dense_oracle(n, extra, nulls, scale, seed):
     assert np.abs(comp.transfer - (T + T.conj().T) / 2).max(initial=0.0) <= atol
     assert abs(comp.asymmetry - np.abs(T - T.conj().T).max(initial=0.0)) <= atol
     assert abs(comp.null_defect ** 2 - null_form) <= atol
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 8), extra=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_shift_defect_matches_pair_loop(n, extra, seed):
+    """The vectorized defect equals the pair loop it replaced, bit for bit."""
+    rng = np.random.default_rng(seed)
+    N = n + extra
+    M = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    shifted = [None if rng.random() < 0.3 else int(rng.integers(N)) for _ in range(n)]
+    live = [(a, sa) for a, sa in enumerate(shifted) if sa is not None]
+    want = 0.0
+    for a, sa in live:
+        for b, sb in live:
+            want = max(want, float(abs(M[sa, b] - M[a, sb])))
+    assert shift_defect(M, shifted) == want

@@ -313,6 +313,7 @@ def test_negative_chain_beta_exit_3(tmp_path, capsys, command, cfg):
     ("sft-check", {"d": 2, "sequence": ["one", 1.0]}),
     ("sft-check", {"d": 2, "boxes": -5}),
     ("sft-check", {"d": 2, "boxes": 0}),
+    ("sft-check", {"d": 0, "boxes": 1}),
     ("rp-gram", {"d": 2, "m": 4, "max_grade": -1}),
     ("stochastic", {"dims": [8], "mass2": 1.0, "t_grid": []}),
     ("reconstruct", {**CHAIN_M4, "basis_room": 2}),
@@ -320,13 +321,45 @@ def test_negative_chain_beta_exit_3(tmp_path, capsys, command, cfg):
     ("reconstruct", {**CHAIN_M4, "basis_room": -2}),
 ], ids=["dims-nan", "dims-fraction", "mass2-string", "d-string", "m-string", "beta-string",
         "max-grade-string", "basis-room-string", "t-grid-string", "sequence-string",
-        "boxes-negative", "boxes-zero", "max-grade-negative", "t-grid-empty",
+        "boxes-negative", "boxes-zero", "sft-d-zero", "max-grade-negative", "t-grid-empty",
         "basis-room-half", "basis-room-full", "basis-room-negative"])
 def test_wrong_type_config_exit_3(tmp_path, capsys, command, cfg):
     code, text = run_cli(tmp_path, command, cfg)
     assert code == 3
     assert text == ""
     assert capsys.readouterr().err.startswith("rpkit: config error: config field")
+
+
+@pytest.mark.parametrize("command, cfg, names", [
+    ("green", {"dims": [8], "mass2": 1e308}, "mass2"),
+    ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1e300, "beta": 1e300}}, "beta x coupling"),
+    ("sft-check", {"d": 2, "sequence": [1e308, 1e308]}, "sequence"),
+], ids=["green-block-underflow", "chain-beta-coupling-overflow", "sequence-dft-overflow"])
+def test_overflow_exit_3(tmp_path, capsys, command, cfg, names):
+    # finite inputs whose result over- or underflows: refused, never a crash
+    # (exit 6) or a "positive" read off zeros, inf or nan
+    code, text = run_cli(tmp_path, command, cfg)
+    assert code == 3
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("rpkit: invalid config:") and names in err
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"d": 100000000, "boxes": 1}, "d"),
+    ({"d": 2, "boxes": 1000000000}, "boxes"),
+], ids=["d-huge", "boxes-huge"])
+def test_sft_box_budget_exit_4(tmp_path, capsys, monkeypatch, cfg, field):
+    # refused before any box is built; a box built anyway fails fast
+    def no_box(*args, **kwargs):
+        raise AssertionError("a box was built")
+
+    monkeypatch.setattr(cli, "Box22", no_box)
+    code, text = run_cli(tmp_path, "sft-check", cfg)
+    assert code == 4
+    assert text == ""
+    assert capsys.readouterr().err.startswith(
+        f"rpkit: size cap exceeded: config field '{field}':")
 
 
 @pytest.mark.parametrize("sequence", [[], [1.0, 1.0, 1.0]], ids=["empty", "too-long"])

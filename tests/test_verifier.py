@@ -14,6 +14,7 @@ from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decompo
                             gram, gram_report_from_matrix, plus_basis,
                             sft_positivity, sft_positivity_sequence)
 
+from algebra_oracles import gemm_form_matrix
 from conftest import make_algebra, random_element
 
 
@@ -305,7 +306,7 @@ class TestNotApplicableReason:
 
 
 # ---------------------------------------------------------------------------
-# form_matrix against the per-entry form it replaced
+# form_matrix against the per-entry form and the dense gemm form it replaced
 # ---------------------------------------------------------------------------
 
 FORM_CONFIGS = [(2, m) for m in (2, 4, 6, 8, 10, 12)] + [(3, 2), (3, 4), (3, 6),
@@ -366,6 +367,9 @@ def test_form_matrix_matches_entry_oracle(case, with_block):
     want = form_oracle(omega, algebra, family, block)
     got = form_matrix(omega, algebra, family, block)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
+    # the one-gemm form over dense Kronecker reps that the gather replaced
+    gemm = gemm_form_matrix(omega, algebra, family, block)
+    assert np.abs(got - gemm).max() <= 1e-12 * max(1.0, float(np.abs(gemm).max()))
     if with_block:
         assert np.array_equal(got[:len(basis), :len(basis)], block)
     # the reflection defect stays on evaluate of dense reps, bit for bit
