@@ -184,7 +184,11 @@ class Algebra:
         return out
 
     def monomial_rep(self, k) -> np.ndarray:
-        """Dense matrix of the monomial: its (perm, phase) pair scattered into zeros."""
+        """Dense matrix of the monomial: its (perm, phase) pair scattered into zeros.
+
+        Only AlgebraElement.rep reads it (Gibbs Hamiltonians, algebra-check and
+        evaluate); the Gram forms and their reflection defect work on the pairs.
+        """
         k = self._canon(k)
         hit = self._mono_cache.get(k)
         if hit is not None:
@@ -423,6 +427,10 @@ class StateFunctional:
 
 
 def evaluate(omega: StateFunctional, A: AlgebraElement) -> complex:
-    """omega(A); linear in A with omega(1) = 1."""
+    """omega(A) = tr(rho A); linear in A with omega(1) = 1.
+
+    tr(rho A) = sum_ij rho_ij A_ji, the entrywise product with A transposed:
+    dim^2 work, where the product rho A would take dim^3.
+    """
     rho = omega.density(A.algebra)
-    return complex(np.trace(rho @ A.rep))
+    return complex((rho * A.rep.T).sum())

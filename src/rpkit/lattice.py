@@ -72,6 +72,24 @@ class LatticeModel:
                                 f"{self.mass2}")
         if int(np.prod(self.dims)) > SITE_CAP:
             raise SizeLimit(f"lattice volume {int(np.prod(self.dims))} exceeds cap {SITE_CAP}")
+        if self.bc == "torus" and self.mass2 < self.torus_floor():
+            raise InvalidConfig(f"torus mass2 {self.mass2:.3e} is below the round-off floor "
+                                f"{self.torus_floor():.3e}: the operator is numerically singular")
+
+    def torus_floor(self) -> float:
+        """n eps ||A||, the smallest mass2 a torus accepts, with n the site count.
+
+        On a torus the constant mode of A = -laplacian + mass2 has eigenvalue
+        mass2, and ||A|| <= 4 len(dims) + mass2, which is 4 len(dims) for any
+        mass2 near the floor.  Inverting A in floating point
+        solves a problem perturbed by about n eps ||A||, so a smaller mass2 is
+        within round-off of the singular Laplacian: inv raises (dims [16] at
+        mass2 1e-17) or returns a C of no accuracy (dims [4, 4] at 1e-17 gave
+        monotonicity_min_eig -0.457).  A box operator is >= mass2 plus the
+        Dirichlet gap, so boxes have no floor.
+        """
+        n = int(np.prod(self.dims))
+        return n * np.finfo(float).eps * 4 * len(self.dims)
 
     @property
     def sites(self) -> list:

@@ -4,7 +4,10 @@ Reports serialize to JSON text with insertion-ordered keys, floats printed
 with 17 significant digits (lossless for float64), and complex numbers as
 {"re": ..., "im": ...} pairs.  Identical report objects serialize to
 byte-identical text; round-tripping through json.loads is lossless up to the
-complex/array conversions applied on assembly.
+complex/array conversions applied on assembly.  A float or complex array
+(an rp-gram matrix, a spectrum) is written in one vectorized pass
+(_array_text) to the same bytes as the element-by-element walk of its
+tolist(); every other value takes that walk.
 """
 
 from __future__ import annotations
@@ -62,12 +65,52 @@ def _serialize(obj, out: list):
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, np.ndarray):
-        _serialize(obj.tolist(), out)
+        if obj.dtype in _FAST_DTYPES:
+            out.append(_array_text(obj))
+        else:
+            _serialize(obj.tolist(), out)
     elif isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
         out.append(f'"{escaped}"')
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# arrays whose tolist() holds Python floats or complexes, each converted exactly
+_FAST_DTYPES = (np.dtype(np.float64), np.dtype(np.float32),
+                np.dtype(np.complex128), np.dtype(np.complex64))
+# the format of one float by kind: 0 "%.17g", 1 integral below 1e15 "%.1f",
+# 2 non-finite, whose text _fmt_float supplies
+_FLOAT_FORMATS = np.array(["%.17g", "%.1f", "%s"], dtype=object)
+_COMPLEX_FORMATS = np.array(['{"re":' + r + ',"im":' + i + "}"
+                             for r in _FLOAT_FORMATS for i in _FLOAT_FORMATS], dtype=object)
+
+
+def _array_text(arr: np.ndarray) -> str:
+    """_serialize(arr.tolist()) of a float or complex array, in one pass.
+
+    The format of each float is picked from masks taken in numpy (finite,
+    integral and below 1e15 in modulus: "%.1f", otherwise "%.17g"); only the
+    non-finite entries go through _fmt_float.  The formats of the entries,
+    nested in brackets by the shape, make one format string that takes all
+    the values at once.  The text is byte for byte that of the generic walk.
+    """
+    cplx = arr.dtype.kind == "c"
+    x = arr.astype(np.complex128 if cplx else np.float64).ravel()
+    if cplx:
+        x = x.view(np.float64)     # re, im interleaved
+    finite = np.isfinite(x)
+    kind = np.where(finite, (x == np.trunc(x)) & (np.abs(x) < 1e15), 2)
+    vals = x.tolist()
+    for i in np.flatnonzero(~finite).tolist():
+        vals[i] = _fmt_float(vals[i])
+    fmts = (_COMPLEX_FORMATS[3 * kind[0::2] + kind[1::2]] if cplx
+            else _FLOAT_FORMATS[kind]).tolist()
+    for j in range(arr.ndim - 1, -1, -1):
+        size = arr.shape[j]
+        fmts = ["[" + ",".join(fmts[r * size:(r + 1) * size]) + "]"
+                for r in range(int(np.prod(arr.shape[:j], dtype=np.int64)))]
+    return fmts[0] % tuple(vals)
 
 
 def to_text(report: dict) -> str:

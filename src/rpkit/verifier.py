@@ -27,13 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# evaluate is not called here, but perfbench/selftest.py patches it as
+# rpkit.verifier.evaluate
 from .algebra import (DEFAULT_CAP, Algebra, AlgebraConfig, AlgebraElement, StateFunctional,
                       evaluate, theta, twisted_product)
 from .boxes import dft_zd
 from .errors import InvalidArgument, SizeLimit, WrongHalf
 
 DEFAULT_TOL = 1e-10
-FORM_BYTES = 2**30      # memory budget of gram's 2 n cached dense reps, 32 n dim^2 bytes
+GATHER_ENTRIES = 2**25  # work budget of one form: n^2 dim gathered entries (form_matrix)
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -119,6 +121,56 @@ def _judged(basis, Ms, ev, vec, tol, herm, reflection_defect) -> GramReport:
         not_applicable_reason=reason)
 
 
+def _pair_tables(algebra: Algebra, family) -> tuple:
+    """The (perm, phase) tables of a monomial family, after the work budget.
+
+    Row a holds the pair (PR, HR) of B_a and the pair (PL, HL) of theta(B_a),
+    theta's coefficient folded into the phase; g[a] is the grade of B_a.  A
+    family whose form would gather more than GATHER_ENTRIES = n^2 dim entries
+    is refused with SizeLimit before any table is built.
+    """
+    n, dim = len(family), algebra.cfg.dim
+    if n * n * dim > GATHER_ENTRIES:
+        raise SizeLimit(f"Gram form over {n} monomials at dimension {dim} gathers "
+                        f"{n * n * dim} entries, over the budget of {GATHER_ENTRIES}")
+    PL = np.empty((n, dim), dtype=np.intp)
+    PR = np.empty((n, dim), dtype=np.intp)
+    HL = np.empty((n, dim), dtype=complex)
+    HR = np.empty((n, dim), dtype=complex)
+    g = np.empty(n, dtype=int)
+    for a, k in enumerate(family):
+        E = algebra.monomial(k)
+        (kt, c), = theta(E).coeffs.items()
+        PR[a], HR[a] = algebra.monomial_perm(k)
+        PL[a], hL = algebra.monomial_perm(kt)
+        HL[a] = c * hL
+        g[a] = E.grade
+    return PL, HL, PR, HR, g
+
+
+def _gathered_form(rho: np.ndarray, cfg: AlgebraConfig, tables, block=None) -> np.ndarray:
+    """The form of form_matrix from the density and the pair tables."""
+    PL, HL, PR, HR, g = tables
+    n, dim = PL.shape
+    rho = rho.ravel()
+    cols = np.arange(dim)
+    M = np.empty((n, n), dtype=complex)
+    for a in range(n):
+        pl = PL[a]
+        M[a] = (rho[PR[:, pl] * dim + cols] * HR[:, pl]) @ HL[a]
+    M *= cfg.twist(g[:, None], g[None, :])
+    if block is not None:
+        r = block.shape[0]
+        M[:r, :r] = block
+    return M
+
+
+def _one_point(rho: np.ndarray, perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """omega(B) = sum_i rho[perm(i), i] phase(i) for each pair row (perm, phase)."""
+    dim = rho.shape[0]
+    return (rho.ravel()[perms * dim + np.arange(dim)] * phases).sum(1)
+
+
 def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) -> np.ndarray:
     """M_ab = omega(theta(B_a) o B_b) over a monomial family, unsymmetrized.
 
@@ -133,57 +185,36 @@ def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) ->
 
         M_ab = xi^(g_a g_b) sum_i rho[pR_b(pL_a(i)), i] hL_a(i) hR_b(pL_a(i)),
 
-    one gather over the family per row a: O(n^2 dim) work in all, and no dense
-    rep.  It holds the four n x dim pair tables, one n x dim gather at a time
-    and the n x n result.  A given `block` is the form already evaluated on
-    the leading monomials and replaces those entries.
+    one gather over the family per row a: n^2 dim gathered entries in all,
+    and no dense rep.  It holds the four n x dim pair tables, one n x dim
+    gather at a time and the n x n result.  The gather costs about 30 ns an
+    entry on a 2-vCPU host (d = 2: 2^24 entries at m = 16 take 0.6 s, 2^27 at
+    m = 18 take 3.9 s), so GATHER_ENTRIES = 2^25 allows about a second of it
+    and refuses a larger family with SizeLimit before any table is built.  A
+    given `block` is the form already evaluated on the leading monomials and
+    replaces those entries.
     """
-    n, dim = len(family), algebra.cfg.dim
-    PL = np.empty((n, dim), dtype=np.intp)
-    PR = np.empty((n, dim), dtype=np.intp)
-    HL = np.empty((n, dim), dtype=complex)
-    HR = np.empty((n, dim), dtype=complex)
-    g = np.empty(n, dtype=int)
-    for a, k in enumerate(family):
-        E = algebra.monomial(k)
-        (kt, c), = theta(E).coeffs.items()
-        PR[a], HR[a] = algebra.monomial_perm(k)
-        PL[a], hL = algebra.monomial_perm(kt)
-        HL[a] = c * hL
-        g[a] = E.grade
-    rho = omega.density(algebra).ravel()
-    cols = np.arange(dim)
-    M = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        pl = PL[a]
-        M[a] = (rho[PR[:, pl] * dim + cols] * HR[:, pl]) @ HL[a]
-    M *= algebra.cfg.twist(g[:, None], g[None, :])
-    if block is not None:
-        r = block.shape[0]
-        M[:r, :r] = block
-    return M
+    return _gathered_form(omega.density(algebra), algebra.cfg, _pair_tables(algebra, family),
+                          block)
 
 
 def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_TOL) -> GramReport:
     """M_ab = omega(theta(B_a) o B_b) over plus-half monomials, with verdict.
 
-    The reflection defect max_a |omega(theta(B_a)) - conj(omega(B_a))| is
-    evaluated on the dense reps of B_a and theta(B_a), which the algebra
-    caches: 2 n reps of dim^2 complex entries, 32 n dim^2 bytes.  A basis
-    over FORM_BYTES is refused with SizeLimit before any rep is built.
+    The form is form_matrix's gather, under its GATHER_ENTRIES budget.  The
+    reflection defect max_a |omega(theta(B_a)) - conj(omega(B_a))| reads the
+    one-point values from the same pair tables: omega(B) is
+    sum_i rho[perm(i), i] phase(i), one n x dim gather for each side.  No
+    dense rep is built.
     """
     _check_plus(algebra, basis)
-    n, dim = len(basis), algebra.cfg.dim
-    need = 32 * n * dim * dim
-    if need > FORM_BYTES:
-        raise SizeLimit(f"Gram form over {n} monomials at dimension {dim} needs "
-                        f"{need / 2**30:.1f} GiB, over the {FORM_BYTES / 2**30:.0f} GiB budget")
-    M = form_matrix(omega, algebra, basis)
-    refl = 0.0
-    for k in basis:
-        E = algebra.monomial(k)
-        refl = max(refl, abs(evaluate(omega, theta(E)) - np.conj(evaluate(omega, E))))
-    return gram_report_from_matrix(M, basis, tol, reflection_defect=float(refl))
+    tables = _pair_tables(algebra, basis)
+    rho = omega.density(algebra)
+    M = _gathered_form(rho, algebra.cfg, tables)
+    PL, HL, PR, HR, _ = tables
+    diff = _one_point(rho, PL, HL) - np.conj(_one_point(rho, PR, HR))
+    refl = float(np.abs(diff).max(initial=0.0))
+    return gram_report_from_matrix(M, basis, tol, reflection_defect=refl)
 
 
 # ---------------------------------------------------------------------------

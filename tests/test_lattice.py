@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from rpkit import lattice
 from rpkit.errors import (InvalidArgument, InvalidConfig, InvalidGeometry,
                           PreconditionViolation, SizeLimit, WrongHalf)
-from rpkit.cli import run_green
+from rpkit.cli import main, run_green
 from rpkit.lattice import (CHAIN_TOL, VIOLATION_TOL, GreenSet, LatticeModel, chain_gap,
                            chain_transfer, covariance_rp, green_set, lattice_operator,
                            monotonicity_verdict, stochastic_covariance, stochastic_rp_scan)
@@ -47,6 +49,17 @@ class TestLatticeOperator:
             LatticeModel((4,), 0.0, "torus")
         with pytest.raises(InvalidConfig):
             LatticeModel((4,), -1.0, "box")
+
+    @pytest.mark.parametrize("dims", [(16,), (4, 4)])
+    def test_singular_torus_exit_3(self, tmp_path, dims):
+        # mass2 below n eps ||A||: inv raised (exit 6) on [16] and returned garbage
+        # (exit 2, monotonicity_min_eig -0.457) on [4, 4]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dims": list(dims), "mass2": 1e-17, "bc": "torus"}))
+        assert main(["green", "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 3
+        floor = LatticeModel(dims, 1.0, "torus").torus_floor()
+        LatticeModel(dims, 2 * floor, "torus")
+        LatticeModel(dims, 1e-17, "box")
 
     def test_non_integral_dims_rejected(self):
         assert LatticeModel((4.0, 4), 1.0).dims == (4, 4)

@@ -3,7 +3,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
+import rpkit.algebra
+import rpkit.verifier
 from rpkit import cli
 from rpkit.algebra import Algebra
 from rpkit.cli import main
@@ -44,6 +49,26 @@ class TestSerializer:
         back = json.loads(text)
         assert back["arr"] == [1.0, 2.0]
         assert back["c"] == {"re": 0.0, "im": 1.0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           dtype=st.sampled_from([np.float64, np.float32, np.complex128, np.complex64]),
+           shape=array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+    def test_array_text_matches_generic_walk(self, data, dtype, shape):
+        # the one-pass array text against the element-by-element walk of tolist()
+        cplx = np.dtype(dtype).kind == "c"
+        count = int(np.prod(shape)) * (2 if cplx else 1)
+        value = st.one_of(
+            st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308,
+                             1e15 - 1, 1e15, 1e15 + 1, -1e15 - 1, 2.0**53]),
+            st.integers(-2**60, 2**60).map(float),
+            st.floats(allow_nan=True, allow_infinity=True))
+        raw = np.array(data.draw(st.lists(value, min_size=count, max_size=count)), dtype=float)
+        if cplx:
+            raw = raw.view(np.complex128)
+        with np.errstate(over="ignore"):
+            arr = raw.astype(dtype).reshape(shape)
+        assert to_text({"a": arr}) == to_text({"a": arr.tolist()})
 
     def test_witness_truncation(self):
         w = truncate_witness(np.arange(40.0))
@@ -217,6 +242,17 @@ class TestCli:
         assert time.perf_counter() - start < 30
         assert reps == []
         assert capsys.readouterr().err.startswith("rpkit: size cap exceeded:")
+
+    def test_rp_gram_evaluates_no_dense_rep(self, tmp_path, monkeypatch):
+        # form and reflection defect both come from the (perm, phase) tables
+        calls = []
+        for module in (rpkit.algebra, rpkit.verifier):
+            monkeypatch.setattr(module, "evaluate",
+                                lambda *a, _real=module.evaluate: calls.append(1) or _real(*a))
+        code, _ = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 10, "state": "gibbs",
+                                                "draw": {"family": "generic"}})
+        assert code == 2
+        assert calls == []
 
     def test_csv_only_for_stochastic(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
