@@ -18,14 +18,25 @@ digit s and carries the phase q^(i_0 + ... + i_{s-1}), times eta q^(i_s + 1)
 for c_{2s+2}.  Products compose the pairs, (A B) = (perm_B[perm_A],
 phase_A * phase_B[perm_A]), in O(dim) (Algebra.monomial_perm); the dense
 monomial matrix is that pair scattered into zeros (Algebra.monomial_rep).
-Elements carry a normal-ordered coefficient table and build their dense
-matrix on demand from the monomial reps; the two are kept consistent by
-construction and re-checked in the test suite against dense Kronecker
-products of clock and shift matrices.
+Elements carry a normal-ordered coefficient table, c^k = c_1^{k_1} ...
+c_m^{k_m} with 0 <= k_j < d; the dense matrix is built from the table on
+demand and re-checked in the test suite against dense Kronecker products of
+clock and shift matrices.
 
-The reflection theta mirrors generator indices (c_j -> c_{m+1-j}) and extends
-antilinearly as a homomorphism.  The twisted product of homogeneous elements
-A in the left half and B in the right half is
+One rule orders every word.  Since c_i c_j = q^(-1) c_j c_i for i > j,
+moving c_j^(l_j) left past c_i^(k_i) costs q^(-k_i l_j), so
+
+    c^k c^l = q^e(k, l) c^((k + l) mod d),    e(k, l) = -sum_{i>j} k_i l_j,
+
+one prefix-sum pass over the exponents (_swap_phase).  The adjoint and the
+reflection theta, which mirrors generator indices (c_j -> c_{m+1-j}) and
+extends antilinearly as a homomorphism, follow from it:
+
+    (c^k)* = q^e(k, k) c^(-k),    theta(c^k) = q^e(k, k) c^(k reversed),
+
+each with the coefficient conjugated (derived at star and theta).  The
+twisted product of homogeneous elements A in the left half and B in the
+right half is
 
     A o B = xi^(grade(A) * grade(B)) * A B,    xi = exp(i*pi*(d-1)/d),
 
@@ -106,29 +117,28 @@ class AlgebraConfig:
         return np.exp(1j * np.pi * (self.d - 1) * (a % self.d) * (b % self.d) / self.d)
 
 
-def _reorder(factors, d):
-    """Normal order a factor list [(index, exponent), ...].
+def _swap_phase(k, l, d: int) -> int:
+    """Exponent e mod d in c^k c^l = q^e c^((k + l) mod d): e = -sum_{i>j} k_i l_j.
 
-    Swapping adjacent factors with indices i > j costs q^(-e_i * e_j); equal
-    indices merge.  Returns (phase exponent mod d, merged exponent dict).
+    Index i meets the prefix sum of l over j < i: one pass, O(m).
     """
-    arr = list(factors)
-    phase = 0
-    n = len(arr)
-    for a in range(n):
-        for b in range(n - 1 - a):
-            (i1, e1), (i2, e2) = arr[b], arr[b + 1]
-            if i1 > i2:
-                phase -= e1 * e2
-                arr[b], arr[b + 1] = arr[b + 1], arr[b]
-    merged = {}
-    for i, e in arr:
-        merged[i] = (merged.get(i, 0) + e) % d
-    return phase % d, merged
+    e = s = 0
+    for ki, li in zip(k, l):
+        e -= ki * s
+        s += li
+    return e % d
+
+
+def _collect(terms) -> dict:
+    """Coefficient table of a sum of (exponent tuple, coefficient) terms, zeros dropped."""
+    out: dict[tuple, complex] = {}
+    for k, v in terms:
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v != 0}
 
 
 class Algebra:
-    """Shared context: configuration, generator pairs, monomial caches."""
+    """Shared context: configuration, generator pairs, monomial pair cache."""
 
     def __init__(self, cfg: AlgebraConfig):
         if cfg.dim > DEFAULT_CAP:
@@ -137,7 +147,6 @@ class Algebra:
         self.cfg = cfg
         self._gens = _generator_perms(cfg.d, cfg.m)
         self._perm_cache: dict[tuple, tuple] = {}
-        self._mono_cache: dict[tuple, np.ndarray] = {}
 
     # -- element constructors -------------------------------------------------
 
@@ -189,14 +198,9 @@ class Algebra:
         Only AlgebraElement.rep reads it (Gibbs Hamiltonians, algebra-check and
         evaluate); the Gram forms and their reflection defect work on the pairs.
         """
-        k = self._canon(k)
-        hit = self._mono_cache.get(k)
-        if hit is not None:
-            return hit
         perm, phase = self.monomial_perm(k)
         mat = np.zeros((self.cfg.dim, self.cfg.dim), dtype=complex)
         mat[np.arange(self.cfg.dim), perm] = phase
-        self._mono_cache[k] = mat
         return mat
 
 
@@ -231,14 +235,14 @@ def build_algebra(cfg: AlgebraConfig) -> list:
 
 
 class AlgebraElement:
-    """Normal-ordered coefficient table plus its dense matrix, built on demand."""
+    """Normal-ordered coefficient table; its dense matrix is built from it and cached."""
 
     __slots__ = ("algebra", "coeffs", "_rep")
 
-    def __init__(self, algebra: Algebra, coeffs: dict, rep=None):
+    def __init__(self, algebra: Algebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = coeffs
-        self._rep = rep
+        self._rep = None
 
     @property
     def cfg(self) -> AlgebraConfig:
@@ -300,34 +304,21 @@ class AlgebraElement:
         if np.isscalar(other):
             return self.__rmul__(other)
         self._check(other)
-        d, m = self.cfg.d, self.cfg.m
-        q = self.cfg.q
-        out: dict[tuple, complex] = {}
-        for k1, v1 in self.coeffs.items():
-            f1 = [(i, e) for i, e in enumerate(k1) if e]
-            for k2, v2 in other.coeffs.items():
-                f2 = [(i, e) for i, e in enumerate(k2) if e]
-                ph, merged = _reorder(f1 + f2, d)
-                kk = tuple(merged.get(i, 0) for i in range(m))
-                out[kk] = out.get(kk, 0) + v1 * v2 * q**ph
-        out = {k: v for k, v in out.items() if v != 0}
-        rep = None
-        if self._rep is not None and other._rep is not None:
-            rep = self._rep @ other._rep
-        return AlgebraElement(self.algebra, out, rep)
+        d, q = self.cfg.d, self.cfg.q
+        return AlgebraElement(self.algebra, _collect(
+            (tuple((a + b) % d for a, b in zip(k1, k2)), v1 * v2 * q**_swap_phase(k1, k2, d))
+            for k1, v1 in self.coeffs.items() for k2, v2 in other.coeffs.items()))
 
     def star(self) -> "AlgebraElement":
-        """Adjoint: reverses products, conjugates scalars; matches rep.conj().T."""
-        d, m = self.cfg.d, self.cfg.m
-        q = self.cfg.q
-        out: dict[tuple, complex] = {}
-        for k, v in self.coeffs.items():
-            fact = [(i, (-e) % d) for i, e in reversed(list(enumerate(k))) if e]
-            ph, merged = _reorder(fact, d)
-            kk = tuple(merged.get(i, 0) for i in range(m))
-            out[kk] = out.get(kk, 0) + np.conj(v) * q**ph
-        rep = self._rep.conj().T if self._rep is not None else None
-        return AlgebraElement(self.algebra, {k: v for k, v in out.items() if v != 0}, rep)
+        """Adjoint: v c^k -> conj(v) q^e(k, k) c^(-k); matches rep.conj().T.
+
+        The generators are unitary, so (c^k)* is the inverse of c^k, and
+        c^k c^(-k) = q^e(k, -k) = q^(-e(k, k)) by the ordering rule.
+        """
+        d, q = self.cfg.d, self.cfg.q
+        return AlgebraElement(self.algebra, _collect(
+            (tuple(-e % d for e in k), np.conj(v) * q**_swap_phase(k, k, d))
+            for k, v in self.coeffs.items()))
 
     def norm_max(self) -> float:
         """Largest coefficient modulus (zero element -> 0)."""
@@ -341,19 +332,14 @@ class AlgebraElement:
 def theta(A: AlgebraElement) -> AlgebraElement:
     """Antilinear reflection homomorphism: theta(c_j) = c_{m+1-j}.
 
-    Applied to a normal-ordered monomial, factors mirror their indices while
-    keeping their order, then the result is normal ordered; coefficients are
-    conjugated.  theta(A B) = theta(A) theta(B) and theta^2 = id.
+    v c^k -> conj(v) q^e(k, k) c^(k reversed).  theta keeps the order of the
+    factors and mirrors their indices, so the word c_m^{k_1} ... c_1^{k_m}
+    has every pair inverted; normal ordering it costs q^(-k_i k_j) per pair,
+    which is e(k, k).  theta(A B) = theta(A) theta(B) and theta^2 = id.
     """
-    d, m = A.cfg.d, A.cfg.m
-    q = A.cfg.q
-    out: dict[tuple, complex] = {}
-    for k, v in A.coeffs.items():
-        fact = [(m - 1 - i, e) for i, e in enumerate(k) if e]
-        ph, merged = _reorder(fact, d)
-        kk = tuple(merged.get(i, 0) for i in range(m))
-        out[kk] = out.get(kk, 0) + np.conj(v) * q**ph
-    return AlgebraElement(A.algebra, {k: v for k, v in out.items() if v != 0})
+    d, q = A.cfg.d, A.cfg.q
+    return AlgebraElement(A.algebra, _collect(
+        (k[::-1], np.conj(v) * q**_swap_phase(k, k, d)) for k, v in A.coeffs.items()))
 
 
 def _support_in(A: AlgebraElement, lo: int, hi: int) -> bool:

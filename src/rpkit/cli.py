@@ -244,7 +244,7 @@ def run_green(cfg, tol, rng):
         "witness": truncate_witness(mono.witness),
     }
     if len(model.dims) == 1 and model.bc == "box":
-        results["chain_gap"] = chain_gap(gs)[0]
+        results["chain_gap"] = chain_gap(gs, tol)[0]
     return mono.verdict, results
 
 

@@ -42,7 +42,6 @@ from .verifier import GramReport, gram_report_from_matrix, scaled_report
 DEFAULT_TOL = 1e-10
 SITE_CAP = 4096
 VIOLATION_TOL = 1e-8    # default gate: a scan row is violated when min eigenvalue < -tol
-CHAIN_TOL = 1e-12       # null tolerance of the chain transfer quotient
 
 
 @dataclass(frozen=True)
@@ -238,13 +237,14 @@ def stochastic_rp_scan(model: LatticeModel, ts, tol: float = VIOLATION_TOL) -> S
     return StochasticScan(rows=rows, witness_t=wit_t, witness=wit)
 
 
-def chain_transfer(gs: GreenSet):
+def chain_transfer(gs: GreenSet, tol: float = DEFAULT_TOL):
     """OS transfer data for the Gaussian two-point sector plus the vacuum.
 
     Basis: the constant (vacuum) plus delta functions on positive-time sites;
     the shift moves deltas one step in time away from the plane.  Returns
     the ShiftCompression of that shift onto the quotient of the Gram at
-    null tolerance CHAIN_TOL; a Gram that is not PSD raises
+    null tolerance tol, the tolerance of the covariance verdict on the same
+    reflected block; a Gram that is not PSD raises
     PreconditionViolation.  A torus raises InvalidGeometry: its positive half
     meets the negative half at both ends, and the compressed shift is not a
     transfer operator (on 1-D tori the null defect is 0.15 to 1.0, and at 4
@@ -264,13 +264,13 @@ def chain_transfer(gs: GreenSet):
             return 0
         return j + row if j + row <= n else None
 
-    quotient = quantize(gram_report_from_matrix(M, range(n + 1), CHAIN_TOL))
+    quotient = quantize(gram_report_from_matrix(M, range(n + 1), tol))
     return compress_shift(M, range(n + 1), shift_of, quotient)
 
 
-def chain_gap(gs: GreenSet):
+def chain_gap(gs: GreenSet, tol: float = DEFAULT_TOL):
     """Spectral gap of the reconstructed Hamiltonian for the Gaussian chain."""
-    comp = chain_transfer(gs)
+    comp = chain_transfer(gs, tol)
     E = energies(np.linalg.eigvalsh(comp.transfer), 1.0)
     gap = float(E[1] - E[0]) if len(E) >= 2 else 0.0
     return gap, {"asymmetry": comp.asymmetry, "null_defect": comp.null_defect}

@@ -1,10 +1,12 @@
-"""Dense algebra helpers that only the tests use.
+"""Dense and step-by-step algebra helpers that only the tests use.
 
 The generators as Kronecker products of clock and shift matrices, monomial
 reps as products of their matrix powers, and the RP Gram form as one matrix
 product over dense one-sided reps.  These are the dense paths that the
 (perm, phase) reps of rpkit.algebra and the gather in
-rpkit.verifier.form_matrix replace.
+rpkit.verifier.form_matrix replace.  The normal order of a word by bubble
+sort, one adjacent swap at a time, is the exact reference of the closed-form
+ordering rule (rpkit.algebra._swap_phase) behind *, star and theta.
 """
 
 import numpy as np
@@ -32,6 +34,59 @@ def dense_generators(cfg) -> list:
         gens.append(_kron(left + [V] + right))
         gens.append(eta * _kron(left + [V @ U] + right))
     return gens
+
+
+def reorder(factors, d):
+    """Normal order a factor list [(index, exponent), ...] by bubble sort.
+
+    Swapping adjacent factors with indices i > j costs q^(-e_i * e_j); equal
+    indices merge.  Returns (phase exponent mod d, merged exponent dict).
+    """
+    arr = list(factors)
+    phase = 0
+    n = len(arr)
+    for a in range(n):
+        for b in range(n - 1 - a):
+            (i1, e1), (i2, e2) = arr[b], arr[b + 1]
+            if i1 > i2:
+                phase -= e1 * e2
+                arr[b], arr[b + 1] = arr[b + 1], arr[b]
+    merged = {}
+    for i, e in arr:
+        merged[i] = (merged.get(i, 0) + e) % d
+    return phase % d, merged
+
+
+def _ordered(cfg, words) -> dict:
+    """Coefficient table of a sum of v * word, each word a list [(index, exponent), ...]."""
+    out = {}
+    for fact, v in words:
+        ph, merged = reorder(fact, cfg.d)
+        kk = tuple(merged.get(i, 0) for i in range(cfg.m))
+        out[kk] = out.get(kk, 0) + v * cfg.q**ph
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def bubble_product(A, B) -> dict:
+    """Table of A B: each pair of words concatenated, then bubble sorted."""
+    return _ordered(A.cfg, (
+        ([(i, e) for i, e in enumerate(k1) if e] + [(i, e) for i, e in enumerate(k2) if e],
+         v1 * v2)
+        for k1, v1 in A.coeffs.items() for k2, v2 in B.coeffs.items()))
+
+
+def bubble_star(A) -> dict:
+    """Table of A*: each word reversed with inverted exponents, then bubble sorted."""
+    d = A.cfg.d
+    return _ordered(A.cfg, (([(i, (-e) % d) for i, e in reversed(list(enumerate(k))) if e],
+                             np.conj(v)) for k, v in A.coeffs.items()))
+
+
+def bubble_theta(A) -> dict:
+    """Table of theta(A): each word with mirrored indices in place, then bubble sorted."""
+    m = A.cfg.m
+    return _ordered(A.cfg, (([(m - 1 - i, e) for i, e in enumerate(k) if e], np.conj(v))
+                            for k, v in A.coeffs.items()))
 
 
 def dense_monomial_rep(gens, k) -> np.ndarray:

@@ -1,13 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpkit.algebra import (AlgebraConfig, Algebra, StateFunctional, build_algebra,
+from rpkit.algebra import (AlgebraConfig, Algebra, AlgebraElement, StateFunctional, build_algebra,
                            clock_shift, evaluate, theta, twisted_product)
 from rpkit.errors import ConfigMismatch, InvalidConfig, InvalidState, SizeLimit, WrongHalf
 
-from algebra_oracles import dense_generators, dense_monomial_rep
+from algebra_oracles import (bubble_product, bubble_star, bubble_theta, dense_generators,
+                             dense_monomial_rep)
 from conftest import make_algebra, random_element, random_plus_element
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -337,11 +340,6 @@ def element_pairs(draw):
             random_element(alg, rng, draw(st.integers(1, 5))))
 
 
-def fresh_rep(E):
-    """The rep built from E's coefficient table, not carried over from its operands."""
-    return E.algebra.element(E.coeffs).rep
-
-
 @settings(max_examples=120, deadline=None)
 @given(case=monomials())
 def test_monomial_rep_matches_kron_oracle(case):
@@ -364,7 +362,7 @@ def test_monomial_rep_matches_kron_oracle(case):
 def test_rep_is_multiplicative(case):
     alg, A, B = case
     want = A.rep @ B.rep
-    assert np.abs(fresh_rep(A * B) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs((A * B).rep - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -372,7 +370,7 @@ def test_rep_is_multiplicative(case):
 def test_star_is_conjugate_transpose(case):
     alg, A, _ = case
     want = A.rep.conj().T
-    assert np.abs(fresh_rep(A.star()) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    assert np.abs(A.star().rep - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @settings(max_examples=60, deadline=None)
@@ -380,5 +378,38 @@ def test_star_is_conjugate_transpose(case):
 def test_theta_is_an_involution(case):
     alg, A, _ = case
     assert (theta(theta(A)) - A).norm_max() <= 1e-12 * max(1.0, A.norm_max())
-    assert np.abs(fresh_rep(theta(theta(A))) - A.rep).max() <= \
+    assert np.abs(theta(theta(A)).rep - A.rep).max() <= \
         1e-12 * max(1.0, np.abs(A.rep).max())
+
+
+# ---------------------------------------------------------------------------
+# the closed-form ordering rule against bubble-sort normal order
+# ---------------------------------------------------------------------------
+
+@st.composite
+def table_pairs(draw):
+    """Two multi-term elements over one config; dimension is never built, so no cap."""
+    d = draw(st.integers(2, 7))
+    m = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    ctx = SimpleNamespace(cfg=AlgebraConfig(d, m))   # the table operations read only cfg
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def element():
+        terms = draw(st.integers(1, 6))
+        keys = [tuple(int(x) for x in rng.integers(0, d, m)) for _ in range(terms)]
+        return AlgebraElement(ctx, {k: complex(rng.normal(), rng.normal()) for k in keys})
+
+    return element(), element()
+
+
+def _bits(table):
+    return {k: (float(v.real).hex(), float(v.imag).hex()) for k, v in table.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=table_pairs())
+def test_ordering_rule_matches_bubble_sort_exactly(case):
+    A, B = case
+    assert _bits((A * B).coeffs) == _bits(bubble_product(A, B))
+    assert _bits(A.star().coeffs) == _bits(bubble_star(A))
+    assert _bits(theta(A).coeffs) == _bits(bubble_theta(A))

@@ -9,7 +9,7 @@ from rpkit import lattice
 from rpkit.errors import (InvalidArgument, InvalidConfig, InvalidGeometry,
                           PreconditionViolation, SizeLimit, WrongHalf)
 from rpkit.cli import main, run_green
-from rpkit.lattice import (CHAIN_TOL, VIOLATION_TOL, GreenSet, LatticeModel, chain_gap,
+from rpkit.lattice import (VIOLATION_TOL, GreenSet, LatticeModel, chain_gap,
                            chain_transfer, covariance_rp, green_set, lattice_operator,
                            monotonicity_verdict, stochastic_covariance, stochastic_rp_scan)
 from rpkit.verifier import NEGATIVE, POSITIVE, gram_report_from_matrix
@@ -487,14 +487,14 @@ class TestDenseOracles:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lattice, "compress_shift", capture)
-            chain_transfer(green_set(model))
+            chain_transfer(green_set(model), tol=1e-9)
         C = np.linalg.inv(_loop_operator(model))
         half = _loop_half(model)
         assert np.array_equal(seen["M"][1:, 1:], (_loop_reflection(model) @ C)[np.ix_(half, half)])
         assert seen["M"][0, 0] == 1.0 and not seen["M"][0, 1:].any()
         Ms = (seen["M"] + seen["M"].conj().T) / 2      # the window Gram the quotient splits
         assert np.array_equal(seen["quotient"].matrix, Ms)
-        assert seen["quotient"].rank == int((np.linalg.eigvalsh(Ms) > CHAIN_TOL).sum())
+        assert seen["quotient"].rank == int((np.linalg.eigvalsh(Ms) > 1e-9).sum())
         pos = {model.sites[i]: k + 1 for k, i in enumerate(half)}
         want = [0] + [pos.get((model.sites[i][0] + 1,) + model.sites[i][1:]) for i in half]
         assert seen["shift_of"] == want

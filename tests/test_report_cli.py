@@ -161,6 +161,15 @@ class TestCli:
         assert rep["results"]["verdict"] == "positive"
         assert rep["results"]["verdicts_agree"] is True
 
+    @pytest.mark.parametrize("dims, mass2", [([256], 1e-6), ([512], 1e-4)])
+    def test_green_long_light_chain_one_tol(self, tmp_path, dims, mass2):
+        # round-off eigenvalues of the reflected block between 1e-12 and the check's
+        # tol: the covariance verdict and the chain quotient must judge them alike
+        code, text = run_cli(tmp_path, "green", {"dims": dims, "mass2": mass2})
+        assert code == 0
+        res = json.loads(text)["results"]
+        assert res["verdict"] == "positive" and res["chain_gap"] > 0
+
     def test_stochastic_exit_one_and_csv(self, tmp_path):
         cfg = {"dims": [16], "mass2": 1.0, "bc": "box", "t_grid": [0.25, 100.0]}
         code, text = run_cli(tmp_path, "stochastic", cfg, "--format", "csv")
@@ -231,16 +240,16 @@ class TestCli:
         assert code == 4
 
     def test_gram_memory_budget_exit_4(self, tmp_path, monkeypatch, capsys):
-        # the d=2, m=18 form needs 6 GiB: refused before any monomial rep is built
-        reps = []
-        real = Algebra.monomial_rep
-        monkeypatch.setattr(Algebra, "monomial_rep",
-                            lambda self, k: reps.append(1) or real(self, k))
+        # the d=2, m=18 form needs 6 GiB: refused before any (perm, phase) table is built
+        pairs = []
+        real = Algebra.monomial_perm
+        monkeypatch.setattr(Algebra, "monomial_perm",
+                            lambda self, k: pairs.append(1) or real(self, k))
         start = time.perf_counter()
         code, _ = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 18, "state": "trace"})
         assert code == 4
         assert time.perf_counter() - start < 30
-        assert reps == []
+        assert pairs == []
         assert capsys.readouterr().err.startswith("rpkit: size cap exceeded:")
 
     def test_rp_gram_evaluates_no_dense_rep(self, tmp_path, monkeypatch):
