@@ -405,7 +405,9 @@ class StateFunctional:
             else:
                 H = self.hamiltonian.rep
                 w, v = np.linalg.eigh((H + H.conj().T) / 2)
-                e = np.exp(-self.beta * (w - w.min()))
+                # a huge beta gives exp(-inf) = 0 above the ground level: its limit
+                with np.errstate(over="ignore"):
+                    e = np.exp(-self.beta * (w - w.min()))
                 rho = (v * e) @ v.conj().T
                 rho /= np.trace(rho).real
             self._rho = rho

@@ -48,7 +48,8 @@ EXIT_INTERNAL = 6
 # sft-check boxes: each box draws two d^2 x d^2 complex matrices and runs a
 # fixed number of same-size transforms and two products on them, so its
 # memory grows as d^4 and the run as d^4 x boxes.  2^20 entries allow one
-# box at d = 32 (16 MiB a matrix) or 65,536 boxes at d = 2.
+# box at d = 32 (16 MiB a matrix) or 65,536 boxes at d = 2.  A sequence's DFT
+# builds one d x d matrix, so it allows d <= 1024.
 SFT_ENTRIES = 2**20
 
 
@@ -197,7 +198,8 @@ def run_reconstruct(cfg, tol, rng):
     else:
         omega = _state_from_config(cfg, algebra, rng)
     room = _count(cfg.get("basis_room", 0), "basis_room", 0, algebra.cfg.m // 2)
-    steps = _number(cfg.get("steps", 1), int, "steps")
+    # from m/2 generators on, every plus monomial but the identity leaves the chain
+    steps = _count(cfg.get("steps", 1), "steps", 0, algebra.cfg.m // 2)
     basis = [k for k in plus_basis(algebra.cfg)
              if not any(k[algebra.cfg.m - room:])] if room else plus_basis(algebra.cfg)
     greport = gram(omega, algebra, basis, tol)
@@ -269,6 +271,9 @@ def run_sft_check(cfg, tol, rng):
     results = {}
     if "sequence" in cfg:
         seq = _require(cfg, "sequence", list)
+        if d * d > SFT_ENTRIES:
+            raise SizeLimit(f"config field 'sequence': its DFT at d = {d} takes d^2 = {d * d} "
+                            f"entries, over the budget of {SFT_ENTRIES}")
         sv = sft_positivity_sequence([_number(x, complex, "sequence") for x in seq], d, tol)
         results["verdict"] = sv.verdict
         results["dft"] = sv.eigenvalues

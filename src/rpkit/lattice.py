@@ -258,14 +258,9 @@ def chain_transfer(gs: GreenSet, tol: float = DEFAULT_TOL):
     M[1:, 1:] = _reflected_block(gs.model, gs.half, gs.C)
     # the half is C-ordered with time first: one step in time is `row` positions
     row = n // (gs.model.dims[0] // 2)
-
-    def shift_of(j):
-        if j == 0:
-            return 0
-        return j + row if j + row <= n else None
-
+    shifted = [0] + [j + row if j + row <= n else None for j in range(1, n + 1)]
     quotient = quantize(gram_report_from_matrix(M, range(n + 1), tol))
-    return compress_shift(M, range(n + 1), shift_of, quotient)
+    return compress_shift(M, shifted, quotient)
 
 
 def chain_gap(gs: GreenSet, tol: float = DEFAULT_TOL):

@@ -1,10 +1,10 @@
 """Osterwalder-Schrader quantization: quotient space, transfer operator, spectrum.
 
 One construction serves the algebra and the lattice side.  Take the RP form
-omega(theta(A) o B) on an extended family (a window basis followed by the
-shifts of its members that stay on the chain), quotient the window by the
-null space of the form (quantize), and compress the time shift onto the
-quotient (compress_shift).  Shifts falling off the chain map to the zero class.
+omega(theta(A) o B) on a window basis followed by the new shift images of
+its members, quotient the window by the null space of the form (quantize),
+and compress the shift, T[B] = [alpha B], onto the quotient (compress_shift).
+Shifts falling off the chain map to the zero class.
 
 Null rule, in quantize only: a window Gram eigenvalue is null iff it is
 <= tol.  quantize reads the eigenpairs and tol of the GramReport, so the
@@ -39,7 +39,6 @@ from .verifier import GramReport, _check_plus, form_matrix
 
 DEFAULT_TOL = 1e-10
 SHIFT_TOL = 1e-10   # shift-invariance gate, times max(1, max |M|)
-MAX_STEPS = 3       # the extended family holds shifts by up to MAX_STEPS x steps
 KERNEL_TOL = 1e-12  # transfer eigenvalues at or below this are ker T
 
 
@@ -50,7 +49,6 @@ class QuotientSpace:
     rank: int
     isometry: np.ndarray
     null_vectors: np.ndarray
-    matrix: np.ndarray      # the Gram form that was quotiented
 
 
 def quantize(report: GramReport) -> QuotientSpace:
@@ -61,8 +59,7 @@ def quantize(report: GramReport) -> QuotientSpace:
     ev, vec = report.eigenvalues, report.eigenvectors
     keep = ev > report.tol
     iso = vec[:, keep] / np.sqrt(ev[keep])
-    return QuotientSpace(rank=int(keep.sum()), isometry=iso, null_vectors=vec[:, ~keep],
-                         matrix=report.matrix)
+    return QuotientSpace(rank=int(keep.sum()), isometry=iso, null_vectors=vec[:, ~keep])
 
 
 def time_shift(k, steps: int, cfg) -> tuple | None:
@@ -109,25 +106,26 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
                       qspace: QuotientSpace, steps: int = 1) -> TransferData:
     """Compress the `steps`-generator shift onto the OS quotient `qspace` of `basis`.
 
-    The form is evaluated on the basis and its shifts by up to MAX_STEPS x
-    `steps` generators; the quotient supplies the basis block.  dt equals
-    `steps` in lattice units.  T is diagonalized once: its eigenvalues feed
-    the normalization and positivity gates and energies().
+    The form is evaluated on the basis followed by its new shift images by
+    `steps` generators; its leading block is the form `qspace` quotients, up
+    to round-off (form_matrix).  dt equals `steps` in lattice units.  T is
+    diagonalized once: its eigenvalues feed the normalization and positivity
+    gates and energies().
     """
     _check_plus(algebra, basis)
     if steps < 0:
         raise InvalidArgument("transfer_operator needs steps >= 0")
     cfg = algebra.cfg
-    n = len(basis)
     family = list(basis)
     index = {k: i for i, k in enumerate(family)}
-    for j in range(1, MAX_STEPS + 1):
-        for k in basis:
-            sk = time_shift(k, j * steps, cfg)
-            if sk is not None and sk not in index:
-                index[sk] = len(family)
-                family.append(sk)
-    M = form_matrix(omega, algebra, family, qspace.matrix)
+    shifted = []
+    for k in basis:
+        sk = time_shift(k, steps, cfg)
+        if sk is not None and sk not in index:
+            index[sk] = len(family)
+            family.append(sk)
+        shifted.append(None if sk is None else index[sk])
+    M = form_matrix(omega, algebra, family)
     M = (M + M.conj().T) / 2
     scale = max(1.0, float(np.abs(M).max()))
 
@@ -136,7 +134,6 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
     # omega(theta(alpha A) o B) = omega(theta(A) o alpha B), i.e.
     # M[shift a, b] = M[a, shift b]; this is exactly what makes the compressed
     # transfer self-adjoint.
-    shifted = [index.get(time_shift(k, steps, cfg)) for k in basis]
     defect = shift_defect(M, shifted)
     if defect > SHIFT_TOL * scale:
         raise PreconditionViolation(
@@ -148,7 +145,7 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
         w = np.ones(qspace.rank)
         return TransferData(transfer=np.eye(qspace.rank), eigenvalues=w, energies=energies(w, 1.0))
 
-    comp = compress_shift(M, range(n), shifted.__getitem__, qspace)
+    comp = compress_shift(M, shifted, qspace)
     if comp.null_defect > 1e-8 * scale:
         raise ReconstructionFailure(
             f"null vector maps to a class of norm {comp.null_defect:.3e}",
@@ -196,29 +193,28 @@ class ShiftCompression:
     null_witness: np.ndarray | None
 
 
-def compress_shift(M_full: np.ndarray, basis_idx, shift_of,
-                   quotient: QuotientSpace) -> ShiftCompression:
+def compress_shift(M: np.ndarray, shifted, quotient: QuotientSpace) -> ShiftCompression:
     """The shift compression shared by the algebra and lattice pipelines.
 
-    M_full is the Gram of an extended family; basis_idx selects the window;
-    shift_of maps window positions to family indices (None = falls off).  The
-    quotient of the window Gram supplies the isometry V onto its range and
-    its null vectors; S is the shift as a family-by-window 0/1 matrix.
+    M is the form on a family whose leading len(shifted) members are the
+    window; shifted[j] is the family index of the shift of window member j,
+    or None when it falls off.  The quotient of the window form supplies the
+    isometry V onto its range and its null vectors; S is the shift as a
+    family-by-window 0/1 matrix, and T = V^H M[window] S V.
     """
-    sel = list(basis_idx)
+    n = len(shifted)
     iso, nulls = quotient.isometry, quotient.null_vectors
-    cols = np.zeros((M_full.shape[0], len(sel)), dtype=complex)
-    for j in range(len(sel)):
-        tgt = shift_of(j)
+    cols = np.zeros((M.shape[0], n), dtype=complex)
+    for j, tgt in enumerate(shifted):
         if tgt is not None:
             cols[tgt, j] = 1.0
     null_defect, witness = 0.0, None
     for v in nulls.T:
         sv = cols @ v
-        nrm = float(np.sqrt(abs(np.real(sv.conj() @ M_full @ sv))))
+        nrm = float(np.sqrt(abs(np.real(sv.conj() @ M @ sv))))
         if nrm > null_defect:
             null_defect, witness = nrm, v
-    T = iso.conj().T @ (M_full[sel, :] @ cols) @ iso
+    T = iso.conj().T @ (M[:n, :] @ cols) @ iso
     asym = float(np.abs(T - T.conj().T).max()) if T.size else 0.0
     return ShiftCompression(transfer=(T + T.conj().T) / 2, asymmetry=asym,
                             null_defect=null_defect, null_witness=witness)

@@ -30,7 +30,7 @@ import numpy as np
 # evaluate is not called here, but perfbench/selftest.py patches it as
 # rpkit.verifier.evaluate
 from .algebra import (DEFAULT_CAP, Algebra, AlgebraConfig, AlgebraElement, StateFunctional,
-                      evaluate, theta, twisted_product)
+                      _swap_phase, evaluate, theta, twisted_product)
 from .boxes import dft_zd
 from .errors import InvalidArgument, SizeLimit, WrongHalf
 
@@ -124,10 +124,11 @@ def _judged(basis, Ms, ev, vec, tol, herm, reflection_defect) -> GramReport:
 def _pair_tables(algebra: Algebra, family) -> tuple:
     """The (perm, phase) tables of a monomial family, after the work budget.
 
-    Row a holds the pair (PR, HR) of B_a and the pair (PL, HL) of theta(B_a),
-    theta's coefficient folded into the phase; g[a] is the grade of B_a.  A
-    family whose form would gather more than GATHER_ENTRIES = n^2 dim entries
-    is refused with SizeLimit before any table is built.
+    Row a holds the pair (PR, HR) of B_a = c^k and the pair (PL, HL) of
+    theta(B_a) = q^e(k, k) c^(k reversed), theta's coefficient folded into the
+    phase (the algebra docstring derives it); g[a] = sum(k) mod d is the grade
+    of B_a.  A family whose form would gather more than GATHER_ENTRIES =
+    n^2 dim entries is refused with SizeLimit before any table is built.
     """
     n, dim = len(family), algebra.cfg.dim
     if n * n * dim > GATHER_ENTRIES:
@@ -138,17 +139,17 @@ def _pair_tables(algebra: Algebra, family) -> tuple:
     HL = np.empty((n, dim), dtype=complex)
     HR = np.empty((n, dim), dtype=complex)
     g = np.empty(n, dtype=int)
+    d, q = algebra.cfg.d, algebra.cfg.q
     for a, k in enumerate(family):
-        E = algebra.monomial(k)
-        (kt, c), = theta(E).coeffs.items()
+        k = algebra._canon(k)
         PR[a], HR[a] = algebra.monomial_perm(k)
-        PL[a], hL = algebra.monomial_perm(kt)
-        HL[a] = c * hL
-        g[a] = E.grade
+        PL[a], hL = algebra.monomial_perm(k[::-1])
+        HL[a] = q**_swap_phase(k, k, d) * hL
+        g[a] = sum(k) % d
     return PL, HL, PR, HR, g
 
 
-def _gathered_form(rho: np.ndarray, cfg: AlgebraConfig, tables, block=None) -> np.ndarray:
+def _gathered_form(rho: np.ndarray, cfg: AlgebraConfig, tables) -> np.ndarray:
     """The form of form_matrix from the density and the pair tables."""
     PL, HL, PR, HR, g = tables
     n, dim = PL.shape
@@ -159,9 +160,6 @@ def _gathered_form(rho: np.ndarray, cfg: AlgebraConfig, tables, block=None) -> n
         pl = PL[a]
         M[a] = (rho[PR[:, pl] * dim + cols] * HR[:, pl]) @ HL[a]
     M *= cfg.twist(g[:, None], g[None, :])
-    if block is not None:
-        r = block.shape[0]
-        M[:r, :r] = block
     return M
 
 
@@ -171,7 +169,7 @@ def _one_point(rho: np.ndarray, perms: np.ndarray, phases: np.ndarray) -> np.nda
     return (rho.ravel()[perms * dim + np.arange(dim)] * phases).sum(1)
 
 
-def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) -> np.ndarray:
+def form_matrix(omega: StateFunctional, algebra: Algebra, family) -> np.ndarray:
     """M_ab = omega(theta(B_a) o B_b) over a monomial family, unsymmetrized.
 
     B_a and theta(B_a) are single homogeneous monomials of the same grade
@@ -190,12 +188,14 @@ def form_matrix(omega: StateFunctional, algebra: Algebra, family, block=None) ->
     gather at a time and the n x n result.  The gather costs about 30 ns an
     entry on a 2-vCPU host (d = 2: 2^24 entries at m = 16 take 0.6 s, 2^27 at
     m = 18 take 3.9 s), so GATHER_ENTRIES = 2^25 allows about a second of it
-    and refuses a larger family with SizeLimit before any table is built.  A
-    given `block` is the form already evaluated on the leading monomials and
-    replaces those entries.
+    and refuses a larger family with SizeLimit before any table is built.
+
+    The leading block of a family's form is the form of its leading members
+    up to round-off: BLAS may sum in another order for another family size.
+    By Cauchy-Schwarz sum_i |rho[p(i), i]| <= tr rho = 1 for a permutation
+    p, so that round-off is about dim x eps at most.
     """
-    return _gathered_form(omega.density(algebra), algebra.cfg, _pair_tables(algebra, family),
-                          block)
+    return _gathered_form(omega.density(algebra), algebra.cfg, _pair_tables(algebra, family))
 
 
 def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_TOL) -> GramReport:
@@ -385,7 +385,8 @@ def sft_positivity_sequence(seq, d: int | None = None, tol: float = DEFAULT_TOL)
 
     The sequence reshuffles into the circulant block K_{kl} = J_{(k-l) mod d};
     its eigenvalues are the DFT of the sequence, so the verdict is positive
-    iff the DFT is entrywise real >= -tol (scaled).  A non-finite or
+    iff K is hermitian, J_k = conj(J_{-k mod d}), and the DFT is entrywise
+    real >= -tol (scaled).  K itself is never formed.  A non-finite or
     wrong-length sequence is refused with InvalidArgument, and so is one so
     large that its DFT, modulus or hermiticity defect overflows.
     """
@@ -395,14 +396,11 @@ def sft_positivity_sequence(seq, d: int | None = None, tol: float = DEFAULT_TOL)
         raise InvalidArgument(f"sequence length {len(J)} != d = {d}")
     if not np.all(np.isfinite(J)):
         raise InvalidArgument(f"sequence must be finite: {seq}")
-    K = np.empty((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            K[a, b] = J[(a - b) % d]
     with np.errstate(over="ignore", invalid="ignore"):
         spec = dft_zd(J)
         scale = max(1.0, float(np.abs(J).max()))
-        herm = float(np.abs(K - K.conj().T).max())
+        # K - K^H holds J[k] - conj(J[-k mod d]) at every (a, b) with a - b = k
+        herm = float(np.abs(J - J[-np.arange(d) % d].conj()).max())
     if not (np.all(np.isfinite(spec)) and np.isfinite(scale) and np.isfinite(herm)):
         raise InvalidArgument("sequence overflows: its DFT or hermiticity defect is not finite")
     if herm > tol * scale:

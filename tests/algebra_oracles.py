@@ -6,12 +6,19 @@ product over dense one-sided reps.  These are the dense paths that the
 (perm, phase) reps of rpkit.algebra and the gather in
 rpkit.verifier.form_matrix replace.  The normal order of a word by bubble
 sort, one adjacent swap at a time, is the exact reference of the closed-form
-ordering rule (rpkit.algebra._swap_phase) behind *, star and theta.
+ordering rule (rpkit.algebra._swap_phase) behind *, star and theta.  The OS
+step over the basis and its shifts by up to three multiples of `steps`, with
+gram's window form pasted back in, is the reference of
+rpkit.reconstruction.transfer_operator, which reads the shift images only.
 """
 
 import numpy as np
 
 from rpkit.algebra import clock_shift, theta
+from rpkit.errors import PreconditionViolation, ReconstructionFailure
+from rpkit.reconstruction import (DEFAULT_TOL, KERNEL_TOL, SHIFT_TOL, TransferData,
+                                  compress_shift, energies, shift_defect, time_shift)
+from rpkit.verifier import form_matrix, gram
 
 
 def _kron(ops):
@@ -106,12 +113,12 @@ def dense_rep(gens, E) -> np.ndarray:
     return out
 
 
-def gemm_form_matrix(omega, algebra, family, block=None) -> np.ndarray:
+def gemm_form_matrix(omega, algebra, family) -> np.ndarray:
     """M_ab = xi^(g_a g_b) tr(rho L_a R_b) as one product over dense one-sided reps.
 
     L_a = theta(B_a).rep and R_b = B_b.rep come from the Kronecker generators;
     tr(X_a R_b) with X_a = rho L_a is the dot product of X_a and R_b^T
-    flattened.  A given `block` replaces the leading entries.
+    flattened.
     """
     gens = dense_generators(algebra.cfg)
     n, dim = len(family), algebra.cfg.dim
@@ -125,7 +132,64 @@ def gemm_form_matrix(omega, algebra, family, block=None) -> np.ndarray:
     M = X.reshape(n, dim * dim) @ Rt.reshape(n, dim * dim).T
     g = np.array([E.grade for E in elems], dtype=int)
     M *= algebra.cfg.twist(g[:, None], g[None, :])
-    if block is not None:
-        r = block.shape[0]
-        M[:r, :r] = block
     return M
+
+
+SHIFT_MULTIPLES = 3
+
+
+def multiple_shift_family(basis, steps, cfg) -> tuple:
+    """The basis followed by its new shifts by steps, 2 steps, ..., 3 x steps.
+
+    The family transfer_operator once evaluated; the members past the shift
+    images by `steps` enter the compression only as trailing zero rows of the
+    shift.  Returns the family and its index map.
+    """
+    family = list(basis)
+    index = {k: i for i, k in enumerate(family)}
+    for j in range(1, SHIFT_MULTIPLES + 1):
+        for k in basis:
+            sk = time_shift(k, j * steps, cfg)
+            if sk is not None and sk not in index:
+                index[sk] = len(family)
+                family.append(sk)
+    return family, index
+
+
+def multiple_shift_transfer(omega, algebra, basis, qspace, steps=1) -> TransferData:
+    """transfer_operator over multiple_shift_family, the window block of the
+    form replaced by gram's: the OS step as it read its form before."""
+    cfg = algebra.cfg
+    family, index = multiple_shift_family(basis, steps, cfg)
+    M = form_matrix(omega, algebra, family)
+    M[:len(basis), :len(basis)] = gram(omega, algebra, basis).matrix
+    M = (M + M.conj().T) / 2
+    scale = max(1.0, float(np.abs(M).max()))
+    shifted = [index.get(time_shift(k, steps, cfg)) for k in basis]
+    defect = shift_defect(M, shifted)
+    if defect > SHIFT_TOL * scale:
+        raise PreconditionViolation(
+            f"functional not shift-invariant on the basis support "
+            f"(defect {defect:.3e}, gate {SHIFT_TOL:.1e} x {scale:.3g})")
+    if steps == 0:
+        w = np.ones(qspace.rank)
+        return TransferData(transfer=np.eye(qspace.rank), eigenvalues=w, energies=energies(w, 1.0))
+    comp = compress_shift(M, shifted, qspace)
+    if comp.null_defect > 1e-8 * scale:
+        raise ReconstructionFailure(
+            f"null vector maps to a class of norm {comp.null_defect:.3e}",
+            witness=comp.null_witness)
+    T = comp.transfer
+    w, vec = np.linalg.eigh(T)
+    norm = 1.0
+    if w.size and w[-1] > 1.0 + DEFAULT_TOL:
+        norm = float(w[-1])
+        T = T / norm
+        w = w / norm
+    if w.size and w[0] < -1e-9 * max(1.0, abs(w[-1])):
+        raise ReconstructionFailure(
+            f"quantized shift is not positive (min eigenvalue {w[0]:.3e})",
+            witness=vec[:, 0])
+    return TransferData(transfer=T, eigenvalues=w, energies=energies(w, steps), dt=float(steps),
+                        kernel_dim=int((w <= KERNEL_TOL).sum()), asymmetry=comp.asymmetry,
+                        normalization=norm, shift_defect=defect)

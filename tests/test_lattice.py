@@ -482,10 +482,15 @@ class TestDenseOracles:
             return
         seen = {}
 
-        def capture(M, basis_idx, shift_of, quotient):
-            seen.update(M=M, shift_of=[shift_of(j) for j in basis_idx], quotient=quotient)
+        def capture_report(report, _real=lattice.quantize):
+            seen.update(report=report)
+            return _real(report)
+
+        def capture(M, shifted, quotient):
+            seen.update(M=M, shifted=shifted, quotient=quotient)
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "quantize", capture_report)
             mp.setattr(lattice, "compress_shift", capture)
             chain_transfer(green_set(model), tol=1e-9)
         C = np.linalg.inv(_loop_operator(model))
@@ -493,11 +498,12 @@ class TestDenseOracles:
         assert np.array_equal(seen["M"][1:, 1:], (_loop_reflection(model) @ C)[np.ix_(half, half)])
         assert seen["M"][0, 0] == 1.0 and not seen["M"][0, 1:].any()
         Ms = (seen["M"] + seen["M"].conj().T) / 2      # the window Gram the quotient splits
-        assert np.array_equal(seen["quotient"].matrix, Ms)
+        assert np.array_equal(seen["report"].matrix, Ms)
+        assert seen["report"].tol == 1e-9
         assert seen["quotient"].rank == int((np.linalg.eigvalsh(Ms) > 1e-9).sum())
         pos = {model.sites[i]: k + 1 for k, i in enumerate(half)}
         want = [0] + [pos.get((model.sites[i][0] + 1,) + model.sites[i][1:]) for i in half]
-        assert seen["shift_of"] == want
+        assert seen["shifted"] == want
 
     @settings(max_examples=25, deadline=None)
     @given(model=lattice_models(),

@@ -15,6 +15,7 @@ from rpkit.reconstruction import (KERNEL_TOL, compress_shift, quantize, shift_de
 from rpkit.verifier import (coupling_element, draw_theorem_hamiltonian, gram,
                             gram_report_from_matrix, plus_basis)
 
+from algebra_oracles import multiple_shift_transfer
 from conftest import make_algebra
 
 
@@ -283,8 +284,7 @@ def test_compress_shift_matches_dense_oracle(n, extra, nulls, scale, seed):
     M = scale * (W @ W.conj().T)
     M = (M + M.conj().T) / 2
     targets = [None if rng.random() < 0.3 else int(rng.integers(N)) for _ in range(n)]
-    comp = compress_shift(M, range(n), targets.__getitem__,
-                          quantize(gram_report_from_matrix(M[:n, :n], range(n), tol)))
+    comp = compress_shift(M, targets, quantize(gram_report_from_matrix(M[:n, :n], range(n), tol)))
 
     S = np.zeros((N, n))
     for j, t in enumerate(targets):
@@ -318,3 +318,83 @@ def test_shift_defect_matches_pair_loop(n, extra, seed):
         for b, sb in live:
             want = max(want, float(abs(M[sa, b] - M[a, sb])))
     assert shift_defect(M, shifted) == want
+
+
+@st.composite
+def os_cases(draw):
+    """A chain window or a Gibbs / trace state, its basis and a shift length."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([4, 6, 8, 10]))
+        alg = make_algebra(2, m)
+        om = uniform_chain_state(alg, coupling=float(rng.uniform(0.5, 1.5)),
+                                 beta=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    else:
+        d, m = draw(st.sampled_from([(2, 2), (2, 4), (2, 6), (2, 8), (3, 4), (3, 6)]))
+        alg = make_algebra(d, m)
+        om = StateFunctional(kind="trace") if draw(st.booleans()) else StateFunctional(
+            kind="gibbs", beta=draw(st.sampled_from([0.5, 1.0, 2.0])),
+            hamiltonian=draw_theorem_hamiltonian(alg, rng))
+    room = draw(st.integers(0, m // 2 - 1))
+    basis = [k for k in plus_basis(alg.cfg) if not any(k[m - room:])] if room \
+        else plus_basis(alg.cfg)
+    return alg, om, basis, draw(st.integers(0, m // 2))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (PreconditionViolation, ReconstructionFailure) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=os_cases())
+def test_transfer_matches_multiple_shift_family_oracle(case):
+    """The family of window and shift images gives the TransferData, or the
+    refusal, of the form over shifts by up to three multiples.
+
+    Equal up to round-off, not bit for bit: a BLAS product sums an entry in
+    another order when the family size changes (see form_matrix), and the
+    null-class quadratic form runs over the whole family.
+    """
+    alg, om, basis, steps = case
+    rep = gram(om, alg, basis)
+    if not rep.psd:
+        return
+    q = quantize(rep)
+    got = _outcome(lambda: transfer_operator(om, alg, basis, q, steps=steps))
+    want = _outcome(lambda: multiple_shift_transfer(om, alg, basis, q, steps=steps))
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got[0] is want[0]
+        assert got[1].split("(")[0] == want[1].split("(")[0]
+        return
+    assert not isinstance(got, tuple), got
+    for name in ("transfer", "eigenvalues"):
+        assert np.abs(getattr(got, name) - getattr(want, name)).max(initial=0.0) <= 1e-12, name
+    for name in ("asymmetry", "normalization", "shift_defect"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12, name
+    assert (got.dt, got.kernel_dim, got.energies.shape) == \
+        (want.dt, want.kernel_dim, want.energies.shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), images=st.integers(0, 8), extra=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_compress_shift_reads_no_member_past_the_images(n, images, extra, seed):
+    """Members after the window and its images are trailing zero rows of the
+    shift: the transfer and the asymmetry do not move by a bit, and the
+    null-class norm (a quadratic form over the whole family) only by
+    round-off."""
+    rng = np.random.default_rng(seed)
+    N = n + images
+    W = rng.normal(size=(N + extra, n)) + 1j * rng.normal(size=(N + extra, n))
+    W[:, :int(rng.integers(0, n + 1))] = 0.0      # planted null directions
+    M = W @ W.conj().T
+    M = (M + M.conj().T) / 2
+    shifted = [None if rng.random() < 0.3 else int(rng.integers(N)) for _ in range(n)]
+    q = quantize(gram_report_from_matrix(M[:n, :n], range(n)))
+    big, small = compress_shift(M, shifted, q), compress_shift(M[:N, :N].copy(), shifted, q)
+    assert np.array_equal(big.transfer, small.transfer)
+    assert big.asymmetry == small.asymmetry
+    assert abs(big.null_defect ** 2 - small.null_defect ** 2) <= 1e-12 * max(1.0, np.abs(M).max())

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,47 @@ def test_sft_box_budget_exit_4(tmp_path, capsys, monkeypatch, cfg, field):
     assert text == ""
     assert capsys.readouterr().err.startswith(
         f"rpkit: size cap exceeded: config field '{field}':")
+
+
+@pytest.mark.parametrize("budget, d", [(2**20, 2000), (16, 5)], ids=["d-2000", "small-budget"])
+def test_sft_sequence_budget_exit_4(tmp_path, capsys, monkeypatch, budget, d):
+    # the DFT builds a d x d matrix: refused before it is built
+    def no_dft(*args, **kwargs):
+        raise AssertionError("the DFT was built")
+
+    monkeypatch.setattr(cli, "SFT_ENTRIES", budget)
+    monkeypatch.setattr(rpkit.verifier, "dft_zd", no_dft)
+    code, text = run_cli(tmp_path, "sft-check", {"d": d, "sequence": [1.0] * d})
+    assert code == 4
+    assert text == ""
+    assert capsys.readouterr().err.startswith(
+        "rpkit: size cap exceeded: config field 'sequence':")
+
+
+@pytest.mark.parametrize("steps", [4, 100, 1e30, -1], ids=["half", "hundred", "1e30", "negative"])
+def test_reconstruct_steps_out_of_range_exit_3(tmp_path, capsys, monkeypatch, steps):
+    # from m/2 generators on every plus generator leaves the chain: the
+    # transfer would be the vacuum projection, a vacuous "positive" with gap 0
+    def no_gram(*args, **kwargs):
+        raise AssertionError("the Gram was built")
+
+    monkeypatch.setattr(cli, "gram", no_gram)
+    cfg = {"d": 2, "m": 8, "chain": {}, "basis_room": 3, "steps": steps}
+    code, text = run_cli(tmp_path, "reconstruct", cfg)
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err.startswith("rpkit: config error: config field 'steps':")
+
+
+def test_gibbs_density_at_huge_beta_warns_nothing(tmp_path, capsys):
+    # -beta (w - w_min) overflows to -inf above the ground level; exp(-inf) = 0
+    # is the ground-state limit, and no RuntimeWarning may reach stderr
+    cfg = {"d": 2, "m": 8, "state": "gibbs", "beta": 1e308, "draw": {"family": "theorem"}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli(tmp_path, "rp-gram", cfg)
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert json.loads(text)["results"]["verdict"] == "positive"
 
 
 @pytest.mark.parametrize("sequence", [[], [1.0, 1.0, 1.0]], ids=["empty", "too-long"])

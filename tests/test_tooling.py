@@ -1,6 +1,8 @@
 """Tooling contracts: the benchmark tracer's patch table names functions that
-exist, and importing the package pulls in no scipy."""
+exist, importing the package pulls in no scipy, and the outcome recorder
+finds a change."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,16 +13,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+OUTCOMES = ROOT / "tools" / "outcomes.py"
 
 
-def _load_tracer():
-    """Execute tracer.py from its source text: nothing is written next to it."""
-    module = types.ModuleType("perfbench_tracer")
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
+def _load(path, name):
+    """Execute a script from its source text: nothing is written next to it."""
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load(TRACER, "perfbench_tracer")
 
 
 @pytest.mark.parametrize("name, module, path, count", tracer.TARGETS,
@@ -42,3 +46,20 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_outcomes_dump_is_repeatable_and_diff_flags_a_stderr_change(tmp_path, capsys):
+    outcomes = _load(OUTCOMES, "tools_outcomes")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        assert outcomes.main(["dump", str(out), "--stream", "os-reconstruct:1:1"]) == 0
+    assert outcomes.main(["diff", str(a), str(b)]) == 0
+    record = json.loads(b.read_text(encoding="utf-8"))
+    assert len(record["checks"]) == 26          # one os-reconstruct round
+    key = sorted(record["checks"])[0]
+    record["checks"][key][2] += "rpkit: planted\n"
+    b.write_text(json.dumps(record), encoding="utf-8")
+    capsys.readouterr()
+    assert outcomes.main(["diff", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "exit 0, report 0, stderr 1" in out and key in out

@@ -7,14 +7,14 @@ from rpkit.algebra import (Algebra, AlgebraConfig, StateFunctional, evaluate, th
                            twisted_product)
 from rpkit.boxes import dft_zd
 from rpkit.errors import InvalidArgument, PreconditionViolation, SizeLimit, WrongHalf
-from rpkit.reconstruction import MAX_STEPS, quantize, time_shift
+from rpkit.reconstruction import quantize
 from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                             coupling_element, cross_phase,
                             draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
                             gram, gram_report_from_matrix, plus_basis,
                             sft_positivity, sft_positivity_sequence)
 
-from algebra_oracles import gemm_form_matrix
+from algebra_oracles import gemm_form_matrix, multiple_shift_family
 from conftest import make_algebra, random_element
 
 
@@ -258,6 +258,21 @@ class TestSftPositivity:
             expect = POSITIVE if spec.real.min() >= -1e-10 else NEGATIVE
             assert sv.verdict == expect
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 9), seed=st.integers(0, 2**32 - 1), skew=st.floats(0.0, 1e-9))
+    def test_sequence_hermiticity_matches_circulant_loop(self, d, seed, skew):
+        # the closed form reads J[k] - conj(J[-k]) for the d x d loop it replaced
+        rng = np.random.default_rng(seed)
+        J = rng.normal(size=d) + 1j * rng.normal(size=d)
+        J = (J + np.conj(J[-np.arange(d) % d])) / 2 + skew * rng.normal(size=d)
+        K = np.array([[J[(a - b) % d] for b in range(d)] for a in range(d)])
+        herm = float(np.abs(K - K.conj().T).max())
+        sv = sft_positivity_sequence(J, d)
+        if herm > 1e-10 * max(1.0, float(np.abs(J).max())):
+            assert sv.reason == f"coupling block not hermitian (defect {herm:.3e})"
+        else:
+            assert not sv.reason.startswith("coupling block")
+
 
 class TestRandomSuites:
     def test_violations_among_generic_draws(self):
@@ -313,18 +328,14 @@ FORM_CONFIGS = [(2, m) for m in (2, 4, 6, 8, 10, 12)] + [(3, 2), (3, 4), (3, 6),
                                                           (4, 2), (4, 4), (4, 6)]
 
 
-def form_oracle(omega, algebra, family, block=None):
+def form_oracle(omega, algebra, family):
     """omega(theta(B_a) o B_b) entry by entry: theta, twisted product, evaluate."""
     elems = [algebra.monomial(k) for k in family]
     n = len(elems)
     M = np.zeros((n, n), dtype=complex)
-    r = 0
-    if block is not None:
-        r = block.shape[0]
-        M[:r, :r] = block
     for a in range(n):
         Ta = theta(elems[a])
-        for b in range(r if a < r else 0, n):
+        for b in range(n):
             M[a, b] = evaluate(omega, twisted_product(Ta, elems[b]))
     return M
 
@@ -346,32 +357,21 @@ def form_cases(draw):
     # sizes and shifts from the seeded rng: hypothesis would favour the smallest
     size = int(rng.integers(1, min(len(pool), 8) + 1))
     basis = [pool[i] for i in sorted(rng.choice(len(pool), size, replace=False))]
-    family = list(basis)
     steps = int(rng.integers(0, 3))         # 0: the basis alone
-    for j in range(1, MAX_STEPS + 1 if steps else 1):
-        for k in basis:
-            sk = time_shift(k, j * steps, cfg)
-            if sk is not None and sk not in family:
-                family.append(sk)
+    family, _ = multiple_shift_family(basis, steps, cfg)
     return algebra, omega, basis, family
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=form_cases(), with_block=st.booleans())
-def test_form_matrix_matches_entry_oracle(case, with_block):
+@given(case=form_cases())
+def test_form_matrix_matches_entry_oracle(case):
     algebra, omega, basis, family = case
-    block = None
-    if with_block:
-        B = form_oracle(omega, algebra, basis)
-        block = (B + B.conj().T) / 2        # a quotient carries the symmetrized form
-    want = form_oracle(omega, algebra, family, block)
-    got = form_matrix(omega, algebra, family, block)
+    want = form_oracle(omega, algebra, family)
+    got = form_matrix(omega, algebra, family)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
     # the one-gemm form over dense Kronecker reps that the gather replaced
-    gemm = gemm_form_matrix(omega, algebra, family, block)
+    gemm = gemm_form_matrix(omega, algebra, family)
     assert np.abs(got - gemm).max() <= 1e-12 * max(1.0, float(np.abs(gemm).max()))
-    if with_block:
-        assert np.array_equal(got[:len(basis), :len(basis)], block)
     # the reflection defect from the pair tables against evaluate of dense reps:
     # both sum the same one-point values in another order
     refl, scale = 0.0, 1.0
@@ -381,3 +381,23 @@ def test_form_matrix_matches_entry_oracle(case, with_block):
         refl = max(refl, abs(wt - np.conj(w)))
         scale = max(scale, abs(w), abs(wt))
     assert abs(gram(omega, algebra, family).reflection_defect - refl) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=form_cases())
+def test_family_form_leading_block_is_gram_form(case):
+    """transfer_operator quotients the window by gram's form and compresses the
+    shift with the family form: the two agree on the window to round-off.
+
+    Not bit for bit: the BLAS product and numpy's complex multiply can take
+    another order for another family size (d = 4, m = 6, trace state, a
+    7-member window and one image gives 1.7e-18 against 0).  Each entry sums
+    terms of absolute sum <= tr rho = 1 (form_matrix), so each side is within
+    about (dim + 2) eps of the exact form.
+    """
+    algebra, omega, basis, family = case
+    n = len(basis)
+    M = form_matrix(omega, algebra, family)
+    Ms = (M + M.conj().T) / 2
+    bound = 2 * (algebra.cfg.dim + 2) * np.finfo(float).eps
+    assert np.abs(Ms[:n, :n] - gram(omega, algebra, basis).matrix).max() <= bound

@@ -1,0 +1,134 @@
+"""Record the outcomes of fixed benchmark streams, and compare two records.
+
+    PYTHONPATH=src python3 tools/outcomes.py dump OUT [--stream WORKLOAD:SEEDS:ROUNDS ...]
+    python3 tools/outcomes.py diff A B
+
+`dump` generates the checks of each stream with perfbench/workloads.py (read,
+never written) and runs every check in-process through rpkit.cli.main, as the
+benchmark does.  It records, per check, the exit code, the report text and
+what went to stderr, in one JSON file.  rpkit is imported from the path, so
+pointing PYTHONPATH at another checkout's src records that checkout; set
+OPENBLAS_NUM_THREADS to fix the BLAS thread count of a record.
+
+A stream is WORKLOAD:SEEDS:ROUNDS, with SEEDS one seed or a range "1-8"
+and ROUNDS the number of rounds from round 0.  The default set is
+gram-ladder:1-3:8, os-reconstruct:1-8:2 and lattice-rp:1-8:2 (784 checks).
+
+`diff` prints the number of checks, how many differ in each field, the keys
+of the differing and the missing checks, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+DEFAULT_STREAMS = ("gram-ladder:1-3:8", "os-reconstruct:1-8:2", "lattice-rp:1-8:2")
+FIELDS = ("exit", "report", "stderr")
+SHOWN = 40  # differing keys printed per diff
+
+
+def _workloads():
+    """perfbench/workloads.py as a module, without writing its bytecode."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
+    write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write
+    return module
+
+
+def parse_stream(text: str) -> tuple:
+    """'os-reconstruct:1-8:2' -> ('os-reconstruct', range(1, 9), 2)."""
+    try:
+        workload, seeds, rounds = text.split(":")
+        lo, _, hi = seeds.partition("-")
+        return workload, range(int(lo), int(hi or lo) + 1), int(rounds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"stream {text!r} is not WORKLOAD:SEEDS:ROUNDS") from exc
+
+
+def run_check(main, check, work: Path) -> list:
+    """[exit code, report text or None, stderr] of one check."""
+    config, report = work / "config.json", work / "report.json"
+    config.write_text(json.dumps(check.config), encoding="utf-8")
+    report.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([check.command, "--config", str(config), "--seed", str(check.seed),
+                   "--out", str(report)])
+    text = report.read_text(encoding="utf-8") if report.exists() else None
+    return [rc, text, err.getvalue()]
+
+
+def dump(out: str, streams) -> int:
+    import rpkit
+    from rpkit.cli import main
+
+    workloads = _workloads()
+    checks = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, seeds, rounds in streams:
+            for seed in seeds:
+                stream = workloads.Stream(workload, seed)
+                for r in range(rounds):
+                    for i, check in enumerate(stream.round(r)):
+                        key = f"{workload}/s{seed}/r{r}/{i:02d} {check.kind}"
+                        checks[key] = run_check(main, check, Path(tmp))
+    record = {"rpkit": str(Path(rpkit.__file__).resolve().parent),
+              "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+              "checks": checks}
+    Path(out).write_text(json.dumps(record, indent=0, sort_keys=True), encoding="utf-8")
+    print(f"{len(checks)} checks from {record['rpkit']} -> {out}")
+    return 0
+
+
+def diff(path_a: str, path_b: str) -> int:
+    a = json.loads(Path(path_a).read_text(encoding="utf-8"))["checks"]
+    b = json.loads(Path(path_b).read_text(encoding="utf-8"))["checks"]
+    missing = sorted(set(a) ^ set(b))
+    common = sorted(set(a) & set(b))
+    differing = {f: [k for k in common if a[k][j] != b[k][j]] for j, f in enumerate(FIELDS)}
+    keys = sorted(set().union(*differing.values()))
+    print(f"{len(common)} checks in both, {len(missing)} in one only; differing: "
+          + ", ".join(f"{f} {len(ks)}" for f, ks in differing.items()))
+    for k in keys[:SHOWN]:
+        print(f"  differs ({', '.join(f for f in FIELDS if k in differing[f])}): {k}")
+    for k in missing[:SHOWN]:
+        print(f"  only in {path_a if k in a else path_b}: {k}")
+    if len(keys) > SHOWN or len(missing) > SHOWN:
+        print(f"  ... ({len(keys)} differing and {len(missing)} missing keys in all)")
+    return 1 if keys or missing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="outcomes", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    p = sub.add_parser("dump", help="run the streams and record every outcome")
+    p.add_argument("out")
+    p.add_argument("--stream", action="append", type=parse_stream,
+                   help="WORKLOAD:SEEDS:ROUNDS, repeatable (default: the fixed set)")
+    p = sub.add_parser("diff", help="compare two records; exit 1 on any difference")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.cmd == "dump":
+        return dump(args.out, args.stream or [parse_stream(s) for s in DEFAULT_STREAMS])
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
