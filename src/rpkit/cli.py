@@ -242,11 +242,15 @@ def run_green(cfg, tol, rng):
         "monotonicity_min_eig": mono.min_eig,
         "covariance_rp_verdict": cov.verdict,
         "covariance_rp_min_eig": cov.min_eig,
+        "cut_size": gs.cut_size,
         "verdicts_agree": mono.verdict == cov.verdict,
         "witness": truncate_witness(mono.witness),
     }
-    if len(model.dims) == 1 and model.bc == "box":
-        results["chain_gap"] = chain_gap(gs, tol)[0]
+    if len(model.dims) == 1:
+        try:
+            results["chain_gap"] = chain_gap(gs, tol)[0]
+        except InvalidGeometry:
+            pass    # a torus, or a half of one time row, has no transfer: no gap
     return mono.verdict, results
 
 

@@ -1,37 +1,69 @@
-"""Lattice free-field side of reflection positivity.
+"""Lattice free-field side of reflection positivity, as a cut problem.
 
 A = -laplacian + mass2 on a box (Dirichlet outside) or torus, time axis first
-with even length so the reflection plane sits between lattice rows.  The
-Green operator C = A^{-1} yields the half-space Dirichlet and Neumann Green
-operators by image charges, C_D = (C - C_r)|half and C_N = (C + C_r)|half with
-C_r(x, y) = C(x, r y), so that
+with even length so the reflection plane sits between lattice rows.  Sites
+are numbered in C order over dims (the order of itertools.product), so the
+time reflection r is an index permutation.  With C = A^{-1}, the half-space
+Dirichlet and Neumann Green operators are C_D = (C - C_r)|half and
+C_N = (C + C_r)|half, C_r(x, y) = C(x, r y), so that
 
     C_N - C_D = 2 C[r(half), half]      (C commutes with r),
 
 and RP for the Gaussian field, C_D <= C_N, is positivity of that one
-reflected block.  A GreenSet therefore holds only C and the half; C_D and C_N
-are never formed.  The monotonicity report is the delta-basis covariance
-report (below) doubled: doubling is exact, and eigh(2B) is 2 eigh(B) bit for
-bit, so one eigendecomposition serves both verdicts.  The tests rebuild both
-half operators from adjusted half-space stencils (phantom row equal to
-minus/plus the mirror value) as an independent cross-check of the identity.
+reflected block B.  On the delta basis of the half, the covariance Gram
+<theta f_i, C f_j> is B itself, and the monotonicity report is the covariance
+report doubled: doubling is exact, and eigh(2B) is 2 eigh(B) bit for bit,
+so one eigendecomposition serves both verdicts.
 
-Sites are numbered in C order over dims (the order of itertools.product), so
-the time reflection r is an index permutation.  The covariance Gram
-<theta f_i, C f_j> = (R f_i)^T C f_j on the delta basis of the half, with R
-the 0/1 matrix of r, is the same slice C[r(half), half]: R e_i = e_r(i), and
-every other term of the product is an exact zero, so the slice equals the
-product bit for bit.
+The cut identity.  Order the negative half as r(half).  By the reflection
+symmetry, A[r(half), r(half)] = A[half, half] =: A_+, the operator of the
+half with zero data outside it.  The only bonds between the halves join a
+half site to its own mirror: across the plane (first half row) and, on a torus,
+around the wrap (last half row).  So in the basis (r(half), half)
+
+    A = [[A_+, -P E P^T], [-P E P^T, A_+]],
+
+with P the inclusion of the cut sites (the half sites with such a bond) and
+E the diagonal of their bond counts.  E = 1, except on an Nt = 2 torus: its
+one half row is both the first and the last, the plane bond and the wrap
+bond join the same pair of sites, and lattice_operator counts both, so
+E = 2.  The cut has prod(dims[1:]) sites on a box and on an Nt = 2 torus,
+and twice that on a torus with Nt >= 4.  The even and odd parts under the
+swap of the two blocks give the Schur complements C_N = (A_+ - P E P^T)^{-1}
+and C_D = (A_+ + P E P^T)^{-1}, so B = (C_N - C_D) / 2.  Woodbury, with
+K = A_+^{-1} P and Y = P^T K = K[cut], gives
+(A_+ -+ P E P^T)^{-1} = A_+^{-1} +- K (E^{-1} -+ Y)^{-1} K^T, hence
+
+    B = K W K^T,   W = ((E^{-1} - Y)^{-1} + (E^{-1} + Y)^{-1}) / 2
+                     = (E^{-1} - Y E Y)^{-1} = E (1 - Y E Y E)^{-1}.
+
+This is the Markov property: the halves see each other only through the
+cut.  K has full column rank, so B has rank |cut|, its kernel is the
+orthogonal complement of the range of K, and B >= 0 exactly when W >= 0.
+(E^{-1} - Y > 0 is the cut form of the Neumann operator A_+ - P E P^T >=
+mass2 > 0, and E^{-1} + Y > 0, so W is a sum of two positive matrices: RP
+holds at every mass2 > 0.)  A GreenSet therefore holds K and W: green_set
+solves A_+ once, on the cut columns, and never inverts A, and covariance_rp
+reads the spectrum of B from a QR of K and one cut x cut eigh.  The tests
+keep the dense C = inv(A) as the oracle, and rebuild C_D and C_N from
+adjusted half-space stencils (phantom row equal to minus/plus the mirror
+value) as an independent cross-check of the identity.
+
+SITE_CAP still bounds the dense A, which lattice_operator builds and
+green_set slices A_+ from, and the stochastic scan's eigh of A.
 
 Stochastic quantization relaxes from zero initial data with dphi = -A phi ds
 + sqrt(2) dW, so the time-s law has covariance C_t = A^{-1}(1 - exp(-2 t A));
-the scan tracks the minimal reflected-Gram eigenvalue along a t-grid.
+the scan tracks the minimal reflected-Gram eigenvalue along a t-grid.  C_t is
+not the inverse of a nearest-neighbour operator and has no cut structure:
+the scan slices the dense C_t[r(half), half].
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,12 +112,15 @@ class LatticeModel:
 
         On a torus the constant mode of A = -laplacian + mass2 has eigenvalue
         mass2, and ||A|| <= 4 len(dims) + mass2, which is 4 len(dims) for any
-        mass2 near the floor.  Inverting A in floating point
+        mass2 near the floor.  A solve with A in floating point
         solves a problem perturbed by about n eps ||A||, so a smaller mass2 is
-        within round-off of the singular Laplacian: inv raises (dims [16] at
-        mass2 1e-17) or returns a C of no accuracy (dims [4, 4] at 1e-17 gave
-        monotonicity_min_eig -0.457).  A box operator is >= mass2 plus the
-        Dirichlet gap, so boxes have no floor.
+        within round-off of the singular Laplacian.  The dense inverse raised
+        there (dims [16] at mass2 1e-17) or returned a C of no accuracy
+        (dims [4, 4] at 1e-17 gave monotonicity_min_eig -0.457).  The cut form
+        carries the constant mode in W = (E^{-1} - Y E Y)^{-1}: at 1e-17 its
+        largest entry is 4.5e15 on dims [16], and the block's hermiticity
+        defect is 0.5.  A box operator is >= mass2 plus the Dirichlet gap, so
+        boxes have no floor.
         """
         n = int(np.prod(self.dims))
         return n * np.finfo(float).eps * 4 * len(self.dims)
@@ -131,30 +166,56 @@ def _reflected_block(model: LatticeModel, half, C: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GreenSet:
-    """Green operator C = A^{-1} of one lattice model and its positive-time half."""
+    """The reflected block K W K^T of one lattice model and its positive-time half.
+
+    K is n/2 x cut and W is cut x cut (module docstring).  Any block B takes
+    this form as K = 1, W = B, with no cut structure: the tests build the
+    counterexample covariances that way.
+    """
 
     model: LatticeModel
-    C: np.ndarray
     half: list
+    K: np.ndarray
+    W: np.ndarray
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """C[r(half), half] = K W K^T, n/2 x n/2."""
+        return self.K @ self.W @ self.K.T
+
+    @property
+    def cut_size(self) -> int:
+        return self.K.shape[1]
 
 
 def green_set(model: LatticeModel) -> GreenSet:
-    """C = A^{-1} and the half; a C that is not finite, or whose reflected block
-    is identically zero, is refused with InvalidConfig.
+    """The cut factors K = A_+^{-1} P and W = (E^{-1} - Y E Y)^{-1}, Y = K[cut].
 
+    One solve with A_+ = A[half, half] on the cut columns and one cut x cut
+    solve; A is never inverted.  Factors that are not finite, or a block
+    K W K^T that is identically zero, are refused with InvalidConfig.
     Exactly, C is entrywise positive on a connected lattice, so the block is
-    not zero.  A zero block is underflow (mass2 = 1e308 puts C at 1e-308 on
-    the diagonal and below the smallest double off it): both RP forms then
+    not zero.  A zero block is underflow (mass2 = 1e308 puts K at 1e-308 on
+    the cut and below the smallest double off it): both RP forms then
     vanish, and their "positive" verdict would rest on no entry at all.
     """
-    C = np.linalg.inv(lattice_operator(model))
+    A = lattice_operator(model)
     half = model.half_indices()
-    if not np.all(np.isfinite(C)):
+    # each half site's bond count to its own mirror; A[r(half), half] has no
+    # other nonzero entry
+    e = -A[model.reflection_indices()[half], half]
+    cut = np.flatnonzero(e)
+    e = e[cut]
+    K = np.linalg.solve(A[np.ix_(half, half)], np.eye(len(half))[:, cut])
+    Y = K[cut]
+    W = np.linalg.solve(np.diag(1.0 / e) - (Y * e) @ Y, np.eye(cut.size))
+    gs = GreenSet(model=model, half=half, K=K, W=W)
+    if not (np.all(np.isfinite(K)) and np.all(np.isfinite(W))):
         raise InvalidConfig(f"the Green operator at mass2 = {model.mass2} is not finite")
-    if not _reflected_block(model, half, C).any():
+    if not gs.block.any():
         raise InvalidConfig(f"the Green operator at mass2 = {model.mass2} underflows: "
                             f"its reflected block is zero")
-    return GreenSet(model=model, C=C, half=half)
+    return gs
 
 
 def monotonicity_verdict(gs: GreenSet, tol: float = DEFAULT_TOL) -> GramReport:
@@ -170,30 +231,42 @@ def monotonicity_of(cov: GramReport) -> GramReport:
 def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL) -> GramReport:
     """Gram G_ij = (r f_i)^T C f_j for test functions supported on the half.
 
-    Defaults to the full half-space delta basis, where G is the slice
-    C[r(half), half].  Non-finite test functions are refused.
+    Defaults to the full half-space delta basis, where G is the block
+    K W K^T.  Its spectrum comes from the cut form: with the complete QR
+    K = Q R, the nonzero eigenvalues are those of the cut x cut R W R^T, with
+    eigenvectors Q U; the other n/2 - cut eigenvalues are exact zeros, with
+    the kernel columns of Q as eigenvectors.  So min_eig is the true minimum
+    of the block, an exact 0.0 whenever n/2 > cut (the block is PSD exactly
+    when W is), and the witness is then a unit kernel vector.  Explicit test
+    functions F give (F_h K) W (F_h K)^T, F_h the half columns of F;
+    non-finite test functions are refused.
     """
-    n = gs.C.shape[0]
+    half = gs.half
     if testfns is None:
         sites = gs.model.sites
-        labels = [sites[i] for i in gs.half]
-        G = _reflected_block(gs.model, gs.half, gs.C)
-    else:
-        fns = [np.asarray(f, dtype=float) for f in testfns]
-        labels = list(range(len(fns)))
-        if any(f.shape != (n,) for f in fns):
-            raise InvalidArgument("test functions must be full-lattice vectors")
-        F = np.array(fns).reshape(len(fns), n)
-        if not np.all(np.isfinite(F)):
-            # abs(nan) > 0 is False: the support check below would pass NaN
-            raise InvalidArgument("test functions must be finite")
-        off = np.ones(n, dtype=bool)
-        off[gs.half] = False
-        if np.any(np.abs(F[:, off]) > 0):
-            raise WrongHalf("test functions must be supported on positive-time sites")
-        # rows of F R^T are the reflected test functions
-        G = F[:, gs.model.reflection_indices()] @ gs.C @ F.T
-    return gram_report_from_matrix(G, labels, tol)
+        c = gs.cut_size
+        Q, R = np.linalg.qr(gs.K, mode="complete")
+        S = R[:c] @ gs.W @ R[:c].T
+        lam, U = np.linalg.eigh((S + S.T) / 2)
+        ev = np.concatenate([lam, np.zeros(len(half) - c)])
+        vec = np.hstack([Q[:, :c] @ U, Q[:, c:]])
+        order = np.argsort(ev, kind="stable")
+        return gram_report_from_matrix(gs.block, [sites[i] for i in half], tol,
+                                       spectrum=(ev[order], vec[:, order]))
+    n = int(np.prod(gs.model.dims))
+    fns = [np.asarray(f, dtype=float) for f in testfns]
+    if any(f.shape != (n,) for f in fns):
+        raise InvalidArgument("test functions must be full-lattice vectors")
+    F = np.array(fns).reshape(len(fns), n)
+    if not np.all(np.isfinite(F)):
+        # abs(nan) > 0 is False: the support check below would pass NaN
+        raise InvalidArgument("test functions must be finite")
+    off = np.ones(n, dtype=bool)
+    off[half] = False
+    if np.any(np.abs(F[:, off]) > 0):
+        raise WrongHalf("test functions must be supported on positive-time sites")
+    FK = F[:, half] @ gs.K
+    return gram_report_from_matrix(FK @ gs.W @ FK.T, range(len(fns)), tol)
 
 
 def stochastic_covariance(model: LatticeModel, t: float) -> np.ndarray:
@@ -252,10 +325,13 @@ def chain_transfer(gs: GreenSet, tol: float = DEFAULT_TOL):
     """
     if gs.model.bc == "torus":
         raise InvalidGeometry("the chain transfer needs a box; a torus has no OS transfer here")
+    if gs.model.dims[0] == 2:
+        raise InvalidGeometry("the chain transfer needs a half of two or more time rows; "
+                              "the shift moves a single row off the chain")
     n = len(gs.half)
     M = np.zeros((n + 1, n + 1), dtype=complex)
     M[0, 0] = 1.0
-    M[1:, 1:] = _reflected_block(gs.model, gs.half, gs.C)
+    M[1:, 1:] = gs.block
     # the half is C-ordered with time first: one step in time is `row` positions
     row = n // (gs.model.dims[0] // 2)
     shifted = [0] + [j + row if j + row <= n else None for j in range(1, n + 1)]

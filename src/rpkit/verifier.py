@@ -88,12 +88,18 @@ class GramReport:
 
 
 def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
-                            reflection_defect: float = 0.0) -> GramReport:
-    """PSD verdict machinery shared by the algebra and lattice Gram forms."""
+                            reflection_defect: float = 0.0, spectrum=None) -> GramReport:
+    """PSD verdict machinery shared by the algebra and lattice Gram forms.
+
+    spectrum, when given, is the ascending eigenpairs (ev, vec) of M's
+    hermitian part that the caller already has (lattice.covariance_rp reads
+    them off the cut form); otherwise they come from one eigh.
+    """
     herm = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
     Ms = (M + M.conj().T) / 2
-    ev, vec = np.linalg.eigh(Ms) if M.size else (np.zeros(0), np.zeros((0, 0)))
-    return _judged(list(basis), Ms, ev, vec, tol, herm, reflection_defect)
+    if spectrum is None:
+        spectrum = np.linalg.eigh(Ms) if M.size else (np.zeros(0), np.zeros((0, 0)))
+    return _judged(list(basis), Ms, *spectrum, tol, herm, reflection_defect)
 
 
 def scaled_report(rep: GramReport, factor: float) -> GramReport:

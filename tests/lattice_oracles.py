@@ -1,15 +1,16 @@
 """Lattice helpers that only the tests use.
 
-Explicit site geometry, the 0/1 reflection matrix, the half-space Green
-operators from adjusted stencils (the independent cross-check of the image
-charge identity C_N - C_D = 2 C[r(half), half]), a hand-built covariance that
-breaks RP, and Gaussian moments by Wick pairing.
+Explicit site geometry, the 0/1 reflection matrix, the dense Green operator
+C = inv(A) and its reflected slice (the oracle of the cut form K W K^T), the
+half-space Green operators from adjusted stencils (the independent
+cross-check of the image charge identity C_N - C_D = 2 C[r(half), half]), a
+hand-built covariance that breaks RP, and Gaussian moments by Wick pairing.
 """
 
 import numpy as np
 
 from rpkit.errors import InvalidArgument
-from rpkit.lattice import lattice_operator
+from rpkit.lattice import GreenSet, _reflected_block, lattice_operator
 
 
 def site_index(model) -> dict:
@@ -25,6 +26,27 @@ def reflection_matrix(model) -> np.ndarray:
     R = np.zeros((r.size, r.size))
     R[np.arange(r.size), r] = 1.0
     return R
+
+
+def dense_green(model) -> np.ndarray:
+    """C = A^{-1}, the dense Green operator."""
+    return np.linalg.inv(lattice_operator(model))
+
+
+def dense_block(model, C=None) -> np.ndarray:
+    """The reflected block C[r(half), half] sliced from a dense covariance
+    (by default the dense Green operator)."""
+    C = dense_green(model) if C is None else C
+    return _reflected_block(model, model.half_indices(), C)
+
+
+def covariance_green_set(model, C) -> GreenSet:
+    """The GreenSet of any dense covariance: K = 1 and W its reflected block.
+
+    Such a covariance has no cut structure, so its block is the whole form.
+    """
+    half = model.half_indices()
+    return GreenSet(model=model, half=half, K=np.eye(len(half)), W=dense_block(model, C))
 
 
 def _half_operator(model, sign: float) -> np.ndarray:
@@ -50,17 +72,19 @@ def neumann_half_green(model) -> np.ndarray:
     return _half_operator(model, -1.0)
 
 
-def counterexample_covariance(gs, strength: float = 1.0, rng=None) -> np.ndarray:
-    """Symmetric bump that keeps the reflected Gram hermitian but breaks RP.
+def counterexample_covariance(model, strength: float = 1.0, rng=None) -> np.ndarray:
+    """Symmetric bump on the dense Green operator that keeps the reflected Gram
+    hermitian but breaks RP.
 
     Adds strength * w w^T with w antisymmetric under the reflection, which
     shifts the reflected Gram by -strength * (w w^T)|half.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    x = rng.normal(size=gs.C.shape[0])
-    w = (x - x[gs.model.reflection_indices()]) / 2
+    C = dense_green(model)
+    x = rng.normal(size=C.shape[0])
+    w = (x - x[model.reflection_indices()]) / 2
     w /= np.linalg.norm(w)
-    return gs.C + strength * np.outer(w, w)
+    return C + strength * np.outer(w, w)
 
 
 def schwinger_moment(C: np.ndarray, points) -> float:

@@ -16,9 +16,8 @@ from rpkit.boxes import theta as theta_box
 from rpkit.chains import uniform_chain_state
 from rpkit.cli import main as cli_main
 from rpkit.errors import PreconditionViolation
-from rpkit.lattice import (GreenSet, LatticeModel, chain_gap, covariance_rp, green_set,
-                           lattice_operator, monotonicity_verdict, stochastic_covariance,
-                           stochastic_rp_scan)
+from rpkit.lattice import (LatticeModel, chain_gap, covariance_rp, green_set, lattice_operator,
+                           monotonicity_verdict, stochastic_covariance, stochastic_rp_scan)
 from rpkit.reconstruction import quantize, time_shift
 from rpkit.report import curve_csv
 from rpkit.verifier import (NEGATIVE, POSITIVE, coupling_decomposition,
@@ -26,7 +25,7 @@ from rpkit.verifier import (NEGATIVE, POSITIVE, coupling_decomposition,
                             plus_basis, sft_positivity)
 
 from conftest import acceptance_lines, make_algebra, random_element
-from lattice_oracles import counterexample_covariance
+from lattice_oracles import counterexample_covariance, covariance_green_set
 
 
 def record(index, ok, detail):
@@ -269,9 +268,8 @@ def test_criterion_7_green_monotonicity():
     n_negative = 0
     for trial in range(5):
         model = LatticeModel((8,), 1.0, "box")
-        gs = green_set(model)
-        Cbad = counterexample_covariance(gs, strength=1.0 + trial, rng=rng)
-        bad = GreenSet(model=model, C=Cbad, half=gs.half)
+        Cbad = counterexample_covariance(model, strength=1.0 + trial, rng=rng)
+        bad = covariance_green_set(model, Cbad)
         mono = monotonicity_verdict(bad)
         cov = covariance_rp(bad)
         agree &= mono.verdict == cov.verdict

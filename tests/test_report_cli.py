@@ -161,6 +161,7 @@ class TestCli:
         rep = json.loads(text)
         assert rep["results"]["verdict"] == "positive"
         assert rep["results"]["verdicts_agree"] is True
+        assert rep["results"]["cut_size"] == 1
 
     @pytest.mark.parametrize("dims, mass2", [([256], 1e-6), ([512], 1e-4)])
     def test_green_long_light_chain_one_tol(self, tmp_path, dims, mass2):
@@ -170,6 +171,17 @@ class TestCli:
         assert code == 0
         res = json.loads(text)["results"]
         assert res["verdict"] == "positive" and res["chain_gap"] > 0
+
+    @pytest.mark.parametrize("dims, cut", [([16], 2), ([8, 8], 16)])
+    def test_green_light_torus_positive(self, tmp_path, dims, cut):
+        # the cut form gives the block's kernel as exact zeros: the dense slice
+        # read them as round-off, -3.8e-9 on [16] and -1.4e-9 on [8, 8], and
+        # exited 1 on a field that is RP at every mass2 > 0
+        code, text = run_cli(tmp_path, "green", {"dims": dims, "mass2": 1e-8, "bc": "torus"})
+        assert code == 0
+        res = json.loads(text)["results"]
+        assert res["verdicts_agree"] is True and res["cut_size"] == cut
+        assert res["covariance_rp_min_eig"] == 0.0 == res["monotonicity_min_eig"]
 
     def test_stochastic_exit_one_and_csv(self, tmp_path):
         cfg = {"dims": [16], "mass2": 1.0, "bc": "box", "t_grid": [0.25, 100.0]}
