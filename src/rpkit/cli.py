@@ -15,6 +15,7 @@ only included on --timing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,6 +244,7 @@ def run_green(cfg, tol, rng):
         "covariance_rp_verdict": cov.verdict,
         "covariance_rp_min_eig": cov.min_eig,
         "cut_size": gs.cut_size,
+        "worst_mode": list(cov.mode),
         "verdicts_agree": mono.verdict == cov.verdict,
         "witness": truncate_witness(mono.witness),
     }
@@ -356,7 +358,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-def _main(argv) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use.  Its command choices are the
+    COMMANDS table itself, read at parse time."""
     parser = argparse.ArgumentParser(prog="rpkit",
                                      description="reflection positivity verification toolkit")
     parser.add_argument("command", choices=COMMANDS)
@@ -367,7 +372,11 @@ def _main(argv) -> int:
     parser.add_argument("--format", choices=("structured", "csv"), default="structured")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing (breaks byte-determinism)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _main(argv) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

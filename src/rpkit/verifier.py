@@ -70,10 +70,15 @@ def _check_plus(algebra: Algebra, tuples):
 
 @dataclass
 class GramReport:
-    """Hermitian Gram form with PSD verdict and violation witness."""
+    """Hermitian Gram form with PSD verdict and violation witness.
+
+    A form read off its spectrum without being formed (lattice.covariance_rp)
+    has no matrix and no eigenvectors, only the ascending eigenvalues and
+    the witness; mode names the transverse mode that holds the witness.
+    """
 
     basis: list
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     min_eig: float
     psd: bool
     witness: np.ndarray
@@ -85,38 +90,44 @@ class GramReport:
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None  # columns pair with `eigenvalues`
     not_applicable_reason: str = ""     # the gate that tripped: reflection or hermiticity
+    mode: tuple = ()
 
 
 def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
-                            reflection_defect: float = 0.0, spectrum=None) -> GramReport:
-    """PSD verdict machinery shared by the algebra and lattice Gram forms.
-
-    spectrum, when given, is the ascending eigenpairs (ev, vec) of M's
-    hermitian part that the caller already has (lattice.covariance_rp reads
-    them off the cut form); otherwise they come from one eigh.
-    """
+                            reflection_defect: float = 0.0) -> GramReport:
+    """PSD verdict machinery shared by the algebra and lattice Gram forms."""
     herm = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
     Ms = (M + M.conj().T) / 2
-    if spectrum is None:
-        spectrum = np.linalg.eigh(Ms) if M.size else (np.zeros(0), np.zeros((0, 0)))
-    return _judged(list(basis), Ms, *spectrum, tol, herm, reflection_defect)
+    ev, vec = np.linalg.eigh(Ms) if M.size else (np.zeros(0), np.zeros((0, 0)))
+    witness = vec[:, 0] if ev.size else np.zeros(0)
+    return _judged(list(basis), Ms, ev, vec, witness, tol, herm, reflection_defect)
+
+
+def spectral_report(basis, ev: np.ndarray, witness: np.ndarray, tol: float, herm: float,
+                    mode: tuple = ()) -> GramReport:
+    """The report of a form known by its ascending spectrum and one witness.
+
+    No matrix and no eigenvectors: lattice.covariance_rp reads the spectrum
+    mode by mode and never forms the block.
+    """
+    return _judged(list(basis), None, ev, None, witness, tol, herm, 0.0, mode)
 
 
 def scaled_report(rep: GramReport, factor: float) -> GramReport:
-    """The report of factor * rep.matrix, from rep's eigenpairs and without a solve.
+    """The report of factor * rep.matrix, from rep's spectrum and without a solve.
 
     For a power of two the scaling is exact, and eigh(factor M) is
     factor * eigh(M) bit for bit, eigenvectors included; the verdict is taken
-    again on the scaled eigenvalues against the same tol.
+    again on the scaled eigenvalues against the same tol, with the same witness.
     """
-    return _judged(rep.basis, factor * rep.matrix, factor * rep.eigenvalues, rep.eigenvectors,
-                   rep.tol, factor * rep.herm_defect, rep.reflection_defect)
+    M = None if rep.matrix is None else factor * rep.matrix
+    return _judged(rep.basis, M, factor * rep.eigenvalues, rep.eigenvectors, rep.witness,
+                   rep.tol, factor * rep.herm_defect, rep.reflection_defect, rep.mode)
 
 
-def _judged(basis, Ms, ev, vec, tol, herm, reflection_defect) -> GramReport:
+def _judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, mode=()) -> GramReport:
     """The one verdict rule: the gates, then PSD against -tol."""
     min_eig = float(ev[0]) if ev.size else 0.0
-    witness = vec[:, 0] if ev.size else np.zeros(0)
     psd = min_eig >= -tol
     reason = "reflection" if reflection_defect > 1e-10 else "hermiticity" if herm > 1e-8 else ""
     verdict = NOT_APPLICABLE if reason else POSITIVE if psd else NEGATIVE
@@ -124,7 +135,7 @@ def _judged(basis, Ms, ev, vec, tol, herm, reflection_defect) -> GramReport:
         basis=basis, matrix=Ms, min_eig=min_eig, psd=psd, witness=witness,
         tol=tol, verdict=verdict, herm_defect=herm, reflection_defect=reflection_defect,
         marginal=psd and min_eig < 0, eigenvalues=ev, eigenvectors=vec,
-        not_applicable_reason=reason)
+        not_applicable_reason=reason, mode=mode)
 
 
 def _pair_tables(algebra: Algebra, family) -> tuple:

@@ -1,16 +1,18 @@
 """Lattice helpers that only the tests use.
 
 Explicit site geometry, the 0/1 reflection matrix, the dense Green operator
-C = inv(A) and its reflected slice (the oracle of the cut form K W K^T), the
-half-space Green operators from adjusted stencils (the independent
-cross-check of the image charge identity C_N - C_D = 2 C[r(half), half]), a
-hand-built covariance that breaks RP, and Gaussian moments by Wick pairing.
+C = inv(A) and its reflected slice (the oracle of the mode form), the
+whole-lattice cut form (one solve with the dense half operator A_+, and the
+spectrum from a complete QR of K), the half-space Green operators from
+adjusted stencils (the independent cross-check of the image charge identity
+C_N - C_D = 2 C[r(half), half]), a hand-built covariance that breaks RP, and
+Gaussian moments by Wick pairing.
 """
 
 import numpy as np
 
 from rpkit.errors import InvalidArgument
-from rpkit.lattice import GreenSet, _reflected_block, lattice_operator
+from rpkit.lattice import GreenSet, lattice_operator
 
 
 def site_index(model) -> dict:
@@ -37,16 +39,51 @@ def dense_block(model, C=None) -> np.ndarray:
     """The reflected block C[r(half), half] sliced from a dense covariance
     (by default the dense Green operator)."""
     C = dense_green(model) if C is None else C
-    return _reflected_block(model, model.half_indices(), C)
+    half = model.half_indices()
+    return C[np.ix_(model.reflection_indices()[half], half)]
 
 
 def covariance_green_set(model, C) -> GreenSet:
-    """The GreenSet of any dense covariance: K = 1 and W its reflected block.
+    """The GreenSet of any dense covariance: one mode with K = 1 and W its
+    reflected block.
 
     Such a covariance has no cut structure, so its block is the whole form.
     """
     half = model.half_indices()
-    return GreenSet(model=model, half=half, K=np.eye(len(half)), W=dense_block(model, C))
+    return GreenSet(model=model, half=half, K=np.eye(len(half))[None],
+                    W=dense_block(model, C)[None])
+
+
+def whole_cut_form(model) -> tuple:
+    """(K, W) of the whole lattice: K = A_+^{-1} P with A_+ = A[half, half]
+    sliced from the dense operator, and W = (E^{-1} - Y E Y)^{-1}, Y = K[cut].
+
+    The cut and E are read off A[r(half), half], whose only nonzero entries
+    are the bonds between a half site and its own mirror.
+    """
+    A = lattice_operator(model)
+    half = model.half_indices()
+    e = -A[model.reflection_indices()[half], half]
+    cut = np.flatnonzero(e)
+    e = e[cut]
+    K = np.linalg.solve(A[np.ix_(half, half)], np.eye(len(half))[:, cut])
+    Y = K[cut]
+    W = np.linalg.solve(np.diag(1.0 / e) - (Y * e) @ Y, np.eye(cut.size))
+    return K, W
+
+
+def cut_spectrum(K, W) -> tuple:
+    """Ascending eigenpairs of K W K^T from the complete QR K = Q R: the
+    eigenvalues of R W R^T with eigenvectors Q U, and n/2 - cut exact zeros
+    with the kernel columns of Q."""
+    c = K.shape[1]
+    Q, R = np.linalg.qr(K, mode="complete")
+    S = R[:c] @ W @ R[:c].T
+    lam, U = np.linalg.eigh((S + S.T) / 2)
+    ev = np.concatenate([lam, np.zeros(K.shape[0] - c)])
+    vec = np.hstack([Q[:, :c] @ U, Q[:, c:]])
+    order = np.argsort(ev, kind="stable")
+    return ev[order], vec[:, order]
 
 
 def _half_operator(model, sign: float) -> np.ndarray:

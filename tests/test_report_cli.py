@@ -478,3 +478,24 @@ def test_internal_error_exit_6(tmp_path, capsys, monkeypatch):
     assert code == 6
     assert text == ""
     assert capsys.readouterr().err == "rpkit: internal error: RuntimeError: broken pipeline\n"
+
+
+def test_parser_built_once_for_successive_calls(tmp_path, capsys, monkeypatch):
+    # the parser is built on first use and reused; each call still parses its
+    # own command, and the COMMANDS table is read at parse time
+    cli._parser.cache_clear()
+    try:
+        code, text = run_cli(tmp_path, "green", {"dims": [8], "mass2": 1.0})
+        assert code == 0 and json.loads(text)["command"] == "green"
+        code, text = run_cli(tmp_path, "sft-check", {"d": 2, "sequence": [1.0, 0.5]})
+        assert code == 0 and json.loads(text)["command"] == "sft-check"
+        monkeypatch.setitem(cli.COMMANDS, "green", lambda cfg, tol, rng: ("positive", {"x": 1}))
+        code, text = run_cli(tmp_path, "green", {"dims": [8], "mass2": 1.0})
+        assert code == 0 and json.loads(text)["results"] == {"x": 1}
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        with pytest.raises(SystemExit):
+            main(["no-such-command", "--config", "x.json"])
+        assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    finally:
+        cli._parser.cache_clear()
