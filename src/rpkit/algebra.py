@@ -137,13 +137,22 @@ def _collect(terms) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def check_dim(cfg: AlgebraConfig) -> None:
+    """SizeLimit naming m when d^(m/2) > DEFAULT_CAP, found without forming the power:
+    a huge m would make it a huge number and an unprintable message."""
+    dim = 1
+    for _ in range(cfg.m // 2):
+        dim *= cfg.d
+        if dim > DEFAULT_CAP:
+            raise SizeLimit(f"generator count m = {cfg.m} gives matrix dimension "
+                            f"d^(m/2) = {cfg.d}^{cfg.m // 2}, over the cap {DEFAULT_CAP}")
+
+
 class Algebra:
     """Shared context: configuration, generator pairs, monomial pair cache."""
 
     def __init__(self, cfg: AlgebraConfig):
-        if cfg.dim > DEFAULT_CAP:
-            raise SizeLimit(
-                f"matrix dimension d^(m/2) = {cfg.dim} exceeds cap {DEFAULT_CAP}")
+        check_dim(cfg)
         self.cfg = cfg
         self._gens = _generator_perms(cfg.d, cfg.m)
         self._perm_cache: dict[tuple, tuple] = {}
@@ -196,7 +205,8 @@ class Algebra:
         """Dense matrix of the monomial: its (perm, phase) pair scattered into zeros.
 
         Only AlgebraElement.rep reads it (Gibbs Hamiltonians, algebra-check and
-        evaluate); the Gram forms and their reflection defect work on the pairs.
+        evaluate); the Gram forms and their reflection defect read the Weyl
+        table of verifier.form_matrix and build no monomial.
         """
         perm, phase = self.monomial_perm(k)
         mat = np.zeros((self.cfg.dim, self.cfg.dim), dtype=complex)

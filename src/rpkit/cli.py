@@ -96,6 +96,9 @@ def _count(val, key, lo, hi=None):
 
 
 def _hamiltonian_from_terms(algebra, terms):
+    if not isinstance(terms, list):
+        raise ConfigError(f"config field 'hamiltonian' must be a list of "
+                          f"[[re, im], exponents] terms, got {type(terms).__name__}")
     H = algebra.zero()
     for item in terms:
         try:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import Algebra, StateFunctional
 from .errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
-from .verifier import GramReport, _check_plus, form_matrix
+from .verifier import GramReport, form_matrix
 
 DEFAULT_TOL = 1e-10
 SHIFT_TOL = 1e-10   # shift-invariance gate, times max(1, max |M|)
@@ -110,9 +110,9 @@ def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
     `steps` generators; its leading block is the form `qspace` quotients, up
     to round-off (form_matrix).  dt equals `steps` in lattice units.  T is
     diagonalized once: its eigenvalues feed the normalization and positivity
-    gates and energies().
+    gates and energies().  A basis member off the plus half is refused with
+    WrongHalf by the form.
     """
-    _check_plus(algebra, basis)
     if steps < 0:
         raise InvalidArgument("transfer_operator needs steps >= 0")
     cfg = algebra.cfg

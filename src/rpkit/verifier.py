@@ -29,13 +29,25 @@ import numpy as np
 
 # evaluate is not called here, but perfbench/selftest.py patches it as
 # rpkit.verifier.evaluate
-from .algebra import (DEFAULT_CAP, Algebra, AlgebraConfig, AlgebraElement, StateFunctional,
-                      _swap_phase, evaluate, theta, twisted_product)
+from .algebra import (Algebra, AlgebraConfig, AlgebraElement, StateFunctional, check_dim,
+                      evaluate, theta, twisted_product, unit_root)
 from .boxes import dft_zd
-from .errors import InvalidArgument, SizeLimit, WrongHalf
+from .errors import InvalidArgument, InvalidConfig, SizeLimit, WrongHalf
 
 DEFAULT_TOL = 1e-10
-GATHER_ENTRIES = 2**25  # work budget of one form: n^2 dim gathered entries (form_matrix)
+# Work budget of one form, n^2 dim over the n members of the family as given,
+# kept as it was set for the per-pair gather that the Omega table replaced.  The table's real work is u k (dim + d^(2 (w//2)))
+# <= u dim (d^(w//2) + d^(w - w//2)) multiply-adds plus n^2 w integer steps, for
+# u <= min(n^2, dim) distinct shifts and k <= d^(w - w//2) low frequencies
+# (form_matrix).  Lifting the gate needs its own bound on the eigh (n^3) and on
+# the report size (n^2 matrix entries).
+GATHER_ENTRIES = 2**25
+# Shifts per chunk of the Omega table (_weyl_form).  A chunk keeps each BLAS
+# call under OMEGA_MACS multiply-adds, which OpenBLAS runs on one thread: it
+# threads a zgemm from 2^16, and a threaded call waited 4-8 ms on a 2-vCPU
+# host, where the whole (4, 6) form takes 0.5 ms.  A shift that alone needs
+# more is a chunk of its own.
+OMEGA_MACS = 2**15
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -49,8 +61,7 @@ def plus_basis(cfg: AlgebraConfig, max_grade: int | None = None) -> list:
     c_{m/2+2}, ..., matching the documented report layout.
     """
     w = cfg.m // 2
-    if cfg.d**w > DEFAULT_CAP:
-        raise SizeLimit(f"plus basis size {cfg.d ** w} exceeds cap {DEFAULT_CAP}")
+    check_dim(cfg)
     keys = sorted(itertools.product(range(cfg.d), repeat=w),
                   key=lambda t: tuple(reversed(t)))
     out = []
@@ -59,13 +70,6 @@ def plus_basis(cfg: AlgebraConfig, max_grade: int | None = None) -> list:
             continue
         out.append(tuple([0] * w + list(k)))
     return out
-
-
-def _check_plus(algebra: Algebra, tuples):
-    half = algebra.cfg.m // 2
-    for k in tuples:
-        if any(e and i < half for i, e in enumerate(k)):
-            raise WrongHalf(f"basis monomial {k} not supported on the plus half")
 
 
 @dataclass
@@ -138,100 +142,184 @@ def _judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, mode=()) 
         not_applicable_reason=reason, mode=mode)
 
 
-def _pair_tables(algebra: Algebra, family) -> tuple:
-    """The (perm, phase) tables of a monomial family, after the work budget.
+def _family_exponents(algebra: Algebra, family) -> np.ndarray:
+    """The family as an n x m array of exponents mod d, after the work budget.
 
-    Row a holds the pair (PR, HR) of B_a = c^k and the pair (PL, HL) of
-    theta(B_a) = q^e(k, k) c^(k reversed), theta's coefficient folded into the
-    phase (the algebra docstring derives it); g[a] = sum(k) mod d is the grade
-    of B_a.  A family whose form would gather more than GATHER_ENTRIES =
-    n^2 dim entries is refused with SizeLimit before any table is built.
+    A family whose form would cost more than GATHER_ENTRIES = n^2 dim is
+    refused with SizeLimit before any table is built, and a member off the
+    plus half with WrongHalf.
     """
-    n, dim = len(family), algebra.cfg.dim
+    cfg = algebra.cfg
+    n, dim, w = len(family), cfg.dim, cfg.m // 2
     if n * n * dim > GATHER_ENTRIES:
         raise SizeLimit(f"Gram form over {n} monomials at dimension {dim} gathers "
                         f"{n * n * dim} entries, over the budget of {GATHER_ENTRIES}")
-    PL = np.empty((n, dim), dtype=np.intp)
-    PR = np.empty((n, dim), dtype=np.intp)
-    HL = np.empty((n, dim), dtype=complex)
-    HR = np.empty((n, dim), dtype=complex)
-    g = np.empty(n, dtype=int)
-    d, q = algebra.cfg.d, algebra.cfg.q
-    for a, k in enumerate(family):
-        k = algebra._canon(k)
-        PR[a], HR[a] = algebra.monomial_perm(k)
-        PL[a], hL = algebra.monomial_perm(k[::-1])
-        HL[a] = q**_swap_phase(k, k, d) * hL
-        g[a] = sum(k) % d
-    return PL, HL, PR, HR, g
+    try:
+        K = np.array(family, dtype=np.int64).reshape(n, -1) if n else np.zeros((0, cfg.m), int)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"family members must be exponent tuples: {exc}") from exc
+    if K.shape[1] != cfg.m:
+        raise InvalidConfig(f"exponent tuple length {K.shape[1]} != m = {cfg.m}")
+    K %= cfg.d
+    off = np.flatnonzero(K[:, :w].any(1))
+    if off.size:
+        raise WrongHalf(f"basis monomial {tuple(family[off[0]])} not supported on the plus half")
+    return K
 
 
-def _gathered_form(rho: np.ndarray, cfg: AlgebraConfig, tables) -> np.ndarray:
-    """The form of form_matrix from the density and the pair tables."""
-    PL, HL, PR, HR, g = tables
-    n, dim = PL.shape
-    rho = rho.ravel()
-    cols = np.arange(dim)
-    M = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        pl = PL[a]
-        M[a] = (rho[PR[:, pl] * dim + cols] * HR[:, pl]) @ HL[a]
-    M *= cfg.twist(g[:, None], g[None, :])
-    return M
+def _weyl_words(cfg: AlgebraConfig, K: np.ndarray) -> tuple:
+    """The shift index S, frequency index F and phase exponent P of every
+    theta(B_a) o B_b, so that M_ab = zeta^P Omega[S, F] (form_matrix).
+
+    K holds the plus-half exponents of the family; theta(B_a) is the word
+    c^(k_a reversed) up to its coefficient.  Each index is one side's digits
+    plus the other's, reduced digit by digit.
+    """
+    d, w, n = cfg.d, cfg.m // 2, len(K)
+    h = w // 2                          # digits with both generators left of the cut
+    place = d ** np.arange(w - 1, -1, -1)
+    words = np.concatenate([K[:, ::-1], K])      # theta(B_a)'s words, then B_b's
+    odd = words[:, 1::2]
+    steps = words[:, 0::2] + odd                 # n_s
+    before = np.cumsum(steps, axis=1) - steps    # sum_{t<s} n_t
+    freq = odd + steps.sum(1, keepdims=True) - before - steps
+    phase = (d - 1) * odd.sum(1) + (2 * steps * before + 2 * words[:, 0::2] * odd
+                                    + odd * (odd + 1)).sum(1)
+    shift = (steps % d) @ place
+    S = shift[:n, None] + shift[None, n:]
+    if w % 2:                           # digit h straddles the cut: carry once
+        S -= (steps[:n, h, None] + steps[None, n:, h] >= d) * (d * place[h])
+    g = K.sum(1) % d
+    # left of digit h every frequency digit of B_b is its grade g_b
+    left = ((freq[:n, None, :h] + np.arange(d)[:, None]) % d) @ place[:h]
+    F = left[:, g] + ((freq[n:, h:] % d) @ place[h:])[None, :]
+    e = -(K * (np.cumsum(K, axis=1) - K)).sum(1)      # theta(c^k) = q^e(k, k) c^(k reversed)
+    P = ((phase[:n] + 2 * e)[:, None] + phase[None, n:] + (d + 1) * np.outer(g, g)) % (2 * d)
+    return S, F, P
 
 
-def _one_point(rho: np.ndarray, perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """omega(B) = sum_i rho[perm(i), i] phase(i) for each pair row (perm, phase)."""
-    dim = rho.shape[0]
-    return (rho.ravel()[perms * dim + np.arange(dim)] * phases).sum(1)
+def _digits(d: int, h: int) -> np.ndarray:
+    """The h base-d digits of 0 .. d^h - 1, most significant first."""
+    return np.arange(d**h)[:, None] // d ** np.arange(h - 1, -1, -1) % d
+
+
+def _members(x: np.ndarray, size: int) -> tuple:
+    """The distinct values of x in range(size), sorted, and the position of
+    each entry of x among them."""
+    mask = np.zeros(size, dtype=bool)
+    mask[x] = True
+    return np.flatnonzero(mask), (np.cumsum(mask) - 1)[x]
+
+
+def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
+    """M = zeta^P Omega[S, F] (form_matrix).
+
+    The digits split into a high block of D1 = d^(w//2) states and a low
+    block of D2 = d^(w - w//2).  Omega is built for the shifts in S and the
+    low frequency digits in F only, a chunk of shifts at a time (OMEGA_MACS).
+    """
+    S, F, P = words
+    d, w, dim = cfg.d, cfg.m // 2, cfg.dim
+    hi, lo = _digits(d, w // 2), _digits(d, w - w // 2)
+    D1, D2 = len(hi), len(lo)
+    zeta = np.array([unit_root(2 * d, j) for j in range(2 * d)])    # q^j = zeta^(2j)
+
+    def plus(x, s):
+        """Index of each state x + s, digit by digit, for each s."""
+        return (x[None] + x[s][:, None]) % d @ (d ** np.arange(x.shape[1] - 1, -1, -1))
+
+    shifts, slot = _members(S, dim)
+    f_hi, f_lo = np.divmod(F, D2)
+    cols, col = _members(f_lo, D2)
+    F1 = zeta[2 * (hi @ hi.T) % (2 * d)]        # D1 x D1 DFT q^(f.i), high digits
+    F2 = zeta[2 * (lo @ lo[cols].T) % (2 * d)]  # D2 x k, the low frequencies in use
+    i = np.arange(dim).reshape(D1, 1, D2)
+    flat = rho.ravel()
+    vals = np.empty(S.shape, dtype=complex)
+    step = max(1, OMEGA_MACS // (dim * len(cols)))
+    for first in range(0, len(shifts), step):
+        s_hi, s_lo = np.divmod(shifts[first:first + step], D2)
+        u = len(s_hi)
+        # V[i_hi, s, i_lo] = rho[i + s, i], then the low and the high DFT block:
+        # Om[f_hi, s, col]
+        V = flat[(plus(hi, s_hi).T[:, :, None] * D2 + plus(lo, s_lo)[None]) * dim + i]
+        Om = (F1 @ (V.reshape(-1, D2) @ F2).reshape(D1, -1)).ravel()
+        sel = (slot >= first) & (slot < first + u)
+        vals[sel] = Om[(f_hi[sel] * u + slot[sel] - first) * len(cols) + col[sel]]
+    return zeta[P] * vals
 
 
 def form_matrix(omega: StateFunctional, algebra: Algebra, family) -> np.ndarray:
-    """M_ab = omega(theta(B_a) o B_b) over a monomial family, unsymmetrized.
+    """M_ab = omega(theta(B_a) o B_b) over a plus-half monomial family, unsymmetrized.
 
-    B_a and theta(B_a) are single homogeneous monomials of the same grade
-    g_a = sum(k_a) mod d, so the twisted product is the operator product times
-    one phase, theta(B_a) o B_b = xi^(g_a g_b) theta(B_a) B_b.  Each monomial
-    is a pair (perm, phase) with rep[i, perm[i]] = phase[i]
-    (Algebra.monomial_perm).  With (pL_a, hL_a) the pair of theta(B_a), its
-    coefficient folded into the phase, and (pR_b, hR_b) that of B_b, the
-    product theta(B_a) B_b has row i equal to hL_a(i) hR_b(pL_a(i)) at
-    column pR_b(pL_a(i)), hence
+    Each entry is one clock-shift (Weyl) word read off one table.  Number
+    the generators from 0, so that digit s of a basis state (s < w = m/2,
+    digit 0 the most significant) is stepped by the pair c_2s, c_2s+1.  The
+    pair rule of the algebra docstring composes, for the word c^K,
 
-        M_ab = xi^(g_a g_b) sum_i rho[pR_b(pL_a(i)), i] hL_a(i) hR_b(pL_a(i)),
+        c^K[i, i + n] = eta^E q^(f.i + b)         (i + n digit by digit, mod d)
+        n_s = K_2s + K_2s+1,   f_t = K_2t+1 + sum_{s>t} n_s,   E = sum_s K_2s+1,
+        b = sum_s [n_s sum_{t<s} n_t + K_2s K_2s+1 + K_2s+1 (K_2s+1 + 1) / 2],
 
-    one gather over the family per row a: n^2 dim gathered entries in all,
-    and no dense rep.  It holds the four n x dim pair tables, one n x dim
-    gather at a time and the n x n result.  The gather costs about 30 ns an
-    entry on a 2-vCPU host (d = 2: 2^24 entries at m = 16 take 0.6 s, 2^27 at
-    m = 18 take 3.9 s), so GATHER_ENTRIES = 2^25 allows about a second of it
-    and refuses a larger family with SizeLimit before any table is built.
+    so omega(c^K) = tr(rho c^K) = eta^E q^b Omega[n, f] with the table
 
-    The leading block of a family's form is the form of its leading members
-    up to round-off: BLAS may sum in another order for another family size.
-    By Cauchy-Schwarz sum_i |rho[p(i), i]| <= tr rho = 1 for a permutation
-    p, so that round-off is about dim x eps at most.
+        Omega[n, f] = sum_i rho[i + n, i] q^(f.i).
+
+    theta(B_a) = q^e(k_a, k_a) c^(k_a reversed) lives left of the cut and B_b
+    right of it, so theta(B_a) B_b = q^e(k_a, k_a) c^K, K = rev k_a + k_b,
+    with no reordering.  n, f and E are linear in K and split into one part
+    per side.  b is quadratic, and its cross terms add up to |k_a| |k_b|
+    (|k| = sum k): all of rev k_a sits before all of k_b except at odd w,
+    where digit h = w//2 holds c_w-1 of the left word and c_w of the right
+    one; there n_h sum_{t<h} n_t misses their product and K_2h K_2h+1 adds it
+    back.  With zeta = exp(i pi/d), eta = xi = zeta^(d-1), q = zeta^2 and the
+    grades g = |k| mod d,
+
+        M_ab = zeta^P Omega[n, f],   P = (d-1)(E + g_a g_b) + 2(b + e(k_a, k_a)),
+
+    P mod 2d = P(rev k_a) + P(k_b) + 2 e(k_a, k_a) + (d+1) g_a g_b, and zeta^P
+    comes from an exact 2d-entry table.  Only digit h mixes the sides of n,
+    so the shift index is the sum of one index per side less one carry.  The
+    frequency digits of the left word vanish from h on, and those of the
+    right word before h are |k_b|, so F[a, b] = left[a, g_b] + right[b] from
+    an n x d table.  The indices cost n^2 w integer work (_weyl_words).
+
+    Omega is built only for the u <= min(n^2, dim) distinct shifts and the
+    k <= d^(w - w//2) low frequency digits in use.  The q^(f.i) sum of each
+    shift is two dense DFT blocks, over the w - w//2 low digits and then the
+    w//2 high ones: u k (dim + d^(2 (w//2))) <= 2 u dim k multiply-adds, in
+    chunks of shifts sized by OMEGA_MACS.  By Cauchy-Schwarz
+    sum_i |rho[i + n, i]| <= tr rho = 1, so each entry is within about
+    (d^(w//2) + d^(w - w//2)) eps <= (dim + 1) eps of the exact form.  The
+    leading block of a family's form is the form of its leading members up
+    to that round-off: BLAS may sum in another order for another family.
     """
-    return _gathered_form(omega.density(algebra), algebra.cfg, _pair_tables(algebra, family))
+    K = _family_exponents(algebra, family)
+    return _weyl_form(omega.density(algebra), algebra.cfg, _weyl_words(algebra.cfg, K))
 
 
 def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_TOL) -> GramReport:
     """M_ab = omega(theta(B_a) o B_b) over plus-half monomials, with verdict.
 
-    The form is form_matrix's gather, under its GATHER_ENTRIES budget.  The
+    The form is form_matrix's table, under its GATHER_ENTRIES budget.  The
     reflection defect max_a |omega(theta(B_a)) - conj(omega(B_a))| reads the
-    one-point values from the same pair tables: omega(B) is
-    sum_i rho[perm(i), i] phase(i), one n x dim gather for each side.  No
-    dense rep is built.
+    one-point values off the same table: theta(1) = 1 and the twist of a
+    grade-0 factor is 1, so omega(theta(B_a)) is the identity column and
+    omega(B_a) the identity row.  A basis without the identity gets it as an
+    extra last member.  The budget gate counts the caller's n only, as it
+    did for the gather, so that extra member can take the table to
+    (n + 1)^2 dim > GATHER_ENTRIES, by 2n + 1 words; bases built by
+    plus_basis hold the identity.  No dense rep is built.
     """
-    _check_plus(algebra, basis)
-    tables = _pair_tables(algebra, basis)
-    rho = omega.density(algebra)
-    M = _gathered_form(rho, algebra.cfg, tables)
-    PL, HL, PR, HR, _ = tables
-    diff = _one_point(rho, PL, HL) - np.conj(_one_point(rho, PR, HR))
-    refl = float(np.abs(diff).max(initial=0.0))
-    return gram_report_from_matrix(M, basis, tol, reflection_defect=refl)
+    K = _family_exponents(algebra, basis)
+    n = len(K)
+    one = np.flatnonzero(~K.any(1))
+    if one.size == 0:
+        K = np.vstack([K, np.zeros((1, algebra.cfg.m), dtype=K.dtype)])
+    i0 = one[0] if one.size else n
+    M = _weyl_form(omega.density(algebra), algebra.cfg, _weyl_words(algebra.cfg, K))
+    refl = float(np.abs(M[:n, i0] - M[i0, :n].conj()).max(initial=0.0))
+    return gram_report_from_matrix(M[:n, :n], basis, tol, reflection_defect=refl)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Dense and step-by-step algebra helpers that only the tests use.
 
 The generators as Kronecker products of clock and shift matrices, monomial
-reps as products of their matrix powers, and the RP Gram form as one matrix
-product over dense one-sided reps.  These are the dense paths that the
-(perm, phase) reps of rpkit.algebra and the gather in
+reps as products of their matrix powers, the RP Gram form as one matrix
+product over dense one-sided reps, and the same form as one gather over
+per-monomial (perm, phase) tables.  These are the dense paths that the
+(perm, phase) reps of rpkit.algebra and the Weyl-symbol table of
 rpkit.verifier.form_matrix replace.  The normal order of a word by bubble
 sort, one adjacent swap at a time, is the exact reference of the closed-form
 ordering rule (rpkit.algebra._swap_phase) behind *, star and theta.  The OS
@@ -14,7 +15,7 @@ rpkit.reconstruction.transfer_operator, which reads the shift images only.
 
 import numpy as np
 
-from rpkit.algebra import clock_shift, theta
+from rpkit.algebra import _swap_phase, clock_shift, theta, unit_root
 from rpkit.errors import PreconditionViolation, ReconstructionFailure
 from rpkit.reconstruction import (DEFAULT_TOL, KERNEL_TOL, SHIFT_TOL, TransferData,
                                   compress_shift, energies, shift_defect, time_shift)
@@ -135,19 +136,86 @@ def gemm_form_matrix(omega, algebra, family) -> np.ndarray:
     return M
 
 
+def pair_tables(algebra, family) -> tuple:
+    """The (perm, phase) tables of a monomial family, from Algebra.monomial_perm.
+
+    Row a holds the pair (PR, HR) of B_a = c^k and the pair (PL, HL) of
+    theta(B_a) = q^e(k, k) c^(k reversed), theta's coefficient folded into the
+    phase; g[a] = sum(k) mod d is the grade of B_a.
+    """
+    n, dim = len(family), algebra.cfg.dim
+    PL = np.empty((n, dim), dtype=np.intp)
+    PR = np.empty((n, dim), dtype=np.intp)
+    HL = np.empty((n, dim), dtype=complex)
+    HR = np.empty((n, dim), dtype=complex)
+    g = np.empty(n, dtype=int)
+    d, q = algebra.cfg.d, algebra.cfg.q
+    for a, k in enumerate(family):
+        k = algebra._canon(k)
+        PR[a], HR[a] = algebra.monomial_perm(k)
+        PL[a], hL = algebra.monomial_perm(k[::-1])
+        HL[a] = q**_swap_phase(k, k, d) * hL
+        g[a] = sum(k) % d
+    return PL, HL, PR, HR, g
+
+
+def exact_roots(h, d) -> np.ndarray:
+    """Each phase h, a 2d-th root of unity up to round-off, as the exactly
+    rounded root exp(i pi j / d): the products that composed h leave its
+    root j and no round-off of their own."""
+    j = np.rint(np.angle(h) * d / np.pi).astype(int) % (2 * d)
+    return np.array([unit_root(2 * d, i) for i in range(2 * d)])[j]
+
+
+def gathered_form(omega, algebra, family) -> np.ndarray:
+    """M_ab = xi^(g_a g_b) sum_i rho[pR_b(pL_a(i)), i] hL_a(i) hR_b(pL_a(i)).
+
+    theta(B_a) B_b composes the pairs of the two words: one gather over the
+    family per row a, n^2 dim entries in all.  Each composed phase is taken
+    as its exact root (exact_roots), so the form is within about dim eps of
+    the exact one however long the words.
+    """
+    PL, HL, PR, HR, g = pair_tables(algebra, family)
+    n, dim = PL.shape
+    rho = omega.density(algebra).ravel()
+    twist = algebra.cfg.twist(g[:, None], g[None, :])
+    cols = np.arange(dim)
+    M = np.empty((n, n), dtype=complex)
+    for a in range(n):
+        pl = PL[a]
+        phase = exact_roots(HR[:, pl] * HL[a] * twist[a][:, None], algebra.cfg.d)
+        M[a] = (rho[PR[:, pl] * dim + cols] * phase).sum(1)
+    return M
+
+
+def one_point(rho, perms, phases) -> np.ndarray:
+    """omega(B) = sum_i rho[perm(i), i] phase(i) for each pair row (perm, phase)."""
+    dim = rho.shape[0]
+    return (rho.ravel()[perms * dim + np.arange(dim)] * phases).sum(1)
+
+
+def gathered_reflection_defect(omega, algebra, family) -> float:
+    """max_a |omega(theta(B_a)) - conj(omega(B_a))| from the pair tables."""
+    PL, HL, PR, HR, _ = pair_tables(algebra, family)
+    rho = omega.density(algebra)
+    diff = one_point(rho, PL, HL) - np.conj(one_point(rho, PR, HR))
+    return float(np.abs(diff).max(initial=0.0))
+
+
 SHIFT_MULTIPLES = 3
 
 
-def multiple_shift_family(basis, steps, cfg) -> tuple:
-    """The basis followed by its new shifts by steps, 2 steps, ..., 3 x steps.
+def multiple_shift_family(basis, steps, cfg, multiples=SHIFT_MULTIPLES) -> tuple:
+    """The basis followed by its new shifts by steps, 2 steps, ..., multiples x steps.
 
-    The family transfer_operator once evaluated; the members past the shift
-    images by `steps` enter the compression only as trailing zero rows of the
-    shift.  Returns the family and its index map.
+    With three multiples, the family transfer_operator once evaluated; the
+    members past the shift images by `steps` enter the compression only as
+    trailing zero rows of the shift.  With one, the family it evaluates now.
+    Returns the family and its index map.
     """
     family = list(basis)
     index = {k: i for i, k in enumerate(family)}
-    for j in range(1, SHIFT_MULTIPLES + 1):
+    for j in range(1, multiples + 1):
         for k in basis:
             sk = time_shift(k, j * steps, cfg)
             if sk is not None and sk not in index:

@@ -9,7 +9,8 @@ from rpkit.algebra import AlgebraConfig, StateFunctional
 from rpkit.algebra import theta as theta_alg
 from rpkit.chains import finite_chain_hamiltonian, uniform_chain_state
 from rpkit.cli import main
-from rpkit.errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
+from rpkit.errors import (InvalidArgument, PreconditionViolation, ReconstructionFailure,
+                          WrongHalf)
 from rpkit.reconstruction import (KERNEL_TOL, compress_shift, quantize, shift_defect,
                                   spectrum_report, time_shift, transfer_operator)
 from rpkit.verifier import (coupling_element, draw_theorem_hamiltonian, gram,
@@ -113,6 +114,15 @@ class TestTransferOperator:
         assert abs(td.transfer[0, 0] - 1.0) < 1e-12
         assert td.energies.shape == (1,) and abs(td.energies[0]) < 1e-12
         assert_energies(td)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_wrong_half_rejected(self, steps):
+        alg = make_algebra(2, 4)
+        om = StateFunctional(kind="trace")
+        basis = plus_basis(alg.cfg)
+        q = quantize(gram(om, alg, basis))
+        with pytest.raises(WrongHalf, match=r"\(0, 1, 0, 1\) not supported"):
+            transfer_operator(om, alg, basis[:3] + [(0, 1, 0, 1)], q, steps)
 
     def test_steps_zero_is_identity(self):
         alg = make_algebra(2, 4)

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import array_shapes
 import rpkit.algebra
 import rpkit.verifier
 from rpkit import cli
-from rpkit.algebra import Algebra
 from rpkit.cli import main
 from rpkit.report import curve_csv, to_text, truncate_witness
 
@@ -253,20 +252,41 @@ class TestCli:
         assert code == 4
 
     def test_gram_memory_budget_exit_4(self, tmp_path, monkeypatch, capsys):
-        # the d=2, m=18 form needs 6 GiB: refused before any (perm, phase) table is built
-        pairs = []
-        real = Algebra.monomial_perm
-        monkeypatch.setattr(Algebra, "monomial_perm",
-                            lambda self, k: pairs.append(1) or real(self, k))
+        # the d=2, m=18 form is over GATHER_ENTRIES: refused before its word
+        # tables (the indices of the Omega table) are built
+        tables = []
+        real = rpkit.verifier._weyl_words
+        monkeypatch.setattr(rpkit.verifier, "_weyl_words",
+                            lambda *a: tables.append(1) or real(*a))
         start = time.perf_counter()
         code, _ = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 18, "state": "trace"})
         assert code == 4
         assert time.perf_counter() - start < 30
-        assert pairs == []
+        assert tables == []
         assert capsys.readouterr().err.startswith("rpkit: size cap exceeded:")
+        # the watch sees the builder when the form fits
+        assert run_cli(tmp_path, "rp-gram", {"d": 2, "m": 4, "state": "trace"})[0] == 0
+        assert tables == [1]
+
+    def test_huge_m_exit_4_names_m(self, tmp_path, capsys):
+        # d^(m/2) = 2^500000 has 150,515 digits: the cap message names m and
+        # prints the power, never the number
+        code, text = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 1000000})
+        err = capsys.readouterr().err
+        assert (code, text) == (4, "")
+        assert err.startswith("rpkit: size cap exceeded:") and "m = 1000000" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("terms", [5, "c1 c2", {"re": 1.0}])
+    def test_hamiltonian_not_a_list_exit_3(self, tmp_path, capsys, terms):
+        code, text = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 4, "state": "gibbs",
+                                                   "hamiltonian": terms})
+        err = capsys.readouterr().err
+        assert (code, text) == (3, "")
+        assert err.startswith("rpkit: config error:") and "'hamiltonian'" in err
 
     def test_rp_gram_evaluates_no_dense_rep(self, tmp_path, monkeypatch):
-        # form and reflection defect both come from the (perm, phase) tables
+        # form and reflection defect both come from the Weyl table
         calls = []
         for module in (rpkit.algebra, rpkit.verifier):
             monkeypatch.setattr(module, "evaluate",

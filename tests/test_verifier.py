@@ -7,14 +7,16 @@ from rpkit.algebra import (Algebra, AlgebraConfig, StateFunctional, evaluate, th
                            twisted_product)
 from rpkit.boxes import dft_zd
 from rpkit.errors import InvalidArgument, PreconditionViolation, SizeLimit, WrongHalf
+from rpkit import verifier
 from rpkit.reconstruction import quantize
-from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
-                            coupling_element, cross_phase,
+from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, _weyl_words,
+                            coupling_decomposition, coupling_element, cross_phase,
                             draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
                             gram, gram_report_from_matrix, plus_basis,
                             sft_positivity, sft_positivity_sequence)
 
-from algebra_oracles import gemm_form_matrix, multiple_shift_family
+from algebra_oracles import (gathered_form, gathered_reflection_defect, gemm_form_matrix,
+                             multiple_shift_family, pair_tables)
 from conftest import make_algebra, random_element
 
 
@@ -92,6 +94,21 @@ class TestGram:
         alg = make_algebra(2, 4)
         with pytest.raises(WrongHalf):
             gram(StateFunctional(kind="trace"), alg, [(1, 0, 0, 0)])
+        with pytest.raises(WrongHalf):
+            form_matrix(StateFunctional(kind="trace"), alg, [(0, 0, 1, 0), (0, 1, 0, 0)])
+
+    def test_forms_compose_no_monomial(self, monkeypatch):
+        # the forms read the Weyl table: no (perm, phase) pair is composed
+        monkeypatch.setattr(Algebra, "monomial_perm",
+                            lambda *a: pytest.fail("monomial_perm called"))
+        alg = Algebra(AlgebraConfig(3, 6))
+        om = StateFunctional(kind="trace")
+        rep = gram(om, alg, plus_basis(alg.cfg))
+        assert rep.verdict == POSITIVE and rep.reflection_defect < 1e-15
+        # omega_tr kills every word but 1, and theta(B_a) B_b = 1 only at a = b = 0
+        want = np.zeros((27, 27))
+        want[0, 0] = 1.0
+        assert np.abs(form_matrix(om, alg, plus_basis(alg.cfg)) - want).max() < 1e-15
 
     def test_witness_certifies_min_eig(self):
         rng = np.random.default_rng(9)
@@ -321,11 +338,12 @@ class TestNotApplicableReason:
 
 
 # ---------------------------------------------------------------------------
-# form_matrix against the per-entry form and the dense gemm form it replaced
+# form_matrix against the per-entry form, the per-pair gather and the dense
+# gemm form it replaced
 # ---------------------------------------------------------------------------
 
-FORM_CONFIGS = [(2, m) for m in (2, 4, 6, 8, 10, 12)] + [(3, 2), (3, 4), (3, 6),
-                                                          (4, 2), (4, 4), (4, 6)]
+FORM_CONFIGS = ([(2, m) for m in (2, 4, 6, 8, 10, 12)] + [(3, 2), (3, 4), (3, 6), (4, 2),
+                (4, 4), (4, 6), (5, 2), (5, 4)])
 
 
 def form_oracle(omega, algebra, family):
@@ -342,7 +360,10 @@ def form_oracle(omega, algebra, family):
 
 @st.composite
 def form_cases(draw):
-    """Random d, m (dim <= 64), trace or Gibbs state, and plus-half family."""
+    """Random d <= 5, m (dim <= 64, odd w at m = 6 and 10), trace or Gibbs
+    state, and a plus-half family: a window, up to a grade cap, followed by
+    its shift images as transfer_operator takes them (one multiple of
+    `steps`) or as it once took them (three)."""
     d, m = draw(st.sampled_from(FORM_CONFIGS))
     algebra = Algebra(AlgebraConfig(d, m))   # fresh: the oracle caches every product
     cfg = algebra.cfg
@@ -358,29 +379,95 @@ def form_cases(draw):
     size = int(rng.integers(1, min(len(pool), 8) + 1))
     basis = [pool[i] for i in sorted(rng.choice(len(pool), size, replace=False))]
     steps = int(rng.integers(0, 3))         # 0: the basis alone
-    family, _ = multiple_shift_family(basis, steps, cfg)
+    family, _ = multiple_shift_family(basis, steps, cfg, draw(st.sampled_from([1, 3])))
     return algebra, omega, basis, family
+
+
+def form_bound(algebra, M):
+    """(dim + 2) eps max(1, |M|max): each entry sums dim terms of absolute
+    sum <= tr rho = 1 (form_matrix), with exactly rounded phases."""
+    return (algebra.cfg.dim + 2) * np.finfo(float).eps * max(1.0, float(np.abs(M).max()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=form_cases())
+def test_form_matrix_matches_entry_oracle(case):
+    """The table against the gather over composed (perm, phase) pairs, the
+    per-entry form and the dense gemm form.
+
+    The gather takes each composed phase as its exact root, so both sides are
+    within (dim + 2) eps of the exact form.  The entry and gemm oracles carry
+    the round-off of their phases too, products of up to (d - 1) m generator
+    factors, the theta coefficient and the twist, each a rounded root: against
+    an exact (mpmath) reference at d = 3, m = 2 they were 1.7 (dim + 2) eps
+    off, and the table 0.7 (dim + 2) eps.
+    """
+    algebra, omega, basis, family = case
+    cfg = algebra.cfg
+    got = form_matrix(omega, algebra, family)
+    bound = form_bound(algebra, got)
+    assert np.abs(got - gathered_form(omega, algebra, family)).max() <= bound
+    words = 2 * ((cfg.d - 1) * cfg.m + 2) * np.finfo(float).eps * max(1.0, np.abs(got).max())
+    for oracle in (form_oracle, gemm_form_matrix):
+        assert np.abs(got - oracle(omega, algebra, family)).max() <= bound + words
+    # the reflection defect off the table against evaluate of dense reps and
+    # against the one-point gather
+    refl = 0.0
+    for k in family:
+        E = algebra.monomial(k)
+        refl = max(refl, abs(evaluate(omega, theta(E)) - np.conj(evaluate(omega, E))))
+    got_refl = gram(omega, algebra, family).reflection_defect
+    assert abs(got_refl - refl) <= bound
+    assert abs(got_refl - gathered_reflection_defect(omega, algebra, family)) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=form_cases(), macs=st.sampled_from([1, 2**8, 2**11]))
+def test_form_matrix_in_small_chunks_matches_gather(case, macs):
+    """The table built a few shifts at a time, or one shift per chunk
+    (OMEGA_MACS = 1), against the gather: the chunks split only the shifts,
+    so every pair is read from its own shift's chunk."""
+    algebra, omega, _, family = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "OMEGA_MACS", macs)
+        got = form_matrix(omega, algebra, family)
+    bound = form_bound(algebra, got)
+    assert np.abs(got - gathered_form(omega, algebra, family)).max() <= bound
+
+
+def test_form_matrix_wide_shift_chunks_match_gather():
+    """d = 256, m = 2 with 144 random grades and a Gibbs state: one shift
+    over 144 frequencies alone needs more than OMEGA_MACS multiply-adds, so
+    each shift is a chunk of its own at the default budget."""
+    algebra = Algebra(AlgebraConfig(256, 2))
+    rng = np.random.default_rng(7)
+    H = random_element(algebra, rng, terms=6)
+    omega = StateFunctional(kind="gibbs", beta=0.7, hamiltonian=H + H.star())
+    family = [(0, int(g)) for g in np.sort(rng.choice(256, 144, replace=False))]
+    got = form_matrix(omega, algebra, family)
+    assert algebra.cfg.dim * 144 > verifier.OMEGA_MACS
+    assert np.abs(got - gathered_form(omega, algebra, family)).max() <= form_bound(algebra, got)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=form_cases())
-def test_form_matrix_matches_entry_oracle(case):
-    algebra, omega, basis, family = case
-    want = form_oracle(omega, algebra, family)
-    got = form_matrix(omega, algebra, family)
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, float(np.abs(want).max()))
-    # the one-gemm form over dense Kronecker reps that the gather replaced
-    gemm = gemm_form_matrix(omega, algebra, family)
-    assert np.abs(got - gemm).max() <= 1e-12 * max(1.0, float(np.abs(gemm).max()))
-    # the reflection defect from the pair tables against evaluate of dense reps:
-    # both sum the same one-point values in another order
-    refl, scale = 0.0, 1.0
-    for k in family:
-        E = algebra.monomial(k)
-        w, wt = evaluate(omega, E), evaluate(omega, theta(E))
-        refl = max(refl, abs(wt - np.conj(w)))
-        scale = max(scale, abs(w), abs(wt))
-    assert abs(gram(omega, algebra, family).reflection_defect - refl) <= 1e-14 * scale
+def test_weyl_words_are_the_composed_pairs(case):
+    """The closed-form (shift, frequency, phase) of every theta(B_a) o B_b
+    against the composed (perm, phase) pairs of monomial_perm: the perm is
+    i -> i + S digit by digit, and the phase is zeta^P q^(F.i) exactly."""
+    algebra, _, _, family = case
+    d, w, dim = algebra.cfg.d, algebra.cfg.m // 2, algebra.cfg.dim
+    S, F, P = _weyl_words(algebra.cfg, np.array(family).reshape(len(family), -1))
+    PL, HL, PR, HR, g = pair_tables(algebra, family)
+    digits = np.arange(dim)[:, None] // d ** np.arange(w - 1, -1, -1) % d
+    place = d ** np.arange(w - 1, -1, -1)
+    twist = algebra.cfg.twist(g[:, None], g[None, :])
+    for a in range(len(family)):
+        perm = PR[:, PL[a]]
+        phase = HR[:, PL[a]] * HL[a] * twist[a][:, None]
+        assert np.array_equal(perm, (digits[None] + digits[S[a]][:, None]) % d @ place)
+        j = (P[a][:, None] + 2 * (digits[F[a]] @ digits.T)) % (2 * d)   # zeta^j, q = zeta^2
+        assert np.abs(phase - np.exp(1j * np.pi * j / d)).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
