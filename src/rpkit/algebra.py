@@ -11,17 +11,26 @@ matrices U and V):
     c_{2s+1} = U x ... x U x V x 1 x ... x 1,
     c_{2s+2} = eta U x ... x U x VU x 1 x ... x 1,    eta = exp(i*pi*(d-1)/d),
 
-with s factors U.  Every such word, and so every monomial, has one nonzero
-entry per row: it is a pair (perm, phase) with rep[i, perm[i]] = phase[i].
-On basis states with digits (i_0, ..., i_{m/2-1}) the generator pair steps
-digit s and carries the phase q^(i_0 + ... + i_{s-1}), times eta q^(i_s + 1)
-for c_{2s+2}.  Products compose the pairs, (A B) = (perm_B[perm_A],
-phase_A * phase_B[perm_A]), in O(dim) (Algebra.monomial_perm); the dense
-monomial matrix is that pair scattered into zeros (Algebra.monomial_rep).
-Elements carry a normal-ordered coefficient table, c^k = c_1^{k_1} ...
-c_m^{k_m} with 0 <= k_j < d; the dense matrix is built from the table on
-demand and re-checked in the test suite against dense Kronecker products of
-clock and shift matrices.
+with s factors U.  Elements carry a normal-ordered coefficient table, c^k =
+c_1^{k_1} ... c_m^{k_m} with 0 <= k_j < d, and build their dense matrix on
+demand; the test suite re-checks it against dense Kronecker products.
+
+One rule gives every word.  Each word c^K is a clock-shift (Weyl) operator
+with a closed-form shift, frequency and phase (Jaffe-Pedrocchi,
+arXiv:1406.1384).  Number the generators from 0: the pair c_2s, c_2s+1 steps
+digit s of a basis state (digit 0 the most significant, s < w = m/2), c_2s
+with the phase q^(i_0 + ... + i_{s-1}) and c_2s+1 with that phase times
+eta q^(i_s + 1).  Applied left to right, the factors of digit s find each
+digit t < s at i_t + n_t, and the j-th step of c_2s+1 finds digit s at
+i_s + K_2s + j.  Summing the exponents,
+
+    c^K[i, i + n] = eta^E q^(f.i + Q)          (i + n digit by digit, mod d)
+    n_s = K_2s + K_2s+1,   f_t = K_2t+1 + sum_{s>t} n_s,   E = sum_s K_2s+1,
+    Q = sum_s [n_s sum_{t<s} n_t + K_2s K_2s+1 + K_2s+1 (K_2s+1 + 1) / 2],
+
+that is zeta^(P + 2 f.i), P = (d-1) E + 2Q mod 2d, with zeta = exp(i pi/d),
+eta = zeta^(d-1), q = zeta^2.  weyl_symbol computes n, f and P, root_table
+holds zeta^j; every word's matrix or pair in the package comes from them.
 
 One rule orders every word.  Since c_i c_j = q^(-1) c_j c_i for i > j,
 moving c_j^(l_j) left past c_i^(k_i) costs q^(-k_i l_j), so
@@ -104,17 +113,42 @@ class AlgebraConfig:
         return np.exp(1j * np.pi / self.d)
 
     @property
-    def xi(self) -> complex:
-        """Twist phase base exp(i*pi*(d-1)/d); equals zeta when d = 2."""
-        return np.exp(1j * np.pi * (self.d - 1) / self.d)
-
-    @property
     def dim(self) -> int:
         return self.d ** (self.m // 2)
 
     def twist(self, a: int, b: int) -> complex:
         """Phase xi^(a*b) attached to grades (a, b) in the twisted product."""
         return np.exp(1j * np.pi * (self.d - 1) * (a % self.d) * (b % self.d) / self.d)
+
+
+def root_table(d: int) -> np.ndarray:
+    """zeta^j = exp(i*pi*j/d) for j < 2d, by unit_root; q^j = zeta^(2j)."""
+    return np.array([unit_root(2 * d, j) for j in range(2 * d)])
+
+
+def digit_table(d: int, h: int) -> np.ndarray:
+    """The h base-d digits of 0 .. d^h - 1, most significant first."""
+    return np.arange(d**h)[:, None] // d ** np.arange(h - 1, -1, -1) % d
+
+
+def weyl_symbol(d: int, K: np.ndarray) -> tuple:
+    """Shift digits n and frequency digits f (mod d, N x m/2) and phase
+    exponent P mod 2d of each word c^K, a row of K (module docstring)."""
+    even, odd = K[:, 0::2], K[:, 1::2]
+    steps = even + odd                          # n_s
+    before = np.cumsum(steps, axis=1) - steps   # sum_{t<s} n_t
+    freq = odd + steps.sum(1, keepdims=True) - before - steps
+    P = (d - 1) * odd.sum(1) + (2 * steps * before + 2 * even * odd + odd * (odd + 1)).sum(1)
+    return steps % d, freq % d, P % (2 * d)
+
+
+def _word_pairs(d: int, K: np.ndarray) -> tuple:
+    """(perm, phase) rows of the words c^K, with an N x dim x m/2 temporary."""
+    w = K.shape[1] // 2
+    n, f, P = weyl_symbol(d, K)
+    i = digit_table(d, w)
+    perm = (i + n[:, None]) % d @ d ** np.arange(w - 1, -1, -1)
+    return perm, root_table(d)[(P[:, None] + 2 * f @ i.T) % (2 * d)]
 
 
 def _swap_phase(k, l, d: int) -> int:
@@ -149,13 +183,11 @@ def check_dim(cfg: AlgebraConfig) -> None:
 
 
 class Algebra:
-    """Shared context: configuration, generator pairs, monomial pair cache."""
+    """Shared context of the elements of one algebra: its configuration."""
 
     def __init__(self, cfg: AlgebraConfig):
         check_dim(cfg)
         self.cfg = cfg
-        self._gens = _generator_perms(cfg.d, cfg.m)
-        self._perm_cache: dict[tuple, tuple] = {}
 
     # -- element constructors -------------------------------------------------
 
@@ -190,53 +222,13 @@ class Algebra:
 
     def monomial_perm(self, k) -> tuple:
         """(perm, phase) of c_1^{k_1} ... c_m^{k_m}: rep[i, perm[i]] = phase[i]."""
-        k = self._canon(k)
-        hit = self._perm_cache.get(k)
-        if hit is not None:
-            return hit
-        out = (np.arange(self.cfg.dim), np.ones(self.cfg.dim, dtype=complex))
-        for i, e in enumerate(k):
-            for _ in range(e):
-                out = _compose(out, self._gens[i])
-        self._perm_cache[k] = out
-        return out
+        perm, phase = _word_pairs(self.cfg.d, np.array([self._canon(k)]))
+        return perm[0], phase[0]
 
     def monomial_rep(self, k) -> np.ndarray:
-        """Dense matrix of the monomial: its (perm, phase) pair scattered into zeros.
-
-        Only AlgebraElement.rep reads it (Gibbs Hamiltonians, algebra-check and
-        evaluate); the Gram forms and their reflection defect read the Weyl
-        table of verifier.form_matrix and build no monomial.
-        """
-        perm, phase = self.monomial_perm(k)
-        mat = np.zeros((self.cfg.dim, self.cfg.dim), dtype=complex)
-        mat[np.arange(self.cfg.dim), perm] = phase
-        return mat
-
-
-def _generator_perms(d: int, m: int) -> list:
-    """(perm, phase) of c_1 ... c_m, the phases multiplied in Kronecker order."""
-    w = m // 2
-    dim = d**w
-    idx = np.arange(dim)
-    u = np.array([unit_root(d, k) for k in range(d)])
-    eta = np.exp(1j * np.pi * (d - 1) / d)
-    gens = []
-    prefix = np.ones(dim, dtype=complex)        # q^(i_0 + ... + i_{s-1})
-    for s in range(w):
-        place = d ** (w - 1 - s)
-        digit = (idx // place) % d
-        perm = np.where(digit == d - 1, idx - (d - 1) * place, idx + place)
-        gens.append((perm, prefix))
-        gens.append((perm, eta * (prefix * u[(digit + 1) % d])))
-        prefix = prefix * u[digit]
-    return gens
-
-
-def _compose(a: tuple, b: tuple) -> tuple:
-    """The pair of the product A B: row i of A meets row perm_A[i] of B."""
-    (pa, ha), (pb, hb) = a, b
-    return pb[pa], ha * hb[pa]
+        """Dense matrix of the monomial c^k.  No caller in the package: the
+        tests and the benchmark tracer's algebra.monomial_rep span read it."""
+        return self.monomial(k).rep
 
 
 def build_algebra(cfg: AlgebraConfig) -> list:
@@ -260,11 +252,17 @@ class AlgebraElement:
 
     @property
     def rep(self) -> np.ndarray:
+        """Every word's pair times its coefficient, added into zeros in term
+        order, dim // (m/2) words at a time: the temporaries stay within dim^2."""
         if self._rep is None:
-            out = np.zeros((self.cfg.dim, self.cfg.dim), dtype=complex)
-            for k, v in self.coeffs.items():
-                out += v * self.algebra.monomial_rep(k)
-            self._rep = out
+            dim, w = self.cfg.dim, self.cfg.m // 2
+            K = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 2 * w)
+            v = np.array(list(self.coeffs.values()), dtype=complex)
+            out = np.zeros(dim * dim, dtype=complex)
+            for at in range(0, len(K), dim // w):       # d^w > w, so a chunk is never empty
+                perm, phase = _word_pairs(self.cfg.d, K[at:at + dim // w])
+                np.add.at(out, np.arange(dim) * dim + perm, v[at:at + dim // w, None] * phase)
+            self._rep = out.reshape(dim, dim)
         return self._rep
 
     @property
@@ -376,6 +374,39 @@ def twisted_product(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     return out
 
 
+def relation_residual(algebra: Algebra) -> float:
+    """Largest entry of c_j^d - 1, c_j c_j* - 1 and c_i c_j - q c_j c_i on the
+    generators' (perm, phase) pairs, in O(m^2 dim), and of theta(c_i c_j) -
+    theta(q c_j c_i) on their tables.  Two pair matrices differ by |phase_A -
+    phase_B| where the perms agree, by both entries where not.  c^d = 1 makes
+    perm a bijection, so c c* = 1 is |phase| = 1; c^d is taken by squaring."""
+    d, m, dim, q = algebra.cfg.d, algebra.cfg.m, algebra.cfg.dim, unit_root(algebra.cfg.d)
+
+    def times(a, b):                    # the pair of the product a b
+        return b[0][a[0]], a[1] * b[1][a[0]]
+
+    def gap(a, b):
+        return float(np.where(a[0] == b[0], np.abs(a[1] - b[1]),
+                              np.maximum(np.abs(a[1]), np.abs(b[1]))).max())
+
+    one = (np.arange(dim), np.ones(dim))
+    gens = [algebra.monomial_perm(k) for k in np.eye(m, dtype=int)]
+    elems = algebra.generators()
+    worst = 0.0
+    for i, c in enumerate(gens):
+        power, base, e = c, c, d - 1
+        while e:
+            power = times(power, base) if e & 1 else power
+            base, e = times(base, base), e >> 1
+        worst = max(worst, gap(power, one), float(np.abs(np.abs(c[1]) ** 2 - 1).max()))
+        for j in range(i + 1, m):
+            p, h = times(gens[j], c)
+            # theta preserves the relations (antilinearity conjugates q)
+            lhs = theta(elems[i] * elems[j]) - theta(algebra.cfg.q * (elems[j] * elems[i]))
+            worst = max(worst, gap(times(c, gens[j]), (p, q * h)), lhs.norm_max())
+    return worst
+
+
 @dataclass
 class StateFunctional:
     """Normalized trace or Gibbs functional A -> Tr(exp(-beta H) A)/Tr(exp(-beta H))."""
@@ -398,8 +429,11 @@ class StateFunctional:
                 raise InvalidState("gibbs hamiltonian coefficients must be finite")
             self._cfg = self.hamiltonian.cfg
             H = self.hamiltonian.rep
-            if np.abs(H - H.conj().T).max() > 1e-10:
-                raise InvalidState("gibbs hamiltonian must be star-invariant")
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(H + H.conj().T).all():
+                    raise InvalidState("gibbs hamiltonian overflows: H + H* is not finite")
+                if np.abs(H - H.conj().T).max() > 1e-10:
+                    raise InvalidState("gibbs hamiltonian must be star-invariant")
 
     def density(self, algebra: Algebra) -> np.ndarray:
         """Density matrix on `algebra`; a state serves one algebra config only."""

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .algebra import Algebra, AlgebraConfig, StateFunctional, build_algebra, theta
+from .algebra import Algebra, AlgebraConfig, StateFunctional, relation_residual
 from .boxes import Box22, adjoint, rot_pi, sft, star_product
 from .boxes import theta as theta_box
 from .chains import uniform_chain_state
@@ -141,27 +141,10 @@ def _algebra_config(cfg):
 
 
 def run_algebra_check(cfg, tol, rng):
-    acfg = _algebra_config(cfg)
-    gens = build_algebra(acfg)
-    d, m, q = acfg.d, acfg.m, acfg.q
-    eye = np.eye(acfg.dim)
-    worst = 0.0
-    for c in gens:
-        p = np.linalg.matrix_power(c.rep, d)
-        worst = max(worst, float(np.abs(p - eye).max()))
-        worst = max(worst, float(np.abs(c.rep @ c.rep.conj().T - eye).max()))
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = gens[i].rep @ gens[j].rep
-            rhs = q * gens[j].rep @ gens[i].rep
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-    # theta preserves the relations (antilinearity conjugates q)
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = theta(gens[i] * gens[j]) - theta(q * (gens[j] * gens[i]))
-            worst = max(worst, lhs.norm_max())
+    algebra = Algebra(_algebra_config(cfg))
+    worst = relation_residual(algebra)
     verdict = POSITIVE if worst < tol else NEGATIVE
-    return verdict, {"relation_residual": worst, "gate": tol, "dimension": acfg.dim}
+    return verdict, {"relation_residual": worst, "gate": tol, "dimension": algebra.cfg.dim}
 
 
 def run_rp_gram(cfg, tol, rng):
@@ -390,6 +373,9 @@ def _main(argv) -> int:
     except json.JSONDecodeError as exc:
         print(f"rpkit: config parse error at line {exc.lineno} col {exc.colno}: {exc.msg}",
               file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:   # e.g. an integer literal over the int-to-str digit limit
+        print(f"rpkit: config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
     if "command" in cfg and cfg["command"] != args.command:

@@ -30,7 +30,7 @@ import numpy as np
 # evaluate is not called here, but perfbench/selftest.py patches it as
 # rpkit.verifier.evaluate
 from .algebra import (Algebra, AlgebraConfig, AlgebraElement, StateFunctional, check_dim,
-                      evaluate, theta, twisted_product, unit_root)
+                      digit_table, evaluate, root_table, theta, twisted_product, weyl_symbol)
 from .boxes import dft_zd
 from .errors import InvalidArgument, InvalidConfig, SizeLimit, WrongHalf
 
@@ -171,36 +171,25 @@ def _weyl_words(cfg: AlgebraConfig, K: np.ndarray) -> tuple:
     """The shift index S, frequency index F and phase exponent P of every
     theta(B_a) o B_b, so that M_ab = zeta^P Omega[S, F] (form_matrix).
 
-    K holds the plus-half exponents of the family; theta(B_a) is the word
-    c^(k_a reversed) up to its coefficient.  Each index is one side's digits
-    plus the other's, reduced digit by digit.
+    K holds the plus-half exponents of the family.  The symbols of theta(B_a)'s
+    word c^(k_a reversed) and of B_b come from algebra.weyl_symbol; each index
+    of a pair is one side's digits plus the other's, reduced digit by digit.
     """
     d, w, n = cfg.d, cfg.m // 2, len(K)
     h = w // 2                          # digits with both generators left of the cut
     place = d ** np.arange(w - 1, -1, -1)
-    words = np.concatenate([K[:, ::-1], K])      # theta(B_a)'s words, then B_b's
-    odd = words[:, 1::2]
-    steps = words[:, 0::2] + odd                 # n_s
-    before = np.cumsum(steps, axis=1) - steps    # sum_{t<s} n_t
-    freq = odd + steps.sum(1, keepdims=True) - before - steps
-    phase = (d - 1) * odd.sum(1) + (2 * steps * before + 2 * words[:, 0::2] * odd
-                                    + odd * (odd + 1)).sum(1)
-    shift = (steps % d) @ place
+    steps, freq, phase = weyl_symbol(d, np.concatenate([K[:, ::-1], K]))
+    shift = steps @ place
     S = shift[:n, None] + shift[None, n:]
     if w % 2:                           # digit h straddles the cut: carry once
         S -= (steps[:n, h, None] + steps[None, n:, h] >= d) * (d * place[h])
     g = K.sum(1) % d
     # left of digit h every frequency digit of B_b is its grade g_b
     left = ((freq[:n, None, :h] + np.arange(d)[:, None]) % d) @ place[:h]
-    F = left[:, g] + ((freq[n:, h:] % d) @ place[h:])[None, :]
+    F = left[:, g] + (freq[n:, h:] @ place[h:])[None, :]
     e = -(K * (np.cumsum(K, axis=1) - K)).sum(1)      # theta(c^k) = q^e(k, k) c^(k reversed)
     P = ((phase[:n] + 2 * e)[:, None] + phase[None, n:] + (d + 1) * np.outer(g, g)) % (2 * d)
     return S, F, P
-
-
-def _digits(d: int, h: int) -> np.ndarray:
-    """The h base-d digits of 0 .. d^h - 1, most significant first."""
-    return np.arange(d**h)[:, None] // d ** np.arange(h - 1, -1, -1) % d
 
 
 def _members(x: np.ndarray, size: int) -> tuple:
@@ -220,9 +209,9 @@ def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
     """
     S, F, P = words
     d, w, dim = cfg.d, cfg.m // 2, cfg.dim
-    hi, lo = _digits(d, w // 2), _digits(d, w - w // 2)
+    hi, lo = digit_table(d, w // 2), digit_table(d, w - w // 2)
     D1, D2 = len(hi), len(lo)
-    zeta = np.array([unit_root(2 * d, j) for j in range(2 * d)])    # q^j = zeta^(2j)
+    zeta = root_table(d)                        # q^j = zeta^(2j)
 
     def plus(x, s):
         """Index of each state x + s, digit by digit, for each s."""
@@ -252,33 +241,24 @@ def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
 def form_matrix(omega: StateFunctional, algebra: Algebra, family) -> np.ndarray:
     """M_ab = omega(theta(B_a) o B_b) over a plus-half monomial family, unsymmetrized.
 
-    Each entry is one clock-shift (Weyl) word read off one table.  Number
-    the generators from 0, so that digit s of a basis state (s < w = m/2,
-    digit 0 the most significant) is stepped by the pair c_2s, c_2s+1.  The
-    pair rule of the algebra docstring composes, for the word c^K,
-
-        c^K[i, i + n] = eta^E q^(f.i + b)         (i + n digit by digit, mod d)
-        n_s = K_2s + K_2s+1,   f_t = K_2t+1 + sum_{s>t} n_s,   E = sum_s K_2s+1,
-        b = sum_s [n_s sum_{t<s} n_t + K_2s K_2s+1 + K_2s+1 (K_2s+1 + 1) / 2],
-
-    so omega(c^K) = tr(rho c^K) = eta^E q^b Omega[n, f] with the table
-
-        Omega[n, f] = sum_i rho[i + n, i] q^(f.i).
+    Each entry is one clock-shift (Weyl) word read off one table: by the
+    word rule of the algebra docstring, c^K[i, i + n] = eta^E q^(f.i + Q), so
+    omega(c^K) = tr(rho c^K) = eta^E q^Q Omega[n, f], Omega[n, f] =
+    sum_i rho[i + n, i] q^(f.i).
 
     theta(B_a) = q^e(k_a, k_a) c^(k_a reversed) lives left of the cut and B_b
     right of it, so theta(B_a) B_b = q^e(k_a, k_a) c^K, K = rev k_a + k_b,
     with no reordering.  n, f and E are linear in K and split into one part
-    per side.  b is quadratic, and its cross terms add up to |k_a| |k_b|
+    per side.  Q is quadratic, and its cross terms add up to |k_a| |k_b|
     (|k| = sum k): all of rev k_a sits before all of k_b except at odd w,
     where digit h = w//2 holds c_w-1 of the left word and c_w of the right
     one; there n_h sum_{t<h} n_t misses their product and K_2h K_2h+1 adds it
-    back.  With zeta = exp(i pi/d), eta = xi = zeta^(d-1), q = zeta^2 and the
-    grades g = |k| mod d,
+    back.  With the grades g = |k| mod d and the twist xi = eta,
 
-        M_ab = zeta^P Omega[n, f],   P = (d-1)(E + g_a g_b) + 2(b + e(k_a, k_a)),
+        M_ab = zeta^P Omega[n, f],   P = (d-1)(E + g_a g_b) + 2(Q + e(k_a, k_a)),
 
     P mod 2d = P(rev k_a) + P(k_b) + 2 e(k_a, k_a) + (d+1) g_a g_b, and zeta^P
-    comes from an exact 2d-entry table.  Only digit h mixes the sides of n,
+    comes from the 2d-entry root_table.  Only digit h mixes the sides of n,
     so the shift index is the sum of one index per side less one carry.  The
     frequency digits of the left word vanish from h on, and those of the
     right word before h are |k_b|, so F[a, b] = left[a, g_b] + right[b] from

@@ -1,16 +1,19 @@
 """Dense and step-by-step algebra helpers that only the tests use.
 
 The generators as Kronecker products of clock and shift matrices, monomial
-reps as products of their matrix powers, the RP Gram form as one matrix
-product over dense one-sided reps, and the same form as one gather over
-per-monomial (perm, phase) tables.  These are the dense paths that the
-(perm, phase) reps of rpkit.algebra and the Weyl-symbol table of
-rpkit.verifier.form_matrix replace.  The normal order of a word by bubble
-sort, one adjacent swap at a time, is the exact reference of the closed-form
-ordering rule (rpkit.algebra._swap_phase) behind *, star and theta.  The OS
-step over the basis and its shifts by up to three multiples of `steps`, with
-gram's window form pasted back in, is the reference of
-rpkit.reconstruction.transfer_operator, which reads the shift images only.
+reps as products of their matrix powers, the generators' (perm, phase) pairs
+with their phases multiplied in Kronecker order and each monomial's pair
+composed from them factor by factor, the RP Gram form as one matrix product
+over dense one-sided reps, and the same form as one gather over the composed
+pairs.  These are the dense and step-by-step paths that the closed-form word
+rule of rpkit.algebra (weyl_symbol) and the Weyl-symbol table of
+rpkit.verifier.form_matrix replace, built with no use of that rule.  The
+normal order of a word by bubble sort, one adjacent swap at a time, is the
+exact reference of the closed-form ordering rule (rpkit.algebra._swap_phase)
+behind *, star and theta.  The OS step over the basis and its shifts by up
+to three multiples of `steps`, with gram's window form pasted back in, is
+the reference of rpkit.reconstruction.transfer_operator, which reads the
+shift images only.
 """
 
 import numpy as np
@@ -33,7 +36,7 @@ def dense_generators(cfg) -> list:
     """c_1 ... c_m as dim x dim matrices: U x ... x U x V (or eta VU) x 1 x ... x 1."""
     d, m = cfg.d, cfg.m
     U, V = clock_shift(d)
-    eta = np.exp(1j * np.pi * (d - 1) / d)
+    eta = unit_root(2 * d, d - 1)
     eye = np.eye(d)
     gens = []
     for s in range(m // 2):
@@ -136,8 +139,44 @@ def gemm_form_matrix(omega, algebra, family) -> np.ndarray:
     return M
 
 
+def generator_perms(d: int, m: int) -> list:
+    """(perm, phase) of c_1 ... c_m, the phases multiplied in Kronecker order."""
+    w = m // 2
+    dim = d**w
+    idx = np.arange(dim)
+    u = np.array([unit_root(d, k) for k in range(d)])
+    eta = unit_root(2 * d, d - 1)
+    gens = []
+    prefix = np.ones(dim, dtype=complex)        # q^(i_0 + ... + i_{s-1})
+    for s in range(w):
+        place = d ** (w - 1 - s)
+        digit = (idx // place) % d
+        perm = np.where(digit == d - 1, idx - (d - 1) * place, idx + place)
+        gens.append((perm, prefix))
+        gens.append((perm, eta * (prefix * u[(digit + 1) % d])))
+        prefix = prefix * u[digit]
+    return gens
+
+
+def compose(a: tuple, b: tuple) -> tuple:
+    """The pair of the product A B: row i of A meets row perm_A[i] of B."""
+    (pa, ha), (pb, hb) = a, b
+    return pb[pa], ha * hb[pa]
+
+
+def composed_perm(gens, k) -> tuple:
+    """(perm, phase) of c_1^{k_1} ... c_m^{k_m}, composed factor by factor."""
+    dim = len(gens[0][0])
+    out = (np.arange(dim), np.ones(dim, dtype=complex))
+    for i, e in enumerate(k):
+        for _ in range(e):
+            out = compose(out, gens[i])
+    return out
+
+
 def pair_tables(algebra, family) -> tuple:
-    """The (perm, phase) tables of a monomial family, from Algebra.monomial_perm.
+    """The (perm, phase) tables of a monomial family, composed from the
+    generator pairs (composed_perm), so independent of the closed form.
 
     Row a holds the pair (PR, HR) of B_a = c^k and the pair (PL, HL) of
     theta(B_a) = q^e(k, k) c^(k reversed), theta's coefficient folded into the
@@ -150,10 +189,11 @@ def pair_tables(algebra, family) -> tuple:
     HR = np.empty((n, dim), dtype=complex)
     g = np.empty(n, dtype=int)
     d, q = algebra.cfg.d, algebra.cfg.q
+    gens = generator_perms(d, algebra.cfg.m)
     for a, k in enumerate(family):
         k = algebra._canon(k)
-        PR[a], HR[a] = algebra.monomial_perm(k)
-        PL[a], hL = algebra.monomial_perm(k[::-1])
+        PR[a], HR[a] = composed_perm(gens, k)
+        PL[a], hL = composed_perm(gens, k[::-1])
         HL[a] = q**_swap_phase(k, k, d) * hL
         g[a] = sum(k) % d
     return PL, HL, PR, HR, g
@@ -165,6 +205,24 @@ def exact_roots(h, d) -> np.ndarray:
     root j and no round-off of their own."""
     j = np.rint(np.angle(h) * d / np.pi).astype(int) % (2 * d)
     return np.array([unit_root(2 * d, i) for i in range(2 * d)])[j]
+
+
+def exact_entries(mat, d) -> np.ndarray:
+    """A dense word or product of words with each nonzero entry, a 2d-th root
+    of unity up to round-off, taken as its exact root (exact_roots)."""
+    out = mat.copy()
+    nz = out != 0
+    out[nz] = exact_roots(out[nz], d)
+    return out
+
+
+def exact_dense_rep(gens, E) -> np.ndarray:
+    """dense_rep with every monomial's phases taken as exact roots, summed in
+    term order into zeros."""
+    out = np.zeros_like(gens[0])
+    for k, v in E.coeffs.items():
+        out += v * exact_entries(dense_monomial_rep(gens, k), E.cfg.d)
+    return out
 
 
 def gathered_form(omega, algebra, family) -> np.ndarray:

@@ -10,7 +10,7 @@ from rpkit.algebra import (AlgebraConfig, Algebra, AlgebraElement, StateFunction
 from rpkit.errors import ConfigMismatch, InvalidConfig, InvalidState, SizeLimit, WrongHalf
 
 from algebra_oracles import (bubble_product, bubble_star, bubble_theta, dense_generators,
-                             dense_monomial_rep)
+                             dense_monomial_rep, dense_rep, exact_dense_rep, exact_entries)
 from conftest import make_algebra, random_element, random_plus_element
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -346,15 +346,35 @@ def test_monomial_rep_matches_kron_oracle(case):
     alg, k = case
     dim = alg.cfg.dim
     got = alg.monomial_rep(k)
-    want = dense_monomial_rep(kron_generators(alg.cfg), k)
-    if alg.cfg.d == 2:
-        assert np.array_equal(got, want)        # phases are +-1, +-i: exact products
-    else:
-        assert np.abs(got - want).max() <= 1e-15
+    # the closed form gives each phase as its rounded root, where the
+    # Kronecker product carries the round-off of its factors
+    want = exact_entries(dense_monomial_rep(kron_generators(alg.cfg), k), alg.cfg.d)
+    assert np.array_equal(got, want)
     perm, phase = alg.monomial_perm(k)
     assert np.array_equal(np.sort(perm), np.arange(dim))
     assert np.count_nonzero(got) == dim
     assert np.array_equal(got[np.arange(dim), perm], phase)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=monomials(), extra=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_element_rep_matches_dense_oracle(case, extra, seed):
+    """rep scatters its words in chunks of dim // (m/2): elements with more
+    words than one chunk holds, bit for bit against the Kronecker monomials
+    with exact roots summed in term order, and within the round-off of the
+    plain Kronecker products."""
+    alg, _ = case
+    d, m, dim = alg.cfg.d, alg.cfg.m, alg.cfg.dim
+    rng = np.random.default_rng(seed)
+    count = min(d**m, dim // (m // 2) + extra)
+    words = rng.choice(d**m, count, replace=False)[:, None] // d ** np.arange(m) % d
+    E = alg.element({tuple(k): complex(rng.normal(), rng.normal()) for k in words})
+    assert len(E.coeffs) > dim // (m // 2)
+    gens = kron_generators(alg.cfg)
+    assert np.array_equal(E.rep, exact_dense_rep(gens, E))
+    # each Kronecker phase is a product of up to (d - 1) m + 1 rounded factors
+    bound = 2 * ((d - 1) * m + 2) * np.finfo(float).eps * sum(map(abs, E.coeffs.values()))
+    assert np.abs(E.rep - dense_rep(gens, E)).max() <= bound
 
 
 @settings(max_examples=60, deadline=None)

@@ -277,6 +277,47 @@ class TestCli:
         assert err.startswith("rpkit: size cap exceeded:") and "m = 1000000" in err
         assert len(err) < 200
 
+    def test_huge_integer_literal_exit_3(self, tmp_path, capsys):
+        # json refuses to read an integer of more than 4,300 digits with a
+        # plain ValueError: a parse error, not an internal one
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"d": 2, "m": ' + "9" * 5000 + "}")
+        assert main(["rp-gram", "--config", str(cfg_path)]) == 3
+        assert capsys.readouterr().err.startswith("rpkit: config parse error:")
+
+    @pytest.mark.parametrize("d, m", [(2, 24), (64, 4), (4096, 2)])
+    def test_algebra_check_on_pairs_at_the_cap(self, tmp_path, monkeypatch, d, m):
+        # dimension 4096: the relations are checked on (perm, phase) pairs,
+        # with no dense rep and no matrix power; at d = 4096, c^d composes
+        # 4096 rounded phases and still meets the 1e-12 gate
+        def fail(*args):
+            raise AssertionError("dense relation product")
+
+        monkeypatch.setattr(rpkit.algebra.AlgebraElement, "rep", property(fail))
+        monkeypatch.setattr(np.linalg, "matrix_power", fail)
+        code, text = run_cli(tmp_path, "algebra-check", {"d": d, "m": m})
+        assert code == 0
+        results = json.loads(text)["results"]
+        assert results["dimension"] == 4096 and results["relation_residual"] < 1e-12
+
+    @pytest.mark.parametrize("d, m, j", [(2, 6, 3), (3, 4, 0), (4, 4, 2)])
+    def test_algebra_check_sees_a_perturbed_generator(self, tmp_path, monkeypatch, d, m, j):
+        # one row of one generator's phase turned by 1e-9: the pair check
+        # must see it, so it is not vacuous
+        real = rpkit.algebra.Algebra.monomial_perm
+
+        def perturbed(self, k):
+            perm, phase = real(self, k)
+            if list(k) == [int(i == j) for i in range(m)]:
+                phase = phase.copy()
+                phase[1] *= np.exp(1e-9j)
+            return perm, phase
+
+        monkeypatch.setattr(rpkit.algebra.Algebra, "monomial_perm", perturbed)
+        code, text = run_cli(tmp_path, "algebra-check", {"d": d, "m": m})
+        assert code == 1
+        assert 5e-10 < json.loads(text)["results"]["relation_residual"] < 1e-8
+
     @pytest.mark.parametrize("terms", [5, "c1 c2", {"re": 1.0}])
     def test_hamiltonian_not_a_list_exit_3(self, tmp_path, capsys, terms):
         code, text = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 4, "state": "gibbs",
@@ -412,7 +453,12 @@ def test_wrong_type_config_exit_3(tmp_path, capsys, command, cfg):
     ("green", {"dims": [8], "mass2": 1e308}, "mass2"),
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1e300, "beta": 1e300}}, "beta x coupling"),
     ("sft-check", {"d": 2, "sequence": [1e308, 1e308]}, "sequence"),
-], ids=["green-block-underflow", "chain-beta-coupling-overflow", "sequence-dft-overflow"])
+    ("reconstruct", {"d": 2, "m": 6, "state": "gibbs",
+                     "hamiltonian": [[[1e308, 0], [1, 0, 0, 0, 0, 0]]]}, "hamiltonian"),
+    ("rp-gram", {"d": 2, "m": 4, "state": "gibbs",
+                 "hamiltonian": [[[1e308, 0], [0, 0, 0, 0]]]}, "hamiltonian"),
+], ids=["green-block-underflow", "chain-beta-coupling-overflow", "sequence-dft-overflow",
+        "gibbs-generator-overflow", "gibbs-identity-overflow"])
 def test_overflow_exit_3(tmp_path, capsys, command, cfg, names):
     # finite inputs whose result over- or underflows: refused, never a crash
     # (exit 6) or a "positive" read off zeros, inf or nan

@@ -48,7 +48,8 @@ def test_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_outcomes_dump_is_repeatable_and_diff_flags_a_stderr_change(tmp_path, capsys):
+def test_outcomes_dump_is_repeatable_and_diff_flags_a_stderr_change(tmp_path, capsys,
+                                                                    monkeypatch):
     outcomes = _load(OUTCOMES, "tools_outcomes")
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):
@@ -63,3 +64,18 @@ def test_outcomes_dump_is_repeatable_and_diff_flags_a_stderr_change(tmp_path, ca
     assert outcomes.main(["diff", str(a), str(b)]) == 1
     out = capsys.readouterr().out
     assert "exit 0, report 0, stderr 1" in out and key in out
+    # an exit-code flip is listed in full, ahead of the capped key list, even
+    # among more differing keys than the list shows
+    flip = sorted(record["checks"])[-1]
+    record["checks"][flip][0] = 6
+    record["checks"][flip][2] += "rpkit: internal error: planted\n"
+    for k in sorted(record["checks"])[:-1]:
+        record["checks"][k][1] = "planted"
+    b.write_text(json.dumps(record), encoding="utf-8")
+    monkeypatch.setattr(outcomes, "SHOWN", 2)
+    assert outcomes.main(["diff", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    head = lines.index(f"  exit {json.loads(a.read_text())['checks'][flip][0]} -> 6: {flip}")
+    assert lines[head + 2] == "    rpkit: internal error: planted"
+    assert head < min(i for i, line in enumerate(lines) if line.startswith("  differs"))
+    assert any("26 differing" in line for line in lines)

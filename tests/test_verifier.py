@@ -453,8 +453,10 @@ def test_form_matrix_wide_shift_chunks_match_gather():
 @given(case=form_cases())
 def test_weyl_words_are_the_composed_pairs(case):
     """The closed-form (shift, frequency, phase) of every theta(B_a) o B_b
-    against the composed (perm, phase) pairs of monomial_perm: the perm is
-    i -> i + S digit by digit, and the phase is zeta^P q^(F.i) exactly."""
+    against the (perm, phase) pairs composed from the Kronecker-order
+    generator pairs (algebra_oracles.pair_tables): the perm is i -> i + S
+    digit by digit, and the phase is zeta^P q^(F.i) up to the round-off of
+    the composed products."""
     algebra, _, _, family = case
     d, w, dim = algebra.cfg.d, algebra.cfg.m // 2, algebra.cfg.dim
     S, F, P = _weyl_words(algebra.cfg, np.array(family).reshape(len(family), -1))

@@ -14,8 +14,10 @@ A stream is WORKLOAD:SEEDS:ROUNDS, with SEEDS one seed or a range "1-8"
 and ROUNDS the number of rounds from round 0.  The default set is
 gram-ladder:1-3:8, os-reconstruct:1-8:2 and lattice-rp:1-8:2 (784 checks).
 
-`diff` prints the number of checks, how many differ in each field, the keys
-of the differing and the missing checks, and exits 1 on any difference.
+`diff` prints the number of checks and how many differ in each field; then
+every exit-code flip in full, with both exit codes and the last stderr line
+of each side; then the keys of the differing and the missing checks, up to
+SHOWN of each.  It exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -96,6 +98,11 @@ def dump(out: str, streams) -> int:
     return 0
 
 
+def _last_line(text: str) -> str:
+    lines = text.strip().splitlines()
+    return lines[-1] if lines else "(no stderr)"
+
+
 def diff(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text(encoding="utf-8"))["checks"]
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))["checks"]
@@ -105,6 +112,10 @@ def diff(path_a: str, path_b: str) -> int:
     keys = sorted(set().union(*differing.values()))
     print(f"{len(common)} checks in both, {len(missing)} in one only; differing: "
           + ", ".join(f"{f} {len(ks)}" for f, ks in differing.items()))
+    for k in differing["exit"]:     # every flip in full: a few among many report diffs
+        print(f"  exit {a[k][0]} -> {b[k][0]}: {k}")
+        for side in (a, b):
+            print(f"    {_last_line(side[k][2])}")
     for k in keys[:SHOWN]:
         print(f"  differs ({', '.join(f for f in FIELDS if k in differing[f])}): {k}")
     for k in missing[:SHOWN]:
