@@ -58,6 +58,7 @@ omega, which is what every positivity check downstream relies on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,11 +109,6 @@ class AlgebraConfig:
         return np.exp(2j * np.pi / self.d)
 
     @property
-    def zeta(self) -> complex:
-        """Square root of q, zeta = exp(i*pi/d)."""
-        return np.exp(1j * np.pi / self.d)
-
-    @property
     def dim(self) -> int:
         return self.d ** (self.m // 2)
 
@@ -121,9 +117,13 @@ class AlgebraConfig:
         return np.exp(1j * np.pi * (self.d - 1) * (a % self.d) * (b % self.d) / self.d)
 
 
+@functools.cache
 def root_table(d: int) -> np.ndarray:
-    """zeta^j = exp(i*pi*j/d) for j < 2d, by unit_root; q^j = zeta^(2j)."""
-    return np.array([unit_root(2 * d, j) for j in range(2 * d)])
+    """zeta^j = exp(i*pi*j/d) for j < 2d, by unit_root; q^j = zeta^(2j).
+    Built once per d and read-only: callers fancy-index it, which copies."""
+    table = np.array([unit_root(2 * d, j) for j in range(2 * d)])
+    table.flags.writeable = False
+    return table
 
 
 def digit_table(d: int, h: int) -> np.ndarray:

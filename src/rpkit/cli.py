@@ -103,7 +103,8 @@ def _hamiltonian_from_terms(algebra, terms):
     for item in terms:
         try:
             (re, im), k = item
-            H = H + complex(re, im) * algebra.monomial(k)
+            v = complex(_number(re, float, "hamiltonian"), _number(im, float, "hamiltonian"))
+            H = H + v * algebra.monomial([_number(x, int, "hamiltonian") for x in k])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad hamiltonian term {item!r}: {exc}") from exc
     return H

@@ -5,14 +5,24 @@ monomial basis of the right-half algebra.  omega is reflection positive on
 that span iff M is positive semidefinite.
 
 A star- and theta-invariant Hamiltonian decomposes into one-sided parts, a
-diagonal cross-cut part sum_k lambda_k theta(B_k) o B_k, and a residual.  The
-sufficient positivity criterion implemented here ("positive SFT"): residual
-and non-neutral one-sided terms vanish, and the normalized couplings
-J_k = -lambda_k / gamma_k are all real and >= 0, where gamma_k is the phase
-that makes gamma_k * theta(B_k) o B_k hermitian-oriented.  Gibbs functionals
-of such Hamiltonians produce PSD Grams at every beta; the acceptance suite
-checks this over seeded families and checks that generic Hamiltonians
-violating the criterion do produce indefinite Grams.
+diagonal cross-cut part sum_k lambda_k E_k, E_k = theta(B_k) o B_k, and a
+residual.  The sufficient positivity criterion implemented here ("positive
+SFT"): residual and non-neutral one-sided terms vanish, and the couplings
+J_k = -lambda_k are all real and >= 0.  Gibbs functionals of such
+Hamiltonians produce PSD Grams at every beta; the acceptance suite checks
+this, and that generic Hamiltonians violating it give indefinite Grams.
+
+J_k needs no orientation phase: with the twist xi = zeta^(d-1), zeta =
+exp(i pi/d) (Jaffe-Pedrocchi, arXiv:1406.1384), theta(E_k) = E_k and E_k* =
+E_kbar, kbar = -k mod d.  With e(k, l) = -sum_{i>j} k_i l_j (the ordering
+exponent of algebra._swap_phase), |k| = sum k, g = |k| mod d and the
+palindrome K = rev k + k, E_k = zeta^a c^K, a = (d-1) g^2 + 2 e(k, k), as
+rev k sits wholly left of k.  e(K, K) = 2 e(k, k) - |k|^2, so theta(E_k) and
+E_k* are zeta^(2 e(K, K) - 2a) times E_k and E_kbar, and that exponent is
+-2|k|^2 - 2(d-1) g^2 = -2d g^2 = 0 mod 2d, as |k|^2 = g^2 mod d.  Alike,
+theta(theta(B_k) o B_l) = theta(B_l) o B_k for any pair: the phase between
+them is zeta^(-2(d-1) g_k g_l - 2|k||l|) = 1.  The adjoint phase of an
+off-diagonal pair, against theta(B_kbar) o B_lbar, is not 1 in general.
 
 For couplings living on a single Z_d ladder and depending only on the ladder
 difference, the criterion reduces to a Bochner test: the coupling block
@@ -303,7 +313,7 @@ def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_T
 
 
 # ---------------------------------------------------------------------------
-# canonical cross elements and their hermitian orientation
+# canonical cross elements
 # ---------------------------------------------------------------------------
 
 def _bar(cfg: AlgebraConfig, k) -> tuple:
@@ -322,42 +332,14 @@ def cross_element(algebra: Algebra, k) -> AlgebraElement:
     return twisted_product(theta(B), B)
 
 
-def cross_phase(algebra: Algebra, k):
-    """Canonical phase gamma_k with F_k = gamma_k E_k hermitian-oriented.
-
-    theta fixes E_k up to a phase t_k; the orientation gamma_k = sqrt(t_k)
-    (principal branch, seeded at the smaller of {k, kbar} in basis order)
-    makes F_k + F_kbar-partner combinations star- and theta-invariant with
-    real couplings.  Returns (gamma_k, kbar, s_k) where E_k^* = s_k E_kbar.
-    """
-    cfg = algebra.cfg
-    kk = algebra._canon(k)
-    kb = _bar(cfg, kk)
-    E = cross_element(algebra, kk)
-    mono, v = _single(E)
-    _, vt = _single(theta(E))
-    t_k = vt / v
-    _, vs = _single(E.star())
-    _, vb = _single(cross_element(algebra, kb))
-    s_k = vs / vb
-    if tuple(reversed(kk)) <= tuple(reversed(kb)):
-        gamma = np.exp(1j * np.angle(t_k) / 2)
-    else:
-        gb, _, sb = cross_phase(algebra, kb)
-        gamma = np.conj(gb) * sb
-    return gamma, kb, s_k
-
-
 def coupling_element(algebra: Algebra, k, J: float) -> AlgebraElement:
-    """Star- and theta-invariant summand -J * (F_k + partner), J real >= 0 in
-    the theorem class.  Self-paired ladders (k == kbar) contribute one term."""
-    gamma, kb, s_k = cross_phase(algebra, k)
-    E = cross_element(algebra, k)
-    term = (-J * gamma) * E
-    if kb != algebra._canon(k):
-        Eb = cross_element(algebra, kb)
-        term = term + (-J * np.conj(gamma) * s_k) * Eb
-    return term
+    """Star- and theta-invariant summand -J (E_k + E_kbar), J real >= 0 in the
+    theorem class (module docstring).  A self-paired ladder (k == kbar)
+    contributes -J E_k alone."""
+    kk = algebra._canon(k)
+    kb = _bar(algebra.cfg, kk)
+    term = -J * cross_element(algebra, kk)
+    return term if kb == kk else term + -J * cross_element(algebra, kb)
 
 
 @dataclass
@@ -427,18 +409,15 @@ def sft_positivity(dec: CouplingDecomposition, tol: float = DEFAULT_TOL) -> SftV
     """Sufficient RP criterion for a zero-residual hermitian expansion.
 
     The cross-coupling block K is diagonal over the matched monomials with
-    entries J_k = -lambda_k / gamma_k; the verdict is positive iff K is PSD
-    (all J_k real >= -tol) and the one-sided parts are charge neutral.
+    entries J_k = -lambda_k, with no phase: E_k is theta-invariant (module
+    docstring).  The verdict is positive iff K is PSD (all J_k real >= -tol)
+    and the one-sided parts are charge neutral.
     """
     if dec.residual.norm_max() > 1e-10:
         return SftVerdict(NOT_APPLICABLE,
                           reason=f"residual norm {dec.residual.norm_max():.3e} exceeds 1e-10")
-    alg = dec.h_plus.algebra
     scale = max([1.0] + [abs(l) for l, _ in dec.cross])
-    couplings = {}
-    for lam, k in dec.cross:
-        gamma, _, _ = cross_phase(alg, k)
-        couplings[k] = -lam / gamma
+    couplings = {k: -lam for lam, k in dec.cross}
     # theta-invariance of the reassembled H (reflection-invariant omega needs it)
     H = dec.reassemble()
     tdef = (theta(H) - H).norm_max()
@@ -453,15 +432,12 @@ def sft_positivity(dec: CouplingDecomposition, tol: float = DEFAULT_TOL) -> SftV
                                   reason=f"non-neutral one-sided term of grade {g}")
     J = np.array(sorted(couplings.values(), key=lambda z: (z.real, z.imag))) \
         if couplings else np.zeros(0)
-    if couplings:
-        worst_imag = max(abs(v.imag) for v in couplings.values())
-        worst_real = min(v.real for v in couplings.values())
-        if worst_imag > tol * scale:
-            return SftVerdict(NEGATIVE, couplings, J,
-                              reason=f"coupling block not hermitian (imag {worst_imag:.3e})")
-        if worst_real < -tol * scale:
-            return SftVerdict(NEGATIVE, couplings, J,
-                              reason=f"negative coupling {worst_real:.3e}")
+    worst_imag = float(np.abs(J.imag).max(initial=0.0))
+    if worst_imag > tol * scale:
+        return SftVerdict(NEGATIVE, couplings, J,
+                          reason=f"coupling block not hermitian (imag {worst_imag:.3e})")
+    if J.size and J[0].real < -tol * scale:
+        return SftVerdict(NEGATIVE, couplings, J, reason=f"negative coupling {J[0].real:.3e}")
     return SftVerdict(POSITIVE, couplings, J)
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpkit.algebra import (AlgebraConfig, Algebra, AlgebraElement, StateFunctional, build_algebra,
-                           clock_shift, evaluate, theta, twisted_product)
+                           clock_shift, evaluate, root_table, theta, twisted_product,
+                           unit_root)
 from rpkit.errors import ConfigMismatch, InvalidConfig, InvalidState, SizeLimit, WrongHalf
 
 from algebra_oracles import (bubble_product, bubble_star, bubble_theta, dense_generators,
@@ -88,10 +89,14 @@ class TestBuildAlgebra:
         with pytest.raises(SizeLimit):
             Algebra(AlgebraConfig(2, 26))   # 2^13 > 4096
 
-    def test_zeta_squares_to_q(self):
-        for d in (2, 3, 4, 7):
-            cfg = AlgebraConfig(d, 2)
-            assert abs(cfg.zeta**2 - cfg.q) < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 4096])
+    def test_root_table_is_cached_and_read_only(self, d):
+        table = root_table(d)
+        assert root_table(d) is table and not table.flags.writeable
+        assert table.tolist() == [unit_root(2 * d, j) for j in range(2 * d)]
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 class TestElementOps:

@@ -405,6 +405,27 @@ def test_non_finite_input_exit_3(tmp_path, capsys, command, cfg):
     assert capsys.readouterr().err.startswith("rpkit: invalid config:")
 
 
+@pytest.mark.parametrize("command, term", [
+    ("rp-gram", [[1.0, 0.0], [0, 0, INF, 0]]),
+    ("rp-gram", [[1.0, 0.0], [0, 0, 1.5, 0]]),
+    ("reconstruct", [[1, 0], [0, 0, 0.5, 0.5]]),
+    ("rp-gram", [[1.0, 0.0], [0, 0, "1", 0]]),
+    ("rp-gram", [[1.0, 0.0], [0, 0, True, 0]]),
+    ("rp-gram", [[True, 0.0], [0, 0, 1, 1]]),
+    ("rp-gram", [[1.0, "0"], [0, 0, 1, 1]]),
+], ids=["exponent-inf", "exponent-fraction", "exponents-halves", "exponent-string",
+        "exponent-bool", "coefficient-bool", "coefficient-string"])
+def test_hamiltonian_numbers_exit_3(tmp_path, capsys, command, term):
+    # exponents and coefficients go through the config's one number coercion:
+    # an infinite exponent exited 6 (OverflowError in int), fractions were
+    # truncated (0.5 ran as the identity term), strings and bools were cast
+    cfg = {"d": 2, "m": 4, "state": "gibbs", "beta": 1.0, "hamiltonian": [term]}
+    code, text = run_cli(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert (code, text) == (3, "")
+    assert err.startswith("rpkit: config error:") and "'hamiltonian'" in err
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1.0, "beta": -1.0}}),
     ("reconstruct", {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": -1.0},

@@ -1,6 +1,6 @@
 """Tooling contracts: the benchmark tracer's patch table names functions that
 exist, importing the package pulls in no scipy, and the outcome recorder
-finds a change."""
+finds a change and judges each check."""
 
 import json
 import os
@@ -79,3 +79,22 @@ def test_outcomes_dump_is_repeatable_and_diff_flags_a_stderr_change(tmp_path, ca
     assert lines[head + 2] == "    rpkit: internal error: planted"
     assert head < min(i for i, line in enumerate(lines) if line.startswith("  differs"))
     assert any("26 differing" in line for line in lines)
+
+
+def test_outcomes_judge_lists_a_failed_check(tmp_path, capsys):
+    # every check is held to its perfbench/oracle.py rule; one planted crash
+    # among the 26 checks of a round is listed by its key
+    outcomes = _load(OUTCOMES, "tools_outcomes")
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert outcomes.main(["dump", str(a), "--stream", "os-reconstruct:1:1"]) == 0
+    capsys.readouterr()
+    assert outcomes.main(["judge", str(a)]) == 0
+    assert capsys.readouterr().out == "26 checks judged, 0 failed\n"
+    record = json.loads(a.read_text(encoding="utf-8"))
+    crash = sorted(record["checks"])[3]
+    record["checks"][crash] = [6, None, "rpkit: internal error: planted\n"]
+    b.write_text(json.dumps(record), encoding="utf-8")
+    assert outcomes.main(["judge", str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "26 checks judged, 1 failed"
+    assert len(lines) == 2 and lines[1].startswith(f"  FAIL {crash}: exit 6, expected ")

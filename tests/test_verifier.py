@@ -10,7 +10,7 @@ from rpkit.errors import InvalidArgument, PreconditionViolation, SizeLimit, Wron
 from rpkit import verifier
 from rpkit.reconstruction import quantize
 from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, _weyl_words,
-                            coupling_decomposition, coupling_element, cross_phase,
+                            coupling_decomposition, coupling_element, cross_element,
                             draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
                             gram, gram_report_from_matrix, plus_basis,
                             sft_positivity, sft_positivity_sequence)
@@ -178,8 +178,7 @@ class TestCouplingDecomposition:
         assert len(dec.cross) == 1
         lam, k = dec.cross[0]
         assert k == (0, 0, 1, 0)
-        gamma, _, _ = cross_phase(alg, k)
-        assert abs(-lam / gamma - 1.0) < 1e-12     # J = 1 recovered
+        assert abs(-lam - 1.0) < 1e-12             # J = 1 recovered
 
     def test_bare_cross_monomial_phase(self):
         # c2 c3 = -i * theta(c3) o c3 at d = 2 (twist phase i)
@@ -490,3 +489,43 @@ def test_family_form_leading_block_is_gram_form(case):
     Ms = (M + M.conj().T) / 2
     bound = 2 * (algebra.cfg.dim + 2) * np.finfo(float).eps
     assert np.abs(Ms[:n, :n] - gram(omega, algebra, basis).matrix).max() <= bound
+
+
+@st.composite
+def plus_pairs(draw):
+    """Two plus monomials k != 0 and l of one algebra, d = 2..8, and a J > 0."""
+    d = draw(st.integers(2, 8))
+    m = draw(st.sampled_from([m for m in (2, 4, 6, 8) if d ** (m // 2) <= 4096]))
+    digits = st.lists(st.integers(0, d - 1), min_size=m // 2, max_size=m // 2)
+    k = draw(digits.filter(any))
+    return (make_algebra(d, m), (0,) * (m // 2) + tuple(k),
+            (0,) * (m // 2) + tuple(draw(digits)), draw(st.floats(0.1, 2.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=plus_pairs())
+def test_cross_elements_need_no_orientation_phase(case):
+    """theta(theta(B_k) o B_l) = theta(B_l) o B_k and E_k* = E_kbar on the
+    element algebra, so coupling_element is star- and theta-invariant and
+    sft_positivity reads its J back (verifier docstring).
+
+    Within 8 d^2 eps: the twist xi^(ab) = exp(i pi (d-1) a b / d) has an
+    argument up to pi d^2 for grades a, b < d, and np.exp carries an absolute
+    error of about |argument| eps; the powers of q add about d eps.  The worst
+    seen is 4.4e-14 = 3.1 d^2 eps, at d = 8.
+    """
+    alg, k, l, J = case
+    d = alg.cfg.d
+    tol = 8 * d * d * np.finfo(float).eps
+    Bk, Bl = alg.monomial(k), alg.monomial(l)
+    swapped = theta(twisted_product(theta(Bk), Bl)) - twisted_product(theta(Bl), Bk)
+    assert swapped.norm_max() <= tol
+    kbar = tuple(-e % d for e in k)
+    assert (cross_element(alg, k).star() - cross_element(alg, kbar)).norm_max() <= tol
+    H = coupling_element(alg, k, J)
+    assert (theta(H) - H).norm_max() <= tol * J
+    assert (H.star() - H).norm_max() <= tol * J
+    sv = sft_positivity(coupling_decomposition(H))
+    assert sv.verdict == POSITIVE
+    assert set(sv.couplings) == {k, kbar}
+    assert all(abs(v - J) <= tol * J for v in sv.couplings.values())

@@ -1,7 +1,8 @@
-"""Record the outcomes of fixed benchmark streams, and compare two records.
+"""Record the outcomes of fixed benchmark streams, compare two records, judge one.
 
     PYTHONPATH=src python3 tools/outcomes.py dump OUT [--stream WORKLOAD:SEEDS:ROUNDS ...]
     python3 tools/outcomes.py diff A B
+    PYTHONPATH=src python3 tools/outcomes.py judge DUMP
 
 `dump` generates the checks of each stream with perfbench/workloads.py (read,
 never written) and runs every check in-process through rpkit.cli.main, as the
@@ -18,6 +19,11 @@ gram-ladder:1-3:8, os-reconstruct:1-8:2 and lattice-rp:1-8:2 (784 checks).
 every exit-code flip in full, with both exit codes and the last stderr line
 of each side; then the keys of the differing and the missing checks, up to
 SHOWN of each.  It exits 1 on any difference.
+
+`judge` holds every recorded check to its rule in perfbench/oracle.py (read,
+never written), as the benchmark does.  It regenerates each stream's checks
+with workloads.py to find the rule, so it imports rpkit from the path too.
+It lists every failure and exits 1 on any.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ FIELDS = ("exit", "report", "stderr")
 SHOWN = 40  # differing keys printed per diff
 
 
-def _workloads():
-    """perfbench/workloads.py as a module, without writing its bytecode."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
+def _perfbench(name: str):
+    """perfbench/<name>.py as a module, without writing its bytecode."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module     # dataclasses look their module up here
     write = sys.dont_write_bytecode
@@ -80,7 +86,7 @@ def dump(out: str, streams) -> int:
     import rpkit
     from rpkit.cli import main
 
-    workloads = _workloads()
+    workloads = _perfbench("workloads")
     checks = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seeds, rounds in streams:
@@ -125,6 +131,34 @@ def diff(path_a: str, path_b: str) -> int:
     return 1 if keys or missing else 0
 
 
+def judge(path: str) -> int:
+    checks = json.loads(Path(path).read_text(encoding="utf-8"))["checks"]
+    workloads, oracle = _perfbench("workloads"), _perfbench("oracle")
+    rounds = {}                     # (workload, seed) -> rounds recorded
+    for key in checks:
+        workload, seed, r, _ = key.split("/", 3)
+        at = (workload, int(seed[1:]))
+        rounds[at] = max(rounds.get(at, 0), int(r[1:]) + 1)
+    failures = {key: "not a check of its stream" for key in checks}
+    for (workload, seed), count in sorted(rounds.items()):
+        stream = workloads.Stream(workload, seed)
+        for r in range(count):      # a stream's rounds come in order
+            for i, check in enumerate(stream.round(r)):
+                key = f"{workload}/s{seed}/r{r}/{i:02d} {check.kind}"
+                if key in checks:
+                    rc, text, stderr = checks[key]
+                    try:
+                        report = None if text is None else json.loads(text)
+                        failures[key] = oracle.judge(check, rc, report, stderr)
+                    except ValueError as exc:
+                        failures[key] = f"unreadable report: {exc}"
+    failed = sorted(k for k, why in failures.items() if why is not None)
+    print(f"{len(checks)} checks judged, {len(failed)} failed")
+    for key in failed:
+        print(f"  FAIL {key}: {failures[key]}")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="outcomes", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -135,9 +169,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("diff", help="compare two records; exit 1 on any difference")
     p.add_argument("a")
     p.add_argument("b")
+    p = sub.add_parser("judge", help="hold every recorded check to its oracle rule")
+    p.add_argument("dump")
     args = parser.parse_args(argv)
     if args.cmd == "dump":
         return dump(args.out, args.stream or [parse_stream(s) for s in DEFAULT_STREAMS])
+    if args.cmd == "judge":
+        return judge(args.dump)
     return diff(args.a, args.b)
 
 
