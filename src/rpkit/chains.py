@@ -24,6 +24,8 @@ arctanh, so the result is an ordinary StateFunctional.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebra import Algebra, AlgebraElement, StateFunctional
@@ -49,10 +51,20 @@ def finite_chain_hamiltonian(algebra: Algebra, hopping: float,
     return H
 
 
+@functools.cache
+def _ring_sines(m: int) -> tuple:
+    """sin(x k) for x < m and sin(k) on the RING points k.
+    Built once per m and read-only: the matvec only reads them."""
+    k = 2 * np.pi * np.arange(RING) / RING
+    table, sin_k = np.sin(np.outer(np.arange(m), k)), np.sin(k)
+    table.flags.writeable = sin_k.flags.writeable = False
+    return table, sin_k
+
+
 def _window_covariance(m: int, coupling: float, beta: float) -> np.ndarray:
     """<c_a c_b> = delta_ab + i h(a - b) on m generators of the RING-site uniform ring."""
-    k = 2 * np.pi * np.arange(RING) / RING
-    h = np.sin(np.outer(np.arange(m), k)) @ np.tanh(beta * coupling * np.sin(k)) / RING
+    table, sin_k = _ring_sines(m)
+    h = table @ np.tanh(beta * coupling * sin_k) / RING
     x = np.subtract.outer(np.arange(m), np.arange(m))
     return np.eye(m) + 1j * np.sign(x) * h[np.abs(x)]
 

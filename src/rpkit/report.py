@@ -7,7 +7,14 @@ byte-identical text; round-tripping through json.loads is lossless up to the
 complex/array conversions applied on assembly.  A float or complex array
 (an rp-gram matrix, a spectrum) is written in one vectorized pass
 (_array_text) to the same bytes as the element-by-element walk of its
-tolist(); every other value takes that walk.
+tolist(); every other value, and an empty array, takes that walk.
+
+The array pass formats each distinct magnitude once and carries the sign in
+the literal text before the value.  That is exact because both float formats
+are odd: "%.17g" and "%.1f" print -x as "-" followed by the text of x for
+every finite x, -0.0 included ("-0.0").  An rp-gram matrix is exactly
+hermitian, (M + M^H)/2, so about half its floats repeat a magnitude, and
+the 17-digit conversion dominates the cost of the text.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ def _serialize(obj, out: list):
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, np.ndarray):
-        if obj.dtype in _FAST_DTYPES:
+        if obj.dtype in _FAST_DTYPES and obj.size:   # an empty one has brackets only
             out.append(_array_text(obj))
         else:
             _serialize(obj.tolist(), out)
@@ -79,38 +86,56 @@ def _serialize(obj, out: list):
 # arrays whose tolist() holds Python floats or complexes, each converted exactly
 _FAST_DTYPES = (np.dtype(np.float64), np.dtype(np.float32),
                 np.dtype(np.complex128), np.dtype(np.complex64))
-# the format of one float by kind: 0 "%.17g", 1 integral below 1e15 "%.1f",
-# 2 non-finite, whose text _fmt_float supplies
-_FLOAT_FORMATS = np.array(["%.17g", "%.1f", "%s"], dtype=object)
-_COMPLEX_FORMATS = np.array(['{"re":' + r + ',"im":' + i + "}"
-                             for r in _FLOAT_FORMATS for i in _FLOAT_FORMATS], dtype=object)
+# the format of a finite magnitude: [not integral or >= 1e15, integral below 1e15]
+_FLOAT_FORMATS = np.array(["%.17g", "%.1f"], dtype=object)
 
 
 def _array_text(arr: np.ndarray) -> str:
-    """_serialize(arr.tolist()) of a float or complex array, in one pass.
+    """_serialize(arr.tolist()) of a float or complex array with at least one
+    entry, formatting each distinct magnitude once.
 
-    The format of each float is picked from masks taken in numpy (finite,
-    integral and below 1e15 in modulus: "%.1f", otherwise "%.17g"); only the
-    non-finite entries go through _fmt_float.  The formats of the entries,
-    nested in brackets by the shape, make one format string that takes all
-    the values at once.  The text is byte for byte that of the generic walk.
+    The floats are one vector (a complex array as re, im interleaved).  Each
+    distinct finite magnitude gets the format _fmt_float would give it ("%.1f"
+    when integral and below 1e15, otherwise "%.17g") and is formatted once, in
+    one % pass over all of them; a negative value (signbit, so -0.0 too) puts
+    "-" at the end of the literal text before it.  That is exact: for finite x
+    both formats print -x as "-" followed by the text of x, and "%.1f" prints
+    -0.0 as "-0.0".  Non-finite entries take _fmt_float's quoted text and no
+    sign.  The literal text before a value (brackets, commas, '{"re":',
+    ',"im":', "}") depends only on how many of its trailing indices are 0, so
+    it comes from a small table.  The text is byte for byte that of the
+    generic walk.
     """
     cplx = arr.dtype.kind == "c"
     x = arr.astype(np.complex128 if cplx else np.float64).ravel()
     if cplx:
         x = x.view(np.float64)     # re, im interleaved
     finite = np.isfinite(x)
-    kind = np.where(finite, (x == np.trunc(x)) & (np.abs(x) < 1e15), 2)
-    vals = x.tolist()
-    for i in np.flatnonzero(~finite).tolist():
-        vals[i] = _fmt_float(vals[i])
-    fmts = (_COMPLEX_FORMATS[3 * kind[0::2] + kind[1::2]] if cplx
-            else _FLOAT_FORMATS[kind]).tolist()
-    for j in range(arr.ndim - 1, -1, -1):
-        size = arr.shape[j]
-        fmts = ["[" + ",".join(fmts[r * size:(r + 1) * size]) + "]"
-                for r in range(int(np.prod(arr.shape[:j], dtype=np.int64)))]
-    return fmts[0] % tuple(vals)
+    u, inv = np.unique(np.abs(x[finite]), return_inverse=True)
+    fmts = _FLOAT_FORMATS[((u == np.trunc(u)) & (u < 1e15)).view(np.int8)]
+    vals = np.empty(x.size, dtype=object)
+    vals[finite] = np.array((",".join(fmts.tolist()) % tuple(u.tolist())).split(","),
+                            dtype=object)[inv]
+    vals[~finite] = [_fmt_float(v) for v in x[~finite].tolist()]
+    # the literal text before a value, by slot: t < ndim trailing zero
+    # indices after a comma, ndim at the first entry, ndim + 1 before an
+    # imaginary part; a negative value takes the same text with "-" appended
+    ndim = arr.ndim
+    close, open_ = ("}", '{"re":') if cplx else ("", "")
+    before = ([close + "]" * t + "," + "[" * t + open_ for t in range(ndim)]
+              + ["[" * ndim + open_, ',"im":'])
+    table = np.array([before, [b + "-" for b in before]], dtype=object)
+    e = np.arange(arr.size)
+    slot = np.zeros(arr.size, dtype=np.intp)
+    for t in range(1, ndim):
+        slot += e % int(np.prod(arr.shape[ndim - t:])) == 0
+    slot[0] = ndim
+    if cplx:
+        slot = np.stack([slot, np.full_like(slot, ndim + 1)], axis=1).ravel()
+    parts = np.empty(2 * x.size, dtype=object)
+    parts[0::2] = table[(np.signbit(x) & finite).view(np.int8), slot]
+    parts[1::2] = vals
+    return "".join(parts.tolist()) + close + "]" * ndim
 
 
 def to_text(report: dict) -> str:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpkit.chains import _window_covariance
+from rpkit.chains import RING, _ring_sines, _window_covariance
 from rpkit.cli import main
 
 
@@ -52,6 +52,29 @@ def test_window_is_exactly_toeplitz_and_hermitian(m, coupling, beta):
     assert np.array_equal(G[1:, 1:], G[:-1, :-1])
     assert np.array_equal(G, G.conj().T)
     assert np.array_equal(np.diag(G), np.ones(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 12).map(lambda h: 2 * h), coupling=st.floats(-3.0, 3.0),
+       beta=st.floats(0.0, 50.0))
+def test_window_from_cached_sines_is_bit_identical(m, coupling, beta):
+    # the uncached formula: the same operands, so the same bits
+    k = 2 * np.pi * np.arange(RING) / RING
+    h = np.sin(np.outer(np.arange(m), k)) @ np.tanh(beta * coupling * np.sin(k)) / RING
+    x = np.subtract.outer(np.arange(m), np.arange(m))
+    want = np.eye(m) + 1j * np.sign(x) * h[np.abs(x)]
+    assert np.array_equal(_window_covariance(m, coupling, beta), want)
+
+
+@pytest.mark.parametrize("m", [2, 8, 24])
+def test_ring_sines_are_cached_and_read_only(m):
+    table, sin_k = _ring_sines(m)
+    assert _ring_sines(m)[0] is table and _ring_sines(m)[1] is sin_k
+    assert table.shape == (m, RING) and not (table.flags.writeable or sin_k.flags.writeable)
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        sin_k[0] = 1.0
 
 
 def test_window_at_large_beta_is_the_long_bath():

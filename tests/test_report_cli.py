@@ -11,8 +11,12 @@ from hypothesis.extra.numpy import array_shapes
 import rpkit.algebra
 import rpkit.verifier
 from rpkit import cli
+from rpkit.algebra import Algebra, AlgebraConfig, StateFunctional
 from rpkit.cli import main
 from rpkit.report import curve_csv, to_text, truncate_witness
+from rpkit.verifier import gram, plus_basis
+
+from conftest import random_element
 
 
 class TestSerializer:
@@ -57,18 +61,38 @@ class TestSerializer:
     def test_array_text_matches_generic_walk(self, data, dtype, shape):
         # the one-pass array text against the element-by-element walk of tolist()
         cplx = np.dtype(dtype).kind == "c"
+        hermitian = len(shape) >= 2 and data.draw(st.booleans())
+        if hermitian:
+            shape = (*shape[:-1], shape[-2])
         count = int(np.prod(shape)) * (2 if cplx else 1)
+        # a few magnitudes, each with both signs, so that formats are shared
+        pool = data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, allow_infinity=False),
+                                            st.integers(0, 2**60).map(float)),
+                                  min_size=1, max_size=4))
         value = st.one_of(
             st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308,
                              1e15 - 1, 1e15, 1e15 + 1, -1e15 - 1, 2.0**53]),
             st.integers(-2**60, 2**60).map(float),
-            st.floats(allow_nan=True, allow_infinity=True))
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.builds(lambda x, sign: sign * x, st.sampled_from(pool), st.sampled_from([1.0, -1.0])))
         raw = np.array(data.draw(st.lists(value, min_size=count, max_size=count)), dtype=float)
         if cplx:
             raw = raw.view(np.complex128)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             arr = raw.astype(dtype).reshape(shape)
+            if hermitian:   # exactly hermitian, as rp-gram writes its matrix
+                arr = (arr + np.conj(np.swapaxes(arr, -1, -2))) / 2
         assert to_text({"a": arr}) == to_text({"a": arr.tolist()})
+
+    def test_array_text_of_a_gibbs_gram(self):
+        # a (3, 8) Gibbs Gram: half its magnitudes repeat, with both signs
+        algebra = Algebra(AlgebraConfig(3, 8))
+        H = random_element(algebra, np.random.default_rng(5))
+        omega = StateFunctional(kind="gibbs", beta=0.5, hamiltonian=H + H.star())
+        M = gram(omega, algebra, plus_basis(algebra.cfg)).matrix
+        x = M.ravel().view(np.float64)
+        assert M.shape == (81, 81) and np.unique(np.abs(x)).size < 0.6 * x.size
+        assert to_text({"matrix": M}) == to_text({"matrix": M.tolist()})
 
     def test_witness_truncation(self):
         w = truncate_witness(np.arange(40.0))
