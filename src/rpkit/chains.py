@@ -13,25 +13,39 @@ k_n = 2 pi n / RING, which is exactly the window of the uniform ring of RING
 sites: the state is shift-invariant at every beta, so no bath length has to
 grow with beta.  The sum aliases g(x) with g(x + j RING); the symbol is
 analytic for |Im k| < asinh(pi / (2 beta |kappa|)), so the ring matches the
-infinite chain within about exp(-RING asinh(pi / (2 beta |kappa|))), below
-1e-16 for beta |kappa| <= 170.  The symbol is odd, so g = i h with h real and
+infinite chain within about exp(-RING asinh(pi / (2 beta |kappa|))), at or
+below 1e-16 for beta |kappa| <= MAX_BETA_COUPLING = pi / (2 sinh(ln(1e16) /
+RING)), about 174.6.  Past it the window drifts from the infinite chain (by
+1.1e-7 at beta |kappa| = 1000, against a 2^22-point ring), so
+uniform_chain_state refuses it.  The symbol is odd, so g = i h with h real and
 odd, and the window built from h is exactly Toeplitz and hermitian.
 
-The reduced state of a quadratic chain is again Gibbs of a quadratic
-(entanglement) Hamiltonian, recovered from the window covariance through
-arctanh, so the result is an ordinary StateFunctional.
+The state is quasi-free: every value is fixed by the window covariance G
+through Wick's rule.  For a word c_i1 ... c_iL of distinct generators in
+increasing order (every word c^K at d = 2), omega vanishes at odd L, and at
+even L it is the Pfaffian of the pair table Gamma_jl = omega(c_ij c_il) =
+G[i_j, i_l] = i h[i_j, i_l] (j < l), h = Im G restricted to the word's
+support.  Pf(i A) = i^(L/2) Pf(A) for L x L A, so
+
+    omega(c^K) = i^(L/2) Pf(h[idx, idx]),      idx = the support of K.
+
+pfaffians evaluates a stack of them in one Parlett-Reid elimination with
+partial pivoting, so the state needs no density and no dim x dim matrix.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, AlgebraElement, StateFunctional
-from .errors import InvalidArgument
+from .algebra import Algebra, AlgebraConfig, AlgebraElement
+from .errors import ConfigMismatch, InvalidArgument
 
 RING = 4096     # symbol grid: the sum is the window of a uniform ring of RING sites
+# beta |kappa| at which the aliasing bound (module docstring) reaches 1e-16
+MAX_BETA_COUPLING = np.pi / (2 * np.sinh(np.log(1e16) / RING))
 
 
 def finite_chain_hamiltonian(algebra: Algebra, hopping: float,
@@ -69,8 +83,64 @@ def _window_covariance(m: int, coupling: float, beta: float) -> np.ndarray:
     return np.eye(m) + 1j * np.sign(x) * h[np.abs(x)]
 
 
+def pfaffians(A: np.ndarray) -> np.ndarray:
+    """Pf of each real antisymmetric L x L matrix of an N x L x L stack, L even.
+
+    Parlett-Reid with partial pivoting, two rows and columns at a time: the
+    largest |A[p, 0]|, p > 0, is swapped into row and column 1 (a swap
+    negates Pf), Pf gains the factor A[0, 1], and the trailing block minus
+    rows and columns 0 and 1 takes the rank-2 update tau a^T - a tau^T,
+    a = A[:, 1], tau = A[0, :] / A[0, 1].  The swap is not made: the trailing
+    block is gathered from rows and columns 2 .. L - 1 with 1 in place of p.
+    A zero pivot means a zero column, so that Pf is exactly 0.  The update is
+    exactly antisymmetric, and the elimination is backward stable like LU
+    with partial pivoting.
+    """
+    A = np.asarray(A, dtype=float)
+    N, L = A.shape[:2]
+    pf = np.ones(N)
+    r = np.arange(N)[:, None]
+    for n in range(L, 0, -2):
+        p = 1 + np.abs(A[:, 1:, 0]).argmax(1)
+        piv = A[r[:, 0], 0, p]
+        pf *= np.where(p == 1, piv, -piv)
+        if n == 2:
+            break
+        rest = np.arange(2, n)
+        rest = np.where(rest == p[:, None], 1, rest)
+        tau = A[r, 0, rest] / np.where(piv == 0, 1.0, piv)[:, None]
+        u = tau[:, :, None] * A[r, rest, p[:, None]][:, None, :]
+        A = A[r[:, :, None], rest[:, :, None], rest[:, None, :]] + (u - u.transpose(0, 2, 1))
+    return pf
+
+
+@dataclass(frozen=True, eq=False)
+class QuasiFreeState:
+    """The quasi-free state of m Majorana generators (d = 2) with window
+    covariance G[a, b] = omega(c_a c_b): its values are Pfaffians of Im G
+    (module docstring)."""
+
+    covariance: np.ndarray
+
+    def word_values(self, cfg: AlgebraConfig, words: np.ndarray) -> np.ndarray:
+        """omega(c^K) for each row K of words, exponents 0 or 1, one
+        pfaffians pass per word length."""
+        m = len(self.covariance)
+        if (cfg.d, cfg.m) != (2, m):
+            raise ConfigMismatch(f"state built for d=2, m={m} evaluated on d={cfg.d}, m={cfg.m}")
+        h = self.covariance.imag
+        length = words.sum(1)
+        out = np.where(length == 0, 1.0 + 0j, 0j)
+        for L in range(2, m + 1, 2):
+            rows = np.flatnonzero(length == L)
+            if rows.size:
+                idx = np.nonzero(words[rows])[1].reshape(-1, L)
+                out[rows] = 1j ** (L // 2) * pfaffians(h[idx[:, :, None], idx[:, None, :]])
+        return out
+
+
 def uniform_chain_state(algebra: Algebra, coupling: float = 1.0,
-                        beta: float = 1.0) -> StateFunctional:
+                        beta: float = 1.0) -> QuasiFreeState:
     """Reduced Gibbs state of the infinite uniform Majorana chain on m generators."""
     cfg = algebra.cfg
     if cfg.d != 2:
@@ -82,21 +152,8 @@ def uniform_chain_state(algebra: Algebra, coupling: float = 1.0,
         raise InvalidArgument(f"chain beta x coupling overflows: {beta} x {coupling}")
     if beta < 0:
         raise InvalidArgument(f"chain beta must be >= 0 for a Gibbs state: {beta}")
-    Gw = _window_covariance(cfg.m, coupling, beta)
-    T = Gw - np.eye(cfg.m)
-    T = (T + T.conj().T) / 2
-    w, V = np.linalg.eigh(T)
-    w = np.clip(w, -1 + 1e-14, 1 - 1e-14)
-    iAeff = (V * (2.0 * np.arctanh(w))) @ V.conj().T
-    coeffs = {}
-    for a in range(cfg.m):
-        for b in range(cfg.m):
-            if a != b and abs(iAeff[a, b]) > 1e-14:
-                k = [0] * cfg.m
-                k[a] = 1
-                k[b] = 1
-                key = tuple(k)
-                sign = 1.0 if a < b else -1.0   # c_b c_a = -c_a c_b at d = 2
-                coeffs[key] = coeffs.get(key, 0.0) + 0.25 * sign * iAeff[a, b]
-    H_eff = algebra.element(coeffs)
-    return StateFunctional(kind="gibbs", beta=1.0, hamiltonian=H_eff)
+    if beta * abs(coupling) > MAX_BETA_COUPLING:
+        raise InvalidArgument(f"chain beta x |coupling| = {beta * abs(coupling):.6g} exceeds "
+                              f"{MAX_BETA_COUPLING:.1f}: the {RING}-site ring window would "
+                              f"miss the infinite chain by more than 1e-16")
+    return QuasiFreeState(_window_covariance(cfg.m, coupling, beta))

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, StateFunctional
+from .chains import QuasiFreeState
 from .errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
 from .verifier import GramReport, form_matrix
 
@@ -102,7 +103,7 @@ class TransferData:
     shift_defect: float = 0.0
 
 
-def transfer_operator(omega: StateFunctional, algebra: Algebra, basis,
+def transfer_operator(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
                       qspace: QuotientSpace, steps: int = 1) -> TransferData:
     """Compress the `steps`-generator shift onto the OS quotient `qspace` of `basis`.
 

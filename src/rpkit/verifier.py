@@ -42,6 +42,7 @@ import numpy as np
 from .algebra import (Algebra, AlgebraConfig, AlgebraElement, StateFunctional, check_dim,
                       digit_table, evaluate, root_table, theta, twisted_product, weyl_symbol)
 from .boxes import dft_zd
+from .chains import QuasiFreeState
 from .errors import InvalidArgument, InvalidConfig, SizeLimit, WrongHalf
 
 DEFAULT_TOL = 1e-10
@@ -177,6 +178,11 @@ def _family_exponents(algebra: Algebra, family) -> np.ndarray:
     return K
 
 
+def _theta_exponent(K: np.ndarray) -> np.ndarray:
+    """e(k, k) = -sum_{i>j} k_i k_j of each row k: theta(c^k) = q^e(k, k) c^(k reversed)."""
+    return -(K * (np.cumsum(K, axis=1) - K)).sum(1)
+
+
 def _weyl_words(cfg: AlgebraConfig, K: np.ndarray) -> tuple:
     """The shift index S, frequency index F and phase exponent P of every
     theta(B_a) o B_b, so that M_ab = zeta^P Omega[S, F] (form_matrix).
@@ -197,8 +203,8 @@ def _weyl_words(cfg: AlgebraConfig, K: np.ndarray) -> tuple:
     # left of digit h every frequency digit of B_b is its grade g_b
     left = ((freq[:n, None, :h] + np.arange(d)[:, None]) % d) @ place[:h]
     F = left[:, g] + (freq[n:, h:] @ place[h:])[None, :]
-    e = -(K * (np.cumsum(K, axis=1) - K)).sum(1)      # theta(c^k) = q^e(k, k) c^(k reversed)
-    P = ((phase[:n] + 2 * e)[:, None] + phase[None, n:] + (d + 1) * np.outer(g, g)) % (2 * d)
+    theta_a = phase[:n] + 2 * _theta_exponent(K)
+    P = (theta_a[:, None] + phase[None, n:] + (d + 1) * np.outer(g, g)) % (2 * d)
     return S, F, P
 
 
@@ -227,15 +233,20 @@ def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
         """Index of each state x + s, digit by digit, for each s."""
         return (x[None] + x[s][:, None]) % d @ (d ** np.arange(x.shape[1] - 1, -1, -1))
 
-    shifts, slot = _members(S, dim)
-    f_hi, f_lo = np.divmod(F, D2)
+    shifts, slot = _members(S.ravel(), dim)
+    f_hi, f_lo = np.divmod(F.ravel(), D2)
     cols, col = _members(f_lo, D2)
     F1 = zeta[2 * (hi @ hi.T) % (2 * d)]        # D1 x D1 DFT q^(f.i), high digits
     F2 = zeta[2 * (lo @ lo[cols].T) % (2 * d)]  # D2 x k, the low frequencies in use
     i = np.arange(dim).reshape(D1, 1, D2)
     flat = rho.ravel()
-    vals = np.empty(S.shape, dtype=complex)
+    vals = np.empty(S.size, dtype=complex)
     step = max(1, OMEGA_MACS // (dim * len(cols)))
+    # the pairs ordered by slot once, by a stable radix sort (slot < dim <=
+    # DEFAULT_CAP < 2^16): the pairs of shifts first .. first + u - 1 are
+    # order[start[first]:start[first + u]]
+    order = np.argsort(slot.astype(np.uint16), kind="stable")
+    start = np.concatenate([[0], np.cumsum(np.bincount(slot, minlength=len(shifts)))])
     for first in range(0, len(shifts), step):
         s_hi, s_lo = np.divmod(shifts[first:first + step], D2)
         u = len(s_hi)
@@ -243,27 +254,51 @@ def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
         # Om[f_hi, s, col]
         V = flat[(plus(hi, s_hi).T[:, :, None] * D2 + plus(lo, s_lo)[None]) * dim + i]
         Om = (F1 @ (V.reshape(-1, D2) @ F2).reshape(D1, -1)).ravel()
-        sel = (slot >= first) & (slot < first + u)
+        sel = order[start[first]:start[first + u]]
         vals[sel] = Om[(f_hi[sel] * u + slot[sel] - first) * len(cols) + col[sel]]
-    return zeta[P] * vals
+    return zeta[P] * vals.reshape(S.shape)
 
 
-def form_matrix(omega: StateFunctional, algebra: Algebra, family) -> np.ndarray:
+def _form(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
+          K: np.ndarray) -> np.ndarray:
+    """M_ab = omega(theta(B_a) o B_b) over the exponent rows K (form_matrix):
+    a quasi-free state gives its word values, any other state the Omega table
+    of its density."""
+    cfg = algebra.cfg
+    if not isinstance(omega, QuasiFreeState):
+        return _weyl_form(omega.density(algebra), cfg, _weyl_words(cfg, K))
+    n, g = len(K), K.sum(1) % cfg.d
+    P = (2 * _theta_exponent(K)[:, None] + (cfg.d - 1) * np.outer(g, g)) % (2 * cfg.d)
+    words = (K[:, None, ::-1] + K[None]).reshape(n * n, cfg.m)
+    return root_table(cfg.d)[P] * omega.word_values(cfg, words).reshape(n, n)
+
+
+def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
+                family) -> np.ndarray:
     """M_ab = omega(theta(B_a) o B_b) over a plus-half monomial family, unsymmetrized.
 
-    Each entry is one clock-shift (Weyl) word read off one table: by the
-    word rule of the algebra docstring, c^K[i, i + n] = eta^E q^(f.i + Q), so
-    omega(c^K) = tr(rho c^K) = eta^E q^Q Omega[n, f], Omega[n, f] =
-    sum_i rho[i + n, i] q^(f.i).
-
     theta(B_a) = q^e(k_a, k_a) c^(k_a reversed) lives left of the cut and B_b
-    right of it, so theta(B_a) B_b = q^e(k_a, k_a) c^K, K = rev k_a + k_b,
-    with no reordering.  n, f and E are linear in K and split into one part
-    per side.  Q is quadratic, and its cross terms add up to |k_a| |k_b|
-    (|k| = sum k): all of rev k_a sits before all of k_b except at odd w,
-    where digit h = w//2 holds c_w-1 of the left word and c_w of the right
-    one; there n_h sum_{t<h} n_t misses their product and K_2h K_2h+1 adds it
-    back.  With the grades g = |k| mod d and the twist xi = eta,
+    right of it.  Every generator of rev k_a precedes every one of k_b, so
+    e(rev k_a, k_b) = 0 and theta(B_a) B_b = q^e(k_a, k_a) c^K, K = rev k_a +
+    k_b, with no reordering; the twist adds xi^(g_a g_b), with the grades
+    g = |k| mod d (|k| = sum k).  With q = zeta^2 and xi = eta = zeta^(d-1),
+    for any state
+
+        M_ab = zeta^(2 e(k_a, k_a) + (d-1) g_a g_b) omega(c^K).
+
+    A quasi-free state (chains.QuasiFreeState) gives omega(c^K) of the n^2
+    words directly, as Pfaffians of its covariance (Wick's rule), with no
+    density; each carries the round-off of one pivoted elimination.
+
+    Every other state reads each entry, one clock-shift (Weyl) word, off one
+    table: by the word rule of the algebra docstring, c^K[i, i + n] =
+    eta^E q^(f.i + Q), so omega(c^K) = tr(rho c^K) = eta^E q^Q Omega[n, f],
+    Omega[n, f] = sum_i rho[i + n, i] q^(f.i).  n, f and E are linear in K
+    and split into one part per side.  Q is quadratic, and its cross terms
+    add up to |k_a| |k_b|: all of rev k_a sits before all of k_b except at
+    odd w, where digit h = w//2 holds c_w-1 of the left word and c_w of the
+    right one; there n_h sum_{t<h} n_t misses their product and K_2h K_2h+1
+    adds it back.  So
 
         M_ab = zeta^P Omega[n, f],   P = (d-1)(E + g_a g_b) + 2(Q + e(k_a, k_a)),
 
@@ -284,16 +319,16 @@ def form_matrix(omega: StateFunctional, algebra: Algebra, family) -> np.ndarray:
     leading block of a family's form is the form of its leading members up
     to that round-off: BLAS may sum in another order for another family.
     """
-    K = _family_exponents(algebra, family)
-    return _weyl_form(omega.density(algebra), algebra.cfg, _weyl_words(algebra.cfg, K))
+    return _form(omega, algebra, _family_exponents(algebra, family))
 
 
-def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_TOL) -> GramReport:
+def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
+         tol: float = DEFAULT_TOL) -> GramReport:
     """M_ab = omega(theta(B_a) o B_b) over plus-half monomials, with verdict.
 
-    The form is form_matrix's table, under its GATHER_ENTRIES budget.  The
+    The form is form_matrix's, under its GATHER_ENTRIES budget.  The
     reflection defect max_a |omega(theta(B_a)) - conj(omega(B_a))| reads the
-    one-point values off the same table: theta(1) = 1 and the twist of a
+    one-point values off the same form: theta(1) = 1 and the twist of a
     grade-0 factor is 1, so omega(theta(B_a)) is the identity column and
     omega(B_a) the identity row.  A basis without the identity gets it as an
     extra last member.  The budget gate counts the caller's n only, as it
@@ -307,7 +342,7 @@ def gram(omega: StateFunctional, algebra: Algebra, basis, tol: float = DEFAULT_T
     if one.size == 0:
         K = np.vstack([K, np.zeros((1, algebra.cfg.m), dtype=K.dtype)])
     i0 = one[0] if one.size else n
-    M = _weyl_form(omega.density(algebra), algebra.cfg, _weyl_words(algebra.cfg, K))
+    M = _form(omega, algebra, K)
     refl = float(np.abs(M[:n, i0] - M[i0, :n].conj()).max(initial=0.0))
     return gram_report_from_matrix(M[:n, :n], basis, tol, reflection_defect=refl)
 

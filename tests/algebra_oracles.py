@@ -13,16 +13,54 @@ exact reference of the closed-form ordering rule (rpkit.algebra._swap_phase)
 behind *, star and theta.  The OS step over the basis and its shifts by up
 to three multiples of `steps`, with gram's window form pasted back in, is
 the reference of rpkit.reconstruction.transfer_operator, which reads the
-shift images only.
+shift images only.  The chain window's density, built from an entanglement
+Hamiltonian of its covariance, is the reference of the Pfaffian word values
+of rpkit.chains.QuasiFreeState; the oracles that read a density read it.
+The Omega table with each chunk's pairs picked by a mask is the bit-for-bit
+reference of the pair order in rpkit.verifier._weyl_form.
 """
 
 import numpy as np
 
-from rpkit.algebra import _swap_phase, clock_shift, theta, unit_root
+from rpkit.algebra import (StateFunctional, _swap_phase, clock_shift, digit_table, root_table,
+                           theta, unit_root)
+from rpkit.chains import QuasiFreeState
 from rpkit.errors import PreconditionViolation, ReconstructionFailure
 from rpkit.reconstruction import (DEFAULT_TOL, KERNEL_TOL, SHIFT_TOL, TransferData,
                                   compress_shift, energies, shift_defect, time_shift)
-from rpkit.verifier import form_matrix, gram
+from rpkit import verifier
+from rpkit.verifier import _members, form_matrix, gram
+
+
+def dense_state(omega, algebra) -> StateFunctional:
+    """omega itself, or for a quasi-free state the Gibbs state of
+    H_eff = (i/4) sum_ab A_ab c_a c_b with its window covariance G =
+    <c_a c_b> on the m generators of `algebra`.
+
+    The reduced state of a quadratic chain is Gibbs of a quadratic
+    (entanglement) Hamiltonian: with T = G - 1 = V w V^H, iA =
+    V 2 arctanh(w) V^H.  w is clipped at 1 - 1e-14 and coefficients below
+    1e-14 are cut.
+    """
+    if not isinstance(omega, QuasiFreeState):
+        return omega
+    m = algebra.cfg.m
+    T = omega.covariance - np.eye(m)
+    T = (T + T.conj().T) / 2
+    w, V = np.linalg.eigh(T)
+    w = np.clip(w, -1 + 1e-14, 1 - 1e-14)
+    iAeff = (V * (2.0 * np.arctanh(w))) @ V.conj().T
+    coeffs = {}
+    for a in range(m):
+        for b in range(m):
+            if a != b and abs(iAeff[a, b]) > 1e-14:
+                k = [0] * m
+                k[a] = 1
+                k[b] = 1
+                key = tuple(k)
+                sign = 1.0 if a < b else -1.0   # c_b c_a = -c_a c_b at d = 2
+                coeffs[key] = coeffs.get(key, 0.0) + 0.25 * sign * iAeff[a, b]
+    return StateFunctional(kind="gibbs", beta=1.0, hamiltonian=algebra.element(coeffs))
 
 
 def _kron(ops):
@@ -132,7 +170,7 @@ def gemm_form_matrix(omega, algebra, family) -> np.ndarray:
     for a, E in enumerate(elems):
         L[a] = dense_rep(gens, theta(E))
         Rt[a] = dense_rep(gens, E).T
-    X = omega.density(algebra) @ L
+    X = dense_state(omega, algebra).density(algebra) @ L
     M = X.reshape(n, dim * dim) @ Rt.reshape(n, dim * dim).T
     g = np.array([E.grade for E in elems], dtype=int)
     M *= algebra.cfg.twist(g[:, None], g[None, :])
@@ -235,7 +273,7 @@ def gathered_form(omega, algebra, family) -> np.ndarray:
     """
     PL, HL, PR, HR, g = pair_tables(algebra, family)
     n, dim = PL.shape
-    rho = omega.density(algebra).ravel()
+    rho = dense_state(omega, algebra).density(algebra).ravel()
     twist = algebra.cfg.twist(g[:, None], g[None, :])
     cols = np.arange(dim)
     M = np.empty((n, n), dtype=complex)
@@ -255,7 +293,7 @@ def one_point(rho, perms, phases) -> np.ndarray:
 def gathered_reflection_defect(omega, algebra, family) -> float:
     """max_a |omega(theta(B_a)) - conj(omega(B_a))| from the pair tables."""
     PL, HL, PR, HR, _ = pair_tables(algebra, family)
-    rho = omega.density(algebra)
+    rho = dense_state(omega, algebra).density(algebra)
     diff = one_point(rho, PL, HL) - np.conj(one_point(rho, PR, HR))
     return float(np.abs(diff).max(initial=0.0))
 
@@ -319,3 +357,35 @@ def multiple_shift_transfer(omega, algebra, basis, qspace, steps=1) -> TransferD
     return TransferData(transfer=T, eigenvalues=w, energies=energies(w, steps), dt=float(steps),
                         kernel_dim=int((w <= KERNEL_TOL).sum()), asymmetry=comp.asymmetry,
                         normalization=norm, shift_defect=defect)
+
+
+def masked_weyl_form(rho, cfg, words) -> np.ndarray:
+    """rpkit.verifier._weyl_form with each chunk's pairs picked by a mask
+    over all n^2 pairs, chunks x n^2 work: the same reads and writes as the
+    pairs ordered by chunk once, so the same bits."""
+    S, F, P = words
+    d, w, dim = cfg.d, cfg.m // 2, cfg.dim
+    hi, lo = digit_table(d, w // 2), digit_table(d, w - w // 2)
+    D1, D2 = len(hi), len(lo)
+    zeta = root_table(d)
+
+    def plus(x, s):
+        return (x[None] + x[s][:, None]) % d @ (d ** np.arange(x.shape[1] - 1, -1, -1))
+
+    shifts, slot = _members(S, dim)
+    f_hi, f_lo = np.divmod(F, D2)
+    cols, col = _members(f_lo, D2)
+    F1 = zeta[2 * (hi @ hi.T) % (2 * d)]
+    F2 = zeta[2 * (lo @ lo[cols].T) % (2 * d)]
+    i = np.arange(dim).reshape(D1, 1, D2)
+    flat = rho.ravel()
+    vals = np.empty(S.shape, dtype=complex)
+    step = max(1, verifier.OMEGA_MACS // (dim * len(cols)))
+    for first in range(0, len(shifts), step):
+        s_hi, s_lo = np.divmod(shifts[first:first + step], D2)
+        u = len(s_hi)
+        V = flat[(plus(hi, s_hi).T[:, :, None] * D2 + plus(lo, s_lo)[None]) * dim + i]
+        Om = (F1 @ (V.reshape(-1, D2) @ F2).reshape(D1, -1)).ravel()
+        sel = (slot >= first) & (slot < first + u)
+        vals[sel] = Om[(f_hi[sel] * u + slot[sel] - first) * len(cols) + col[sel]]
+    return zeta[P] * vals

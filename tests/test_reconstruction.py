@@ -251,11 +251,11 @@ class TestRefusalMessages:
 
 @pytest.mark.parametrize("cfg", [
     {"d": 2, "m": 6, "state": "trace"},
-    {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": 1.0}, "basis_room": 2, "steps": 2},
-], ids=["trace-full-basis", "chain-window"])
+], ids=["trace-full-basis"])
 def test_reconstruct_reads_density_once_per_form(tmp_path, monkeypatch, cfg):
     # the window Gram (form and reflection defect) reads it once, the
-    # transfer's extended form once
+    # transfer's extended form once; a chain window reads none
+    # (test_chains.py::test_chain_reconstruct_builds_no_density)
     calls = []
     density = StateFunctional.density
     monkeypatch.setattr(StateFunctional, "density",
@@ -268,7 +268,7 @@ def test_reconstruct_reads_density_once_per_form(tmp_path, monkeypatch, cfg):
 
 
 def test_chain_window_diagonalizes_each_form_once(tmp_path, monkeypatch):
-    # window covariance (1), Gibbs density (1), window Gram (1), transfer (1):
+    # window Gram (1) and transfer (1): the window's values are Pfaffians, and
     # the quotient, the energies and the report reuse these
     calls = []
     for name in ("eigh", "eigvalsh"):
@@ -281,7 +281,7 @@ def test_chain_window_diagonalizes_each_form_once(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["reconstruct", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out.json")]) == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, _weyl_words,
                             sft_positivity, sft_positivity_sequence)
 
 from algebra_oracles import (gathered_form, gathered_reflection_defect, gemm_form_matrix,
-                             multiple_shift_family, pair_tables)
+                             masked_weyl_form, multiple_shift_family, pair_tables)
 from conftest import make_algebra, random_element
 
 
@@ -432,6 +432,23 @@ def test_form_matrix_in_small_chunks_matches_gather(case, macs):
         got = form_matrix(omega, algebra, family)
     bound = form_bound(algebra, got)
     assert np.abs(got - gathered_form(omega, algebra, family)).max() <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=form_cases(), macs=st.sampled_from([1, 2**6, 2**9]))
+def test_chunk_order_is_the_masks_bit_for_bit(case, macs):
+    """The pairs ordered by chunk once against each chunk's mask over all
+    n^2 pairs (algebra_oracles.masked_weyl_form), with OMEGA_MACS small
+    enough for many chunks: the same entries read, so the same bits."""
+    algebra, omega, _, family = case
+    K = verifier._family_exponents(algebra, family)
+    words = _weyl_words(algebra.cfg, K)
+    rho = omega.density(algebra)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifier, "OMEGA_MACS", macs)
+        got = verifier._weyl_form(rho, algebra.cfg, words)
+        want = masked_weyl_form(rho, algebra.cfg, words)
+    assert np.array_equal(got, want)
 
 
 def test_form_matrix_wide_shift_chunks_match_gather():
