@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 from .algebra import (AlgebraConfig, Algebra, AlgebraElement, StateFunctional,
                       build_algebra, clock_shift, evaluate, theta, twisted_product)
 from .verifier import (CouplingDecomposition, GramReport, coupling_decomposition,
-                       coupling_element, gram, plus_basis,
+                       coupling_element, form_matrix, gram, leading_report, plus_basis,
                        sft_positivity, sft_positivity_sequence)
 from .reconstruction import (QuotientSpace, SpectrumReport, TransferData, quantize,
-                             spectrum_report, time_shift, transfer_operator)
+                             shift_family, spectrum_report, time_shift, transfer_operator)
 from .lattice import (GreenSet, LatticeModel, covariance_rp, green_set,
                       lattice_operator, monotonicity_verdict, stochastic_covariance,
                       stochastic_rp_scan)
@@ -25,9 +25,10 @@ __all__ = [
     "AlgebraConfig", "Algebra", "AlgebraElement", "StateFunctional", "build_algebra",
     "clock_shift", "evaluate", "theta", "twisted_product",
     "CouplingDecomposition", "GramReport", "coupling_decomposition", "coupling_element",
-    "gram", "plus_basis", "sft_positivity", "sft_positivity_sequence",
-    "QuotientSpace", "SpectrumReport", "TransferData", "quantize", "spectrum_report",
-    "time_shift", "transfer_operator",
+    "form_matrix", "gram", "leading_report", "plus_basis", "sft_positivity",
+    "sft_positivity_sequence",
+    "QuotientSpace", "SpectrumReport", "TransferData", "quantize", "shift_family",
+    "spectrum_report", "time_shift", "transfer_operator",
     "GreenSet", "LatticeModel", "covariance_rp", "green_set", "lattice_operator",
     "monotonicity_verdict", "stochastic_covariance", "stochastic_rp_scan",
     "Box22", "adjoint", "dft_zd", "cyclic_convolve", "group_box", "identity_box",

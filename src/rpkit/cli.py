@@ -32,11 +32,12 @@ from .errors import (InvalidArgument, InvalidConfig, InvalidGeometry, InvalidSta
                      RpkitError, SizeLimit, WrongHalf)
 from .lattice import (VIOLATION_TOL, LatticeModel, chain_gap, covariance_rp, green_set,
                       monotonicity_of, stochastic_rp_scan)
-from .reconstruction import quantize, spectrum_report, transfer_operator
+from .reconstruction import quantize, shift_family, spectrum_report, transfer_operator
 from .report import CONVENTIONS, curve_csv, to_text, truncate_witness
 from .verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
-                       draw_generic_hamiltonian, draw_theorem_hamiltonian, gram,
-                       plus_basis, sft_positivity, sft_positivity_sequence)
+                       draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
+                       gram, leading_report, plus_basis, sft_positivity,
+                       sft_positivity_sequence)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -190,12 +191,17 @@ def run_reconstruct(cfg, tol, rng):
     steps = _count(cfg.get("steps", 1), "steps", 0, algebra.cfg.m // 2)
     basis = [k for k in plus_basis(algebra.cfg)
              if not any(k[algebra.cfg.m - room:])] if room else plus_basis(algebra.cfg)
-    greport = gram(omega, algebra, basis, tol)
+    # one form over the window and its shift images: its budget gate refuses
+    # before any form is built, the window Gram is its leading block, and the
+    # identity (first in plus_basis) gives the reflection defect
+    family, shifted = shift_family(basis, steps, algebra.cfg)
+    M = form_matrix(omega, algebra, family)
+    greport = leading_report(M, basis, 0, tol)
     if greport.verdict != POSITIVE:
         return NOT_APPLICABLE, {"gram_verdict": greport.verdict,
                                 "min_eig": greport.min_eig}
     q = quantize(greport)
-    td = transfer_operator(omega, algebra, basis, q, steps=steps)
+    td = transfer_operator(M, shifted, q, steps)
     spec = spectrum_report(td)
     results = {
         "verdict": POSITIVE,

@@ -2,9 +2,11 @@
 
 One construction serves the algebra and the lattice side.  Take the RP form
 omega(theta(A) o B) on a window basis followed by the new shift images of
-its members, quotient the window by the null space of the form (quantize),
-and compress the shift, T[B] = [alpha B], onto the quotient (compress_shift).
-Shifts falling off the chain map to the zero class.
+its members (shift_family), quotient the window by the null space of the
+form (quantize), and compress the shift, T[B] = [alpha B], onto the quotient
+(compress_shift).  Shifts falling off the chain map to the zero class.  The
+form is evaluated once: the window Gram that quantize reads is its leading
+block (verifier.leading_report), and transfer_operator reads the same form.
 
 Null rule, in quantize only: a window Gram eigenvalue is null iff it is
 <= tol.  quantize reads the eigenpairs and tol of the GramReport, so the
@@ -33,10 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, StateFunctional
-from .chains import QuasiFreeState
 from .errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
-from .verifier import GramReport, form_matrix
+from .verifier import GramReport
 
 DEFAULT_TOL = 1e-10
 SHIFT_TOL = 1e-10   # shift-invariance gate, times max(1, max |M|)
@@ -83,6 +83,22 @@ def time_shift(k, steps: int, cfg) -> tuple | None:
     return tuple([0] * w + [0] * steps + plus[:w - steps])
 
 
+def shift_family(basis, steps: int, cfg) -> tuple:
+    """The basis followed by the new shift images of its members by `steps`
+    generators, and shifted[j], the family index of the shift of member j
+    (None when it falls off the chain)."""
+    family = list(basis)
+    index = {k: i for i, k in enumerate(family)}
+    shifted = []
+    for k in basis:
+        sk = time_shift(k, steps, cfg)
+        if sk is not None and sk not in index:
+            index[sk] = len(family)
+            family.append(sk)
+        shifted.append(None if sk is None else index[sk])
+    return family, shifted
+
+
 def energies(w: np.ndarray, dt: float) -> np.ndarray:
     """Ascending -log(w)/dt over the transfer eigenvalues w > KERNEL_TOL."""
     # + 0.0 turns -log(1) = -0.0 into 0.0
@@ -103,30 +119,20 @@ class TransferData:
     shift_defect: float = 0.0
 
 
-def transfer_operator(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
-                      qspace: QuotientSpace, steps: int = 1) -> TransferData:
-    """Compress the `steps`-generator shift onto the OS quotient `qspace` of `basis`.
+def transfer_operator(M: np.ndarray, shifted, qspace: QuotientSpace,
+                      steps: int = 1) -> TransferData:
+    """Compress the `steps`-generator shift onto the OS quotient `qspace`.
 
-    The form is evaluated on the basis followed by its new shift images by
-    `steps` generators; its leading block is the form `qspace` quotients, up
-    to round-off (form_matrix).  dt equals `steps` in lattice units.  T is
-    diagonalized once: its eigenvalues feed the normalization and positivity
-    gates and energies().  A basis member off the plus half is refused with
-    WrongHalf by the form.
+    M is the form (verifier.form_matrix) on a family whose leading
+    len(shifted) members are the window and whose further members are the
+    new shift images (shift_family); shifted[j] is the family index of the
+    shift of window member j, or None.  qspace quotients the leading block of
+    this same form, so the form is evaluated once per reconstruction.  dt
+    equals `steps` in lattice units.  T is diagonalized once: its eigenvalues
+    feed the normalization and positivity gates and energies().
     """
     if steps < 0:
         raise InvalidArgument("transfer_operator needs steps >= 0")
-    cfg = algebra.cfg
-    family = list(basis)
-    index = {k: i for i, k in enumerate(family)}
-    shifted = []
-    for k in basis:
-        sk = time_shift(k, steps, cfg)
-        if sk is not None and sk not in index:
-            index[sk] = len(family)
-            family.append(sk)
-        shifted.append(None if sk is None else index[sk])
-    M = form_matrix(omega, algebra, family)
     M = (M + M.conj().T) / 2
     scale = max(1.0, float(np.abs(M).max()))
 

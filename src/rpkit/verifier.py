@@ -315,9 +315,14 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     w//2 high ones: u k (dim + d^(2 (w//2))) <= 2 u dim k multiply-adds, in
     chunks of shifts sized by OMEGA_MACS.  By Cauchy-Schwarz
     sum_i |rho[i + n, i]| <= tr rho = 1, so each entry is within about
-    (d^(w//2) + d^(w - w//2)) eps <= (dim + 1) eps of the exact form.  The
-    leading block of a family's form is the form of its leading members up
-    to that round-off: BLAS may sum in another order for another family.
+    (d^(w//2) + d^(w - w//2)) eps <= (dim + 1) eps of the exact form.
+
+    reconstruct evaluates one form, over the window followed by its shift
+    images, and reads the window Gram off its leading block (leading_report).
+    That block is the window's own form (gram) bit for bit for a quasi-free
+    state, whose word values are elementwise eliminations, and up to the
+    round-off above otherwise: BLAS may sum in another order for another
+    family.
     """
     return _form(omega, algebra, _family_exponents(algebra, family))
 
@@ -341,9 +346,16 @@ def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
     one = np.flatnonzero(~K.any(1))
     if one.size == 0:
         K = np.vstack([K, np.zeros((1, algebra.cfg.m), dtype=K.dtype)])
-    i0 = one[0] if one.size else n
-    M = _form(omega, algebra, K)
-    refl = float(np.abs(M[:n, i0] - M[i0, :n].conj()).max(initial=0.0))
+    return leading_report(_form(omega, algebra, K), basis, one[0] if one.size else n, tol)
+
+
+def leading_report(M: np.ndarray, basis, one: int, tol: float = DEFAULT_TOL) -> GramReport:
+    """The GramReport of the leading len(basis) block of a family form M
+    (form_matrix), with the reflection defect read as gram reads it: member
+    `one` of the family is the identity, so its column holds omega(theta(B_a))
+    and its row omega(B_a)."""
+    n = len(basis)
+    refl = float(np.abs(M[:n, one] - M[one, :n].conj()).max(initial=0.0))
     return gram_report_from_matrix(M[:n, :n], basis, tol, reflection_defect=refl)
 
 

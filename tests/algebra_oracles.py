@@ -12,8 +12,8 @@ normal order of a word by bubble sort, one adjacent swap at a time, is the
 exact reference of the closed-form ordering rule (rpkit.algebra._swap_phase)
 behind *, star and theta.  The OS step over the basis and its shifts by up
 to three multiples of `steps`, with gram's window form pasted back in, is
-the reference of rpkit.reconstruction.transfer_operator, which reads the
-shift images only.  The chain window's density, built from an entanglement
+the reference of rpkit.reconstruction.transfer_operator, which reads one
+form over the shift images only.  The chain window's density, built from an entanglement
 Hamiltonian of its covariance, is the reference of the Pfaffian word values
 of rpkit.chains.QuasiFreeState; the oracles that read a density read it.
 The Omega table with each chunk's pairs picked by a mask is the bit-for-bit
@@ -306,8 +306,8 @@ def multiple_shift_family(basis, steps, cfg, multiples=SHIFT_MULTIPLES) -> tuple
 
     With three multiples, the family transfer_operator once evaluated; the
     members past the shift images by `steps` enter the compression only as
-    trailing zero rows of the shift.  With one, the family it evaluates now.
-    Returns the family and its index map.
+    trailing zero rows of the shift.  With one, the family of
+    rpkit.reconstruction.shift_family.  Returns the family and its index map.
     """
     family = list(basis)
     index = {k: i for i, k in enumerate(family)}

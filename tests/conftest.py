@@ -1,6 +1,8 @@
 import pytest
 
 from rpkit.algebra import Algebra, AlgebraConfig
+from rpkit.reconstruction import shift_family
+from rpkit.verifier import form_matrix
 
 _CACHE = {}
 acceptance_lines = []
@@ -19,6 +21,13 @@ def make_algebra(d, m):
     if key not in _CACHE:
         _CACHE[key] = Algebra(AlgebraConfig(d, m))
     return _CACHE[key]
+
+
+def family_form(omega, algebra, basis, steps=1):
+    """The form over the basis and its new shift images by `steps`, and the
+    shift index, as reconstruct builds them for transfer_operator."""
+    family, shifted = shift_family(basis, steps, algebra.cfg)
+    return form_matrix(omega, algebra, family), shifted
 
 
 @pytest.fixture

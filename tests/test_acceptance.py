@@ -24,7 +24,7 @@ from rpkit.verifier import (NEGATIVE, POSITIVE, coupling_decomposition,
                             draw_generic_hamiltonian, draw_theorem_hamiltonian, gram,
                             plus_basis, sft_positivity)
 
-from conftest import acceptance_lines, make_algebra, random_element
+from conftest import acceptance_lines, family_form, make_algebra, random_element
 from lattice_oracles import counterexample_covariance, covariance_green_set
 
 
@@ -203,7 +203,7 @@ def test_criterion_6_os_reconstruction():
         q = quantize(rep)
         assert q.rank + q.null_vectors.shape[1] == len(basis)
         try:
-            td = transfer_operator(om, alg, basis, q, steps=1)
+            td = transfer_operator(*family_form(om, alg, basis, 1), q, steps=1)
         except (PreconditionViolation, Exception) as exc:
             if not isinstance(exc, PreconditionViolation):
                 from rpkit.errors import ReconstructionFailure
@@ -233,7 +233,7 @@ def test_criterion_6_os_reconstruction():
         rep = gram(om, alg, basis)
         assert rep.psd
         q = quantize(rep)
-        td = transfer_operator(om, alg, basis, q, steps=2)
+        td = transfer_operator(*family_form(om, alg, basis, 2), q, steps=2)
         evT = np.linalg.eigvalsh(td.transfer)
         worst_Tmin = min(worst_Tmin, float(evT.min()))
         worst_Tmax = max(worst_Tmax, float(evT.max()))

@@ -491,8 +491,8 @@ def test_weyl_words_are_the_composed_pairs(case):
 @settings(max_examples=60, deadline=None)
 @given(case=form_cases())
 def test_family_form_leading_block_is_gram_form(case):
-    """transfer_operator quotients the window by gram's form and compresses the
-    shift with the family form: the two agree on the window to round-off.
+    """reconstruct reads the window Gram off the family form, where rp-gram
+    evaluates gram's form: the two agree on the window to round-off.
 
     Not bit for bit: the BLAS product and numpy's complex multiply can take
     another order for another family size (d = 4, m = 6, trace state, a
