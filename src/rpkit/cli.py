@@ -1,7 +1,8 @@
 """Command-line front end: config in, verdicts and machine-readable reports out.
 
 Exit codes: 0 positive verdicts, 1 negative (violation found), 2
-not-applicable or reconstruction failure, 3 config/parse error, 4 size cap
+not-applicable or reconstruction failure, 3 config/parse error (usage errors
+of the command line too), 4 size cap
 exceeded, 5 I/O failure, 6 internal error (any other exception, reported as
 one line "rpkit: internal error: <Type>: <message>" without a traceback).
 reconstruct never exits 1: a Gram or transfer that fails a gate is refused
@@ -37,7 +38,7 @@ from .report import CONVENTIONS, curve_csv, to_text, truncate_witness
 from .verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                        draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
                        gram, leading_report, plus_basis, sft_positivity,
-                       sft_positivity_sequence)
+                       sft_positivity_sequence, _sectors)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -159,6 +160,7 @@ def run_rp_gram(cfg, tol, rng):
     results = {
         "verdict": rep.verdict,
         "min_eig": rep.min_eig,
+        "worst_sector": rep.sector,
         "psd": rep.psd,
         "marginal": rep.marginal,
         "hermiticity_defect": rep.herm_defect,
@@ -196,7 +198,7 @@ def run_reconstruct(cfg, tol, rng):
     # identity (first in plus_basis) gives the reflection defect
     family, shifted = shift_family(basis, steps, algebra.cfg)
     M = form_matrix(omega, algebra, family)
-    greport = leading_report(M, basis, 0, tol)
+    greport = leading_report(M, basis, 0, tol, _sectors(omega, algebra.cfg, basis))
     if greport.verdict != POSITIVE:
         return NOT_APPLICABLE, {"gram_verdict": greport.verdict,
                                 "min_eig": greport.min_eig}
@@ -351,12 +353,23 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises _UsageError on a usage error, where argparse exits
+    2, which means not-applicable in the exit-code contract."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use.  Its command choices are the
     COMMANDS table itself, read at parse time."""
-    parser = argparse.ArgumentParser(prog="rpkit",
-                                     description="reflection positivity verification toolkit")
+    parser = _Parser(prog="rpkit", description="reflection positivity verification toolkit")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--tol", type=float, default=None)
@@ -369,7 +382,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _main(argv) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:  # argparse's own text, on exit 3 instead of its 2
+        _parser().print_usage(sys.stderr)
+        print(f"rpkit: error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

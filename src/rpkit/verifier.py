@@ -28,6 +28,23 @@ For couplings living on a single Z_d ladder and depending only on the ladder
 difference, the criterion reduces to a Bochner test: the coupling block
 reshuffles into a circulant whose eigenvalues are the DFT of the sequence
 (see sft_positivity_sequence and the boxes module).
+
+Grade sectors (Jaffe-Pedrocchi, arXiv:1406.1384).  Let the reflection charge
+of a word c^K be chi(K) = sum_{j>m/2} K_j - sum_{j<=m/2} K_j mod d.  The map
+c_j -> q^-1 c_j left of the cut and c_j -> q c_j right of it keeps every
+relation (c_j^d = 1, c_j* = c_j^-1, c_i c_j = q c_j c_i), so it is a
+*-automorphism of the algebra, a full matrix algebra, and hence inner: Ad(Z)
+for a unitary Z, with Z c^K Z* = q^chi(K) c^K.  When every word of H has
+chi(K) = 0, Z H Z* = H, so rho commutes with Z and omega(c^K) =
+tr(rho Z c^K Z*) = q^chi(K) omega(c^K): omega(c^K) = 0 unless chi(K) = 0.
+theta(B_a) o B_b is a multiple of c^K with K = rev k_a + k_b, and chi(K) =
+|k_b| - |k_a| = g_b - g_a mod d, so M_ab = 0 exactly unless g_a = g_b: the
+form is block diagonal over the grades.  The trace state (H = 0) conserves
+chi, and so does every cross element E_k (chi = |k| - |k|) and every
+grade-0 one-sided word, hence every theorem-class H; a generic H does not.
+_sectors reads this off the words of H, _form evaluates the in-block pairs
+only and writes 0.0 across blocks, and gram_report_from_matrix takes one eigh
+per block.
 """
 
 from __future__ import annotations
@@ -106,16 +123,44 @@ class GramReport:
     eigenvectors: np.ndarray | None = None  # columns pair with `eigenvalues`
     not_applicable_reason: str = ""     # the gate that tripped: reflection or hermiticity
     mode: tuple = ()
+    sector: int | None = None           # grade of the block that holds min_eig
 
 
 def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
-                            reflection_defect: float = 0.0) -> GramReport:
-    """PSD verdict machinery shared by the algebra and lattice Gram forms."""
+                            reflection_defect: float = 0.0,
+                            sectors: np.ndarray | None = None) -> GramReport:
+    """PSD verdict machinery shared by the algebra and lattice Gram forms.
+
+    sectors labels each member with its grade sector (_sectors); M is block
+    diagonal over them, and None is one block.  Each block gets its own eigh;
+    the eigenpairs are embedded in the full basis and sorted ascending, so
+    the witness is the worst block's bottom eigenvector, and the report's
+    sector is that block's grade (None for a form of one block).
+    """
     herm = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
     Ms = (M + M.conj().T) / 2
-    ev, vec = np.linalg.eigh(Ms) if M.size else (np.zeros(0), np.zeros((0, 0)))
+    if sectors is None or not np.any(sectors != sectors[:1]):
+        ev, vec = np.linalg.eigh(Ms)
+        sector = None
+    else:
+        # members grouped by sector, so that each block is a slice
+        perm = np.argsort(sectors, kind="stable")
+        counts = np.bincount(sectors)
+        grades = np.flatnonzero(counts)
+        ends = np.cumsum(counts[grades]).tolist()
+        Mp = Ms[np.ix_(perm, perm)]
+        vec = np.zeros_like(Ms)
+        parts = []
+        for a, b in zip([0] + ends, ends):
+            w, vec[perm[a:b], a:b] = np.linalg.eigh(Mp[a:b, a:b])
+            parts.append(w)
+        ev = np.concatenate(parts)
+        order = np.argsort(ev, kind="stable")
+        ev, vec = ev[order], vec[:, order]
+        sector = int(grades[np.searchsorted(ends, order[0], side="right")])
     witness = vec[:, 0] if ev.size else np.zeros(0)
-    return _judged(list(basis), Ms, ev, vec, witness, tol, herm, reflection_defect)
+    return _judged(list(basis), Ms, ev, vec, witness, tol, herm, reflection_defect,
+                   sector=sector)
 
 
 def spectral_report(basis, ev: np.ndarray, witness: np.ndarray, tol: float, herm: float,
@@ -137,10 +182,12 @@ def scaled_report(rep: GramReport, factor: float) -> GramReport:
     """
     M = None if rep.matrix is None else factor * rep.matrix
     return _judged(rep.basis, M, factor * rep.eigenvalues, rep.eigenvectors, rep.witness,
-                   rep.tol, factor * rep.herm_defect, rep.reflection_defect, rep.mode)
+                   rep.tol, factor * rep.herm_defect, rep.reflection_defect, rep.mode,
+                   rep.sector)
 
 
-def _judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, mode=()) -> GramReport:
+def _judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, mode=(),
+            sector=None) -> GramReport:
     """The one verdict rule: the gates, then PSD against -tol."""
     min_eig = float(ev[0]) if ev.size else 0.0
     psd = min_eig >= -tol
@@ -150,7 +197,7 @@ def _judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, mode=()) 
         basis=basis, matrix=Ms, min_eig=min_eig, psd=psd, witness=witness,
         tol=tol, verdict=verdict, herm_defect=herm, reflection_defect=reflection_defect,
         marginal=psd and min_eig < 0, eigenvalues=ev, eigenvectors=vec,
-        not_applicable_reason=reason, mode=mode)
+        not_applicable_reason=reason, mode=mode, sector=sector)
 
 
 def _family_exponents(algebra: Algebra, family) -> np.ndarray:
@@ -259,14 +306,38 @@ def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
     return zeta[P] * vals.reshape(S.shape)
 
 
+def _sectors(omega: StateFunctional | QuasiFreeState, cfg: AlgebraConfig,
+             K) -> np.ndarray:
+    """The grade sector of each exponent row k of K: its grade |k| mod d when
+    omega conserves the reflection charge chi (module docstring), else 0 for
+    every row, one block.
+
+    The trace state conserves it, and so does a Gibbs state all of whose
+    Hamiltonian words have chi = 0.  A quasi-free chain state is one block.
+    """
+    if isinstance(omega, QuasiFreeState):
+        return np.zeros(len(K), dtype=int)
+    if omega.kind == "gibbs":
+        d, w = omega.hamiltonian.cfg.d, omega.hamiltonian.cfg.m // 2
+        if any((sum(k[w:]) - sum(k[:w])) % d for k in omega.hamiltonian.coeffs):
+            return np.zeros(len(K), dtype=int)
+    return np.asarray(K).reshape(len(K), -1).sum(1) % cfg.d
+
+
 def _form(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
-          K: np.ndarray) -> np.ndarray:
+          K: np.ndarray, sectors: np.ndarray) -> np.ndarray:
     """M_ab = omega(theta(B_a) o B_b) over the exponent rows K (form_matrix):
-    a quasi-free state gives its word values, any other state the Omega table
-    of its density."""
+    a quasi-free state gives its word values (one block, _sectors), any other
+    state the Omega table of its density over the pairs within one grade
+    sector, with 0.0 across sectors."""
     cfg = algebra.cfg
     if not isinstance(omega, QuasiFreeState):
-        return _weyl_form(omega.density(algebra), cfg, _weyl_words(cfg, K))
+        n = len(K)
+        pairs = sectors[:, None] == sectors[None, :]
+        S, F, P = _weyl_words(cfg, K)
+        M = np.zeros((n, n), dtype=complex)
+        M[pairs] = _weyl_form(omega.density(algebra), cfg, (S[pairs], F[pairs], P[pairs]))
+        return M
     n, g = len(K), K.sum(1) % cfg.d
     P = (2 * _theta_exponent(K)[:, None] + (cfg.d - 1) * np.outer(g, g)) % (2 * cfg.d)
     words = (K[:, None, ::-1] + K[None]).reshape(n * n, cfg.m)
@@ -317,6 +388,12 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     sum_i |rho[i + n, i]| <= tr rho = 1, so each entry is within about
     (d^(w//2) + d^(w - w//2)) eps <= (dim + 1) eps of the exact form.
 
+    When omega conserves the reflection charge (module docstring: the trace
+    state and every theorem-class Gibbs state), M_ab = 0 exactly unless
+    g_a = g_b, so only the pairs within a grade sector are evaluated and the
+    others are 0.0 (_sectors, _form): about n^2/d of the n^2 pairs.  Any
+    other state is one sector, and all n^2 pairs are evaluated.
+
     reconstruct evaluates one form, over the window followed by its shift
     images, and reads the window Gram off its leading block (leading_report).
     That block is the window's own form (gram) bit for bit for a quasi-free
@@ -324,7 +401,8 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     round-off above otherwise: BLAS may sum in another order for another
     family.
     """
-    return _form(omega, algebra, _family_exponents(algebra, family))
+    K = _family_exponents(algebra, family)
+    return _form(omega, algebra, K, _sectors(omega, algebra.cfg, K))
 
 
 def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
@@ -339,24 +417,31 @@ def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
     extra last member.  The budget gate counts the caller's n only, as it
     did for the gather, so that extra member can take the table to
     (n + 1)^2 dim > GATHER_ENTRIES, by 2n + 1 words; bases built by
-    plus_basis hold the identity.  No dense rep is built.
+    plus_basis hold the identity.  No dense rep is built.  A state that
+    conserves the reflection charge gets the form and the eigh one grade
+    sector at a time (form_matrix, gram_report_from_matrix).
     """
     K = _family_exponents(algebra, basis)
     n = len(K)
     one = np.flatnonzero(~K.any(1))
     if one.size == 0:
         K = np.vstack([K, np.zeros((1, algebra.cfg.m), dtype=K.dtype)])
-    return leading_report(_form(omega, algebra, K), basis, one[0] if one.size else n, tol)
+    sectors = _sectors(omega, algebra.cfg, K)
+    return leading_report(_form(omega, algebra, K, sectors), basis,
+                          one[0] if one.size else n, tol, sectors)
 
 
-def leading_report(M: np.ndarray, basis, one: int, tol: float = DEFAULT_TOL) -> GramReport:
+def leading_report(M: np.ndarray, basis, one: int, tol: float = DEFAULT_TOL,
+                   sectors: np.ndarray | None = None) -> GramReport:
     """The GramReport of the leading len(basis) block of a family form M
     (form_matrix), with the reflection defect read as gram reads it: member
     `one` of the family is the identity, so its column holds omega(theta(B_a))
-    and its row omega(B_a)."""
+    and its row omega(B_a).  sectors are the family's grade sectors
+    (_sectors), None for one block."""
     n = len(basis)
     refl = float(np.abs(M[:n, one] - M[one, :n].conj()).max(initial=0.0))
-    return gram_report_from_matrix(M[:n, :n], basis, tol, reflection_defect=refl)
+    return gram_report_from_matrix(M[:n, :n], basis, tol, reflection_defect=refl,
+                                   sectors=None if sectors is None else sectors[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ form over the shift images only.  The chain window's density, built from an enta
 Hamiltonian of its covariance, is the reference of the Pfaffian word values
 of rpkit.chains.QuasiFreeState; the oracles that read a density read it.
 The Omega table with each chunk's pairs picked by a mask is the bit-for-bit
-reference of the pair order in rpkit.verifier._weyl_form.
+reference of the pair order in rpkit.verifier._weyl_form.  The Omega table
+over all n^2 pairs as one block is the reference of the grade-sector form
+of rpkit.verifier._form, which evaluates the pairs within a sector only.
 """
 
 import numpy as np
@@ -389,3 +391,14 @@ def masked_weyl_form(rho, cfg, words) -> np.ndarray:
         sel = (slot >= first) & (slot < first + u)
         vals[sel] = Om[(f_hi[sel] * u + slot[sel] - first) * len(cols) + col[sel]]
     return zeta[P] * vals
+
+
+def one_block_form(omega, algebra, family) -> np.ndarray:
+    """The Omega table form over all n^2 pairs of the family as one block,
+    the cross-sector pairs included: what rpkit.verifier._form evaluates for
+    a state that does not conserve the reflection charge, whatever omega is
+    (a quasi-free state is read through its density)."""
+    cfg = algebra.cfg
+    K = verifier._family_exponents(algebra, family)
+    return verifier._weyl_form(dense_state(omega, algebra).density(algebra), cfg,
+                               verifier._weyl_words(cfg, K))

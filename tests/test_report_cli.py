@@ -174,6 +174,18 @@ class TestCli:
         assert code == 2 and res["verdict"] == "not-applicable"
         assert res["not_applicable_reason"] == reason
 
+    def test_rp_gram_names_the_worst_sector(self, tmp_path):
+        # H = i c2 c3 = -J theta(c3) o c3 with J = -1: the violation is c3, of grade 1
+        cfg = {"d": 2, "m": 4, "state": "gibbs", "beta": 1.0,
+               "hamiltonian": [[[0.0, 1.0], [0, 1, 1, 0]]]}
+        code, text = run_cli(tmp_path, "rp-gram", cfg)
+        res = json.loads(text)["results"]
+        assert (code, res["worst_sector"]) == (1, 1)
+        # a generic draw is one block
+        code, text = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 6, "state": "gibbs",
+                                                   "draw": {"family": "generic"}})
+        assert json.loads(text)["results"]["worst_sector"] is None
+
     def test_rp_gram_applicable_report_has_no_reason(self, tmp_path):
         code, text = run_cli(tmp_path, "rp-gram", {"d": 2, "m": 4, "state": "trace"})
         assert code == 0 and "not_applicable_reason" not in json.loads(text)["results"]
@@ -605,8 +617,26 @@ def test_parser_built_once_for_successive_calls(tmp_path, capsys, monkeypatch):
         assert code == 0 and json.loads(text)["results"] == {"x": 1}
         info = cli._parser.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        with pytest.raises(SystemExit):
-            main(["no-such-command", "--config", "x.json"])
+        assert main(["no-such-command", "--config", "x.json"]) == 3
         assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
     finally:
         cli._parser.cache_clear()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["green"], "the following arguments are required: --config"),
+    (["green", "--config", "x.json", "--seed", "abc"], "argument --seed: invalid int value"),
+    (["no-such-command", "--config", "x.json"], "invalid choice: 'no-such-command'"),
+])
+def test_usage_error_exit_3(capsys, argv, message):
+    # argparse exits 2 on a usage error, and 2 means not-applicable here
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rpkit") and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rpkit")

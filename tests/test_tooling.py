@@ -98,3 +98,34 @@ def test_outcomes_judge_lists_a_failed_check(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "26 checks judged, 1 failed"
     assert len(lines) == 2 and lines[1].startswith(f"  FAIL {crash}: exit 6, expected ")
+
+
+def test_outcomes_diff_prints_the_largest_move_of_each_result(tmp_path, capsys):
+    # reports whose exit codes agree: the largest |delta| of each numeric
+    # results key, complex entries and lists included; a flipped check and
+    # the keys that hold no numbers are left out, and the exit status stays 1
+    outcomes = _load(OUTCOMES, "tools_outcomes")
+
+    def record(path, checks):
+        path.write_text(json.dumps({"checks": checks}), encoding="utf-8")
+        return str(path)
+
+    def report(results):
+        return json.dumps({"command": "rp-gram", "results": results})
+
+    base = {"min_eig": 1.0, "verdict": "positive", "psd": True, "worst_sector": None,
+            "matrix": [[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.5}]], "basis_size": 2}
+    moved = dict(base, min_eig=1.0 + 3e-14, matrix=[[{"re": 1.0, "im": 0.0},
+                                                     {"re": 0.0, "im": 0.5 - 2e-15}]])
+    other = dict(base, min_eig=1.0 - 5e-14)
+    a = record(tmp_path / "a.json", {"g/s1/r0/00": [0, report(base), ""],
+                                     "g/s1/r0/01": [0, report(base), ""],
+                                     "g/s1/r0/02": [0, report(base), ""]})
+    b = record(tmp_path / "b.json", {"g/s1/r0/00": [0, report(moved), ""],
+                                     "g/s1/r0/01": [0, report(other), ""],
+                                     "g/s1/r0/02": [1, report(dict(base, min_eig=-9.0)), ""]})
+    capsys.readouterr()
+    assert outcomes.main(["diff", a, b]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines() if "max |delta|" in line]
+    assert lines == ["  max |delta| results.matrix: 2e-15 (g/s1/r0/00)",
+                     "  max |delta| results.min_eig: 5e-14 (g/s1/r0/01)"]

@@ -12,11 +12,12 @@ from rpkit.reconstruction import quantize
 from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, _weyl_words,
                             coupling_decomposition, coupling_element, cross_element,
                             draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
-                            gram, gram_report_from_matrix, plus_basis,
+                            gram, gram_report_from_matrix, leading_report, plus_basis,
                             sft_positivity, sft_positivity_sequence)
 
 from algebra_oracles import (gathered_form, gathered_reflection_defect, gemm_form_matrix,
-                             masked_weyl_form, multiple_shift_family, pair_tables)
+                             masked_weyl_form, multiple_shift_family, one_block_form,
+                             pair_tables)
 from conftest import make_algebra, random_element
 
 
@@ -546,3 +547,105 @@ def test_cross_elements_need_no_orientation_phase(case):
     assert sv.verdict == POSITIVE
     assert set(sv.couplings) == {k, kbar}
     assert all(abs(v - J) <= tol * J for v in sv.couplings.values())
+
+
+# ---------------------------------------------------------------------------
+# grade sectors: the form, the eigh and the witness one sector at a time
+# ---------------------------------------------------------------------------
+
+@st.composite
+def sector_cases(draw):
+    """d 2-4, m 4-8, a state that conserves the reflection charge (the trace,
+    a theorem draw or one coupling_element with J < 0) and a max_grade basis."""
+    d, m = draw(st.integers(2, 4)), draw(st.sampled_from([4, 6, 8]))
+    algebra = make_algebra(d, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["trace", "theorem", "negative"]))
+    if kind == "trace":
+        omega = StateFunctional(kind="trace")
+    else:
+        if kind == "theorem":
+            H = draw_theorem_hamiltonian(algebra, rng)
+        else:
+            pool = plus_basis(algebra.cfg)
+            H = coupling_element(algebra, pool[int(rng.integers(1, len(pool)))],
+                                 -float(rng.uniform(0.5, 2.0)))
+        omega = StateFunctional(kind="gibbs", beta=draw(st.sampled_from([0.5, 1.0, 2.0])),
+                                hamiltonian=H)
+    max_grade = draw(st.one_of(st.none(), st.integers(0, (d - 1) * m // 2)))
+    return algebra, omega, plus_basis(algebra.cfg, max_grade)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sector_cases())
+def test_sector_form_matches_the_one_block_oracle(case):
+    """The form of a charge-conserving state, evaluated one grade sector at a
+    time, against all n^2 pairs evaluated as one block.
+
+    Each side is within (dim + 1) eps of the exact form entrywise
+    (form_matrix), so in-sector entries agree within 2 (dim + 1) eps, and the
+    oracle's cross-sector entries, exactly 0 (verifier docstring), are within
+    (dim + 1) eps of 0.  By Weyl the eigenvalues then move by at most n times
+    the entry bound, plus n eps for each eigh, |M_ab| <= 1.
+    """
+    algebra, omega, basis = case
+    cfg, eps, n = algebra.cfg, np.finfo(float).eps, len(basis)
+    K = verifier._family_exponents(algebra, basis)
+    sectors = verifier._sectors(omega, cfg, K)
+    assert np.array_equal(sectors, K.sum(1) % cfg.d)
+    got, want = form_matrix(omega, algebra, basis), one_block_form(omega, algebra, basis)
+    same = sectors[:, None] == sectors[None, :]
+    form = (cfg.dim + 1) * eps
+    assert np.abs(got - want)[same].max() <= 2 * form
+    assert np.all(got[~same] == 0.0)
+    assert np.abs(want[~same]).max(initial=0.0) <= form
+    rep, oracle = gram(omega, algebra, basis), leading_report(want, basis, 0)
+    assert np.abs(rep.eigenvalues - oracle.eigenvalues).max() <= 2 * n * (form + n * eps)
+    assert rep.verdict == oracle.verdict
+    # the witness lies in the worst sector, and min_eig is that sector's bottom
+    if len(set(sectors.tolist())) == 1:
+        assert rep.sector is None
+    else:
+        inside = sectors == rep.sector
+        assert np.all(rep.witness[~inside] == 0.0)
+        Ms = rep.matrix[np.ix_(inside, inside)]
+        assert abs(rep.min_eig - np.linalg.eigvalsh(Ms)[0]) <= 2 * n * n * eps
+
+
+def test_a_charged_word_keeps_the_form_one_block():
+    """A theorem H plus 0.1 (c^k + (c^k)*) with chi(k) = 1 does not conserve
+    the reflection charge: one block, and every entry, the cross-sector ones
+    included, is the one-block oracle's, bit for bit."""
+    algebra = make_algebra(3, 6)
+    X = algebra.monomial((0, 0, 0, 1, 0, 0))
+    H = draw_theorem_hamiltonian(algebra, np.random.default_rng(7)) + 0.1 * (X + X.star())
+    omega = StateFunctional(kind="gibbs", beta=1.0, hamiltonian=H)
+    basis = plus_basis(algebra.cfg)
+    assert not verifier._sectors(omega, algebra.cfg, basis).any()
+    got = form_matrix(omega, algebra, basis)
+    assert np.array_equal(got, one_block_form(omega, algebra, basis))
+    g = np.array(basis).sum(1) % 3
+    assert np.abs(got[g[:, None] != g[None, :]]).max() > 1e-3
+    assert gram(omega, algebra, basis).sector is None
+
+
+@pytest.mark.parametrize("family, shapes", [("trace", [(27, 27)] * 3),
+                                            ("theorem", [(27, 27)] * 3),
+                                            ("generic", [(81, 81)])])
+def test_gram_hands_eigh_one_block_per_sector(monkeypatch, family, shapes):
+    """(3, 8) on the full basis of 81 monomials: the trace and a theorem draw
+    conserve the reflection charge, so their Gram is three 27 x 27 sectors;
+    a generic draw does not, and its Gram is one 81 x 81 block."""
+    algebra = make_algebra(3, 8)
+    if family == "trace":
+        omega = StateFunctional(kind="trace")
+    else:
+        draw = draw_theorem_hamiltonian if family == "theorem" else draw_generic_hamiltonian
+        omega = StateFunctional(kind="gibbs", beta=1.0,
+                                hamiltonian=draw(algebra, np.random.default_rng(7)))
+    omega.density(algebra)              # the state's own eigh, before the watch
+    seen, real = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **kw: seen.append(a.shape) or
+                        real(a, *r, **kw))
+    gram(omega, algebra, plus_basis(algebra.cfg))
+    assert seen == shapes

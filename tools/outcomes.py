@@ -17,8 +17,11 @@ gram-ladder:1-3:8, os-reconstruct:1-8:2 and lattice-rp:1-8:2 (784 checks).
 
 `diff` prints the number of checks and how many differ in each field; then
 every exit-code flip in full, with both exit codes and the last stderr line
-of each side; then the keys of the differing and the missing checks, up to
-SHOWN of each.  It exits 1 on any difference.
+of each side; then, over the differing reports whose exit codes agree, the
+largest |delta| of each numeric `results` key that moved (a number, a
+complex {"re", "im"} pair or a list of those) and the check it came from;
+then the keys of the differing and the missing checks, up to SHOWN of each.
+It exits 1 on any difference.
 
 `judge` holds every recorded check to its rule in perfbench/oracle.py (read,
 never written), as the benchmark does.  It regenerates each stream's checks
@@ -109,6 +112,43 @@ def _last_line(text: str) -> str:
     return lines[-1] if lines else "(no stderr)"
 
 
+def _numbers(value) -> list | None:
+    """A results value as a flat list of complex numbers, or None when it
+    holds anything else (a string, a bool, null, another dict)."""
+    if type(value) in (int, float):
+        return [complex(value)]
+    if isinstance(value, dict) and set(value) == {"re", "im"} \
+            and all(type(x) in (int, float) for x in value.values()):
+        return [complex(value["re"], value["im"])]
+    if isinstance(value, list):
+        items = [_numbers(x) for x in value]
+        if None not in items:
+            return [z for item in items for z in item]
+    return None
+
+
+def _result_moves(a: dict, b: dict, keys) -> dict:
+    """{results key: (largest |delta|, check)} over the checks whose reports
+    differ while their exit codes agree; keys whose values differ in shape or
+    hold no numbers are skipped, and so are keys that did not move."""
+    moves = {}
+    for k in keys:
+        if a[k][0] != b[k][0] or a[k][1] is None or b[k][1] is None:
+            continue
+        try:
+            ra, rb = (json.loads(side[k][1]).get("results", {}) for side in (a, b))
+        except ValueError:
+            continue
+        for name in ra.keys() & rb.keys():
+            xa, xb = _numbers(ra[name]), _numbers(rb[name])
+            if xa is None or xb is None or len(xa) != len(xb):
+                continue
+            delta = max((abs(p - q) for p, q in zip(xa, xb)), default=0.0)
+            if delta > moves.get(name, (0.0, None))[0]:
+                moves[name] = (delta, k)
+    return moves
+
+
 def diff(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text(encoding="utf-8"))["checks"]
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))["checks"]
@@ -122,6 +162,8 @@ def diff(path_a: str, path_b: str) -> int:
         print(f"  exit {a[k][0]} -> {b[k][0]}: {k}")
         for side in (a, b):
             print(f"    {_last_line(side[k][2])}")
+    for name, (delta, k) in sorted(_result_moves(a, b, differing["report"]).items()):
+        print(f"  max |delta| results.{name}: {delta:.3g} ({k})")
     for k in keys[:SHOWN]:
         print(f"  differs ({', '.join(f for f in FIELDS if k in differing[f])}): {k}")
     for k in missing[:SHOWN]:
