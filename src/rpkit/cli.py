@@ -8,9 +8,18 @@ one line "rpkit: internal error: <Type>: <message>" without a traceback).
 reconstruct never exits 1: a Gram or transfer that fails a gate is refused
 (2).  Config numbers are read through one coercion (_number; _count adds a
 range), so a string, a bool, a non-integral count or a count that leaves a
-check vacuous is a config error (3), never a crash.  Reports are written
-atomically; identical config and seed give byte-identical output (timing is
-only included on --timing).
+check vacuous is a config error (3), never a crash.
+
+The config is read with one binary read and decoded as UTF-8, with "\r\n" and
+"\r" read as "\n" as a text-mode read would (so a parse error keeps its line
+and column); a BOM or another encoding is a parse error (3), and a config
+that is not a JSON object is a config error (3).  The pipelines get the seed,
+not a generator: only the two that draw build default_rng(seed), a Gibbs
+"draw" state (rp-gram, reconstruct) and the random boxes of sft-check, so a
+check that draws nothing builds none.  A report is written atomically: its
+UTF-8 bytes go to <out>.tmp with os.write, which then replaces <out>; a
+failed write removes <out>.tmp and exits 5.  Identical config and seed give
+byte-identical output (timing is only included on --timing).
 """
 
 from __future__ import annotations
@@ -23,8 +32,8 @@ import sys
 import time
 
 import numpy as np
+from numpy.random import default_rng
 
-from . import __version__
 from .algebra import Algebra, AlgebraConfig, StateFunctional, relation_residual
 from .boxes import Box22, adjoint, rot_pi, sft, star_product
 from .boxes import theta as theta_box
@@ -34,7 +43,7 @@ from .errors import (InvalidArgument, InvalidConfig, InvalidGeometry, InvalidSta
 from .lattice import (VIOLATION_TOL, LatticeModel, chain_gap, covariance_rp, green_set,
                       monotonicity_of, stochastic_rp_scan)
 from .reconstruction import quantize, shift_family, spectrum_report, transfer_operator
-from .report import CONVENTIONS, curve_csv, to_text, truncate_witness
+from .report import CONVENTIONS, TOOL, curve_csv, to_text, truncate_witness
 from .verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                        draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
                        gram, leading_report, plus_basis, sft_positivity,
@@ -112,7 +121,7 @@ def _hamiltonian_from_terms(algebra, terms):
     return H
 
 
-def _state_from_config(cfg, algebra, rng):
+def _state_from_config(cfg, algebra, seed):
     kind = cfg.get("state", "trace")
     if kind == "trace":
         return StateFunctional(kind="trace")
@@ -122,11 +131,11 @@ def _state_from_config(cfg, algebra, rng):
     if "hamiltonian" in cfg:
         H = _hamiltonian_from_terms(algebra, cfg["hamiltonian"])
     elif "draw" in cfg:
-        family = _require(cfg["draw"], "family", str)
+        family = _require(_require(cfg, "draw", dict), "family", str)
         if family == "theorem":
-            H = draw_theorem_hamiltonian(algebra, rng)
+            H = draw_theorem_hamiltonian(algebra, default_rng(seed))
         elif family == "generic":
-            H = draw_generic_hamiltonian(algebra, rng)
+            H = draw_generic_hamiltonian(algebra, default_rng(seed))
         else:
             raise ConfigError(f"unknown draw family {family!r}")
     else:
@@ -143,16 +152,16 @@ def _algebra_config(cfg):
                          _number(_require(cfg, "m"), int, "m"))
 
 
-def run_algebra_check(cfg, tol, rng):
+def run_algebra_check(cfg, tol, seed):
     algebra = Algebra(_algebra_config(cfg))
     worst = relation_residual(algebra)
     verdict = POSITIVE if worst < tol else NEGATIVE
     return verdict, {"relation_residual": worst, "gate": tol, "dimension": algebra.cfg.dim}
 
 
-def run_rp_gram(cfg, tol, rng):
+def run_rp_gram(cfg, tol, seed):
     algebra = Algebra(_algebra_config(cfg))
-    omega = _state_from_config(cfg, algebra, rng)
+    omega = _state_from_config(cfg, algebra, seed)
     max_grade = cfg.get("max_grade")
     basis = plus_basis(algebra.cfg,
                        None if max_grade is None else _count(max_grade, "max_grade", 0))
@@ -180,14 +189,14 @@ def run_rp_gram(cfg, tol, rng):
     return rep.verdict, results
 
 
-def run_reconstruct(cfg, tol, rng):
+def run_reconstruct(cfg, tol, seed):
     algebra = Algebra(_algebra_config(cfg))
     if "chain" in cfg:
         ch = _require(cfg, "chain", dict)
         omega = uniform_chain_state(algebra, _number(ch.get("coupling", 1.0), float, "coupling"),
                                     _number(ch.get("beta", 1.0), float, "beta"))
     else:
-        omega = _state_from_config(cfg, algebra, rng)
+        omega = _state_from_config(cfg, algebra, seed)
     room = _count(cfg.get("basis_room", 0), "basis_room", 0, algebra.cfg.m // 2)
     # from m/2 generators on, every plus monomial but the identity leaves the chain
     steps = _count(cfg.get("steps", 1), "steps", 0, algebra.cfg.m // 2)
@@ -228,7 +237,7 @@ def _lattice_model(cfg):
                         bc=cfg.get("bc", "box"))
 
 
-def run_green(cfg, tol, rng):
+def run_green(cfg, tol, seed):
     model = _lattice_model(cfg)
     gs = green_set(model)
     cov = covariance_rp(gs, tol=tol)
@@ -251,7 +260,7 @@ def run_green(cfg, tol, rng):
     return mono.verdict, results
 
 
-def run_stochastic(cfg, tol, rng):
+def run_stochastic(cfg, tol, seed):
     model = _lattice_model(cfg)
     ts = [_number(t, float, "t_grid") for t in _require(cfg, "t_grid", list)]
     if not ts:
@@ -267,7 +276,7 @@ def run_stochastic(cfg, tol, rng):
     return results["verdict"], results
 
 
-def run_sft_check(cfg, tol, rng):
+def run_sft_check(cfg, tol, seed):
     d = _count(cfg.get("d", 2), "d", 2)
     results = {}
     if "sequence" in cfg:
@@ -285,6 +294,7 @@ def run_sft_check(cfg, tol, rng):
         field = "d" if d**4 > SFT_ENTRIES else "boxes"
         raise SizeLimit(f"config field '{field}': d^4 x boxes = {d**4 * count} "
                         f"entries, over the budget of {SFT_ENTRIES}")
+    rng = default_rng(seed)
     worst_rot = 0.0
     worst_sft4 = 0.0
     worst_conv = 0.0
@@ -335,13 +345,28 @@ def _default_tol(command, cfg) -> float:
 # ---------------------------------------------------------------------------
 
 def _emit(text: str, out_path: str | None) -> None:
+    """text to stdout, or as UTF-8 to out_path through out_path.tmp and one
+    os.replace, so the report appears whole or not at all.  A failed write
+    removes the temporary file and raises its OSError."""
     if out_path is None:
         sys.stdout.write(text)
         return
+    data = memoryview(text.encode("utf-8"))
     tmp = out_path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, out_path)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, out_path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def main(argv=None) -> int:
@@ -390,8 +415,11 @@ def _main(argv) -> int:
         return EXIT_PARSE
 
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        with open(args.config, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:   # the universal newlines of a text-mode read
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        cfg = json.loads(text)
     except OSError as exc:
         print(f"rpkit: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -402,6 +430,9 @@ def _main(argv) -> int:
     except ValueError as exc:   # e.g. an integer literal over the int-to-str digit limit
         print(f"rpkit: config parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if not isinstance(cfg, dict):
+        print("rpkit: config error: config must be a JSON object", file=sys.stderr)
+        return EXIT_PARSE
 
     if "command" in cfg and cfg["command"] != args.command:
         print(f"rpkit: config command {cfg['command']!r} does not match {args.command!r}",
@@ -411,11 +442,10 @@ def _main(argv) -> int:
         print("rpkit: csv format is only defined for stochastic curves", file=sys.stderr)
         return EXIT_PARSE
 
-    rng = np.random.default_rng(args.seed)
     tol = _default_tol(args.command, cfg) if args.tol is None else args.tol
     t0 = time.perf_counter()
     try:
-        verdict, results = COMMANDS[args.command](cfg, tol, rng)
+        verdict, results = COMMANDS[args.command](cfg, tol, args.seed)
     except ConfigError as exc:
         print(f"rpkit: config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -431,7 +461,7 @@ def _main(argv) -> int:
         return EXIT_NOT_APPLICABLE
 
     report = {
-        "tool": {"name": "rpkit", "version": __version__},
+        "tool": TOOL,
         "conventions": CONVENTIONS,
         "config": cfg,
         "command": args.command,

@@ -7,7 +7,17 @@ byte-identical text; round-tripping through json.loads is lossless up to the
 complex/array conversions applied on assembly.  A float or complex array
 (an rp-gram matrix, a spectrum) is written in one vectorized pass
 (_array_text) to the same bytes as the element-by-element walk of its
-tolist(); every other value, and an empty array, takes that walk.
+tolist() once it holds ARRAY_PASS_FLOATS floats (the crossover measured at
+that constant); every other value, and a smaller array, takes that walk.
+Strings and keys follow one JSON string rule (_string): '"', backslash,
+every character below U+0020 and every surrogate code point are escaped,
+the surrogates as \\uXXXX, and every other character is written as itself,
+so a report is valid JSON that encodes to UTF-8.
+
+The head of a report, its "tool" and "conventions" entries (TOOL and
+CONVENTIONS, constants never mutated), is the same text in every report: it
+is serialized once per process, on first use, and reused whenever a report
+starts with those two objects.
 
 The array pass formats each distinct magnitude once and carries the sign in
 the literal text before the value.  That is exact because both float formats
@@ -19,7 +29,15 @@ the 17-digit conversion dominates the cost of the text.
 
 from __future__ import annotations
 
+import functools
+import itertools
+from json.encoder import encode_basestring
+
 import numpy as np
+
+from . import __version__
+
+TOOL = {"name": "rpkit", "version": __version__}
 
 CONVENTIONS = {
     "twist_phase": "A o B = exp(i*pi*(d-1)*a*b/d) * A*B on grades (a, b); equals zeta^(a*b), zeta = exp(i*pi/d), at d = 2",
@@ -44,14 +62,27 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _string(s: str) -> str:
+    """s as a JSON string literal: json's escapes for '"', backslash and the
+    characters below U+0020, then \\uXXXX for each surrogate code point (only
+    a non-ASCII text can hold one), which UTF-8 cannot encode."""
+    text = encode_basestring(s)
+    return text if text.isascii() else "".join(
+        f"\\u{ord(c):04x}" if "\ud800" <= c <= "\udfff" else c for c in text)
+
+
+def _entries(items, out: list, sep: str):
+    """The "key":value pairs of items, sep before the first, "," between."""
+    for k, v in items:
+        out.append(sep + _string(str(k)) + ":")
+        _serialize(v, out)
+        sep = ","
+
+
 def _serialize(obj, out: list):
     if isinstance(obj, dict):
         out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(f'"{k}":')
-            _serialize(v, out)
+        _entries(obj.items(), out, "")
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
@@ -72,20 +103,30 @@ def _serialize(obj, out: list):
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, np.ndarray):
-        if obj.dtype in _FAST_DTYPES and obj.size:   # an empty one has brackets only
+        if _FLOATS_PER_ENTRY.get(obj.dtype, 0) * obj.size >= ARRAY_PASS_FLOATS:
             out.append(_array_text(obj))
         else:
             _serialize(obj.tolist(), out)
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        out.append(f'"{escaped}"')
+        out.append(_string(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-# arrays whose tolist() holds Python floats or complexes, each converted exactly
-_FAST_DTYPES = (np.dtype(np.float64), np.dtype(np.float32),
-                np.dtype(np.complex128), np.dtype(np.complex64))
+# Floats from which an array takes the one-pass _array_text rather than the
+# walk of its tolist().  The pass costs a fixed run of numpy calls and the
+# walk a Python step per float, so the walk wins on small arrays.  Timed
+# right after the benchmark's calibration load (which streams 8 MB through
+# the caches, as before every check), the walk took 47 us at 4 floats where
+# the pass took 230 us, and the pass overtook it between 128 and 256 floats
+# (real 128 entries: walk 237 us, pass 295 us; 256: 445 and 346 us; complex
+# 128 entries, 256 floats: 413 and 417 us).  With warm caches the pass wins
+# from about 32 floats.  An empty array has no floats, so it takes the walk.
+ARRAY_PASS_FLOATS = 128
+# floats per entry of the arrays whose tolist() holds Python floats or
+# complexes, each converted exactly
+_FLOATS_PER_ENTRY = {np.dtype(np.float64): 1, np.dtype(np.float32): 1,
+                     np.dtype(np.complex128): 2, np.dtype(np.complex64): 2}
 # the format of a finite magnitude: [not integral or >= 1e15, integral below 1e15]
 _FLOAT_FORMATS = np.array(["%.17g", "%.1f"], dtype=object)
 
@@ -139,9 +180,28 @@ def _array_text(arr: np.ndarray) -> str:
 
 
 def to_text(report: dict) -> str:
-    out: list[str] = []
-    _serialize(report, out)
+    """The report as one line of JSON text, newline included.  A report whose
+    first two entries are "tool": TOOL and "conventions": CONVENTIONS (the
+    objects themselves) starts with their cached text."""
+    if (type(report) is dict and report.get("tool") is TOOL
+            and report.get("conventions") is CONVENTIONS
+            and list(itertools.islice(report, 2)) == ["tool", "conventions"]):
+        out = [_head()]
+        _entries(itertools.islice(report.items(), 2, None), out, ",")
+        out.append("}")
+    else:
+        out = []
+        _serialize(report, out)
     return "".join(out) + "\n"
+
+
+@functools.cache
+def _head() -> str:
+    """'{"tool":...,"conventions":...', built on first use: the text every
+    report of this process starts with."""
+    out = ["{"]
+    _entries({"tool": TOOL, "conventions": CONVENTIONS}.items(), out, "")
+    return "".join(out)
 
 
 def truncate_witness(vec) -> list:

@@ -9,14 +9,66 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 import rpkit.algebra
+import rpkit.report
 import rpkit.verifier
 from rpkit import cli
 from rpkit.algebra import Algebra, AlgebraConfig, StateFunctional
 from rpkit.cli import main
-from rpkit.report import curve_csv, to_text, truncate_witness
-from rpkit.verifier import gram, plus_basis
+from rpkit.report import (ARRAY_PASS_FLOATS, CONVENTIONS, TOOL, curve_csv, to_text,
+                          truncate_witness)
+from rpkit.verifier import draw_generic_hamiltonian, draw_theorem_hamiltonian, gram, plus_basis
 
+import report_oracles
 from conftest import random_element
+
+# strings that break a naive JSON writer: quotes, backslashes, control
+# characters, lone and paired surrogates, non-ASCII and line separators
+HOSTILE = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.sampled_from(['"', "\\", "\t", "\n", "\r", "\x00", "\x1f", "\x7f", "\b",
+                              "\f", "\ud800", "\udfff", "\ud83d", "\ude00", "\u00e9",
+                              "\u4e2d", "\U0001f600", "\u2028", "/", "a", "\\u0041"]),
+             max_size=6).map("".join))
+SPECIAL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e15, -1e15, 1e15 - 1, 1e16,
+                     5e-324, -5e-324, 2.0**-1030, 1e-310, 1e308, 0.1]),
+    st.floats())
+
+
+def _array(dtype, shape, values):
+    raw = np.array(values, dtype=float)
+    if np.dtype(dtype).kind == "c":
+        raw = raw.view(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return raw.astype(dtype).reshape(shape)
+
+
+@st.composite
+def _arrays(draw):
+    # float and complex arrays on both sides of ARRAY_PASS_FLOATS
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.complex128, np.complex64]))
+    shape = draw(st.sampled_from([(0,), (1,), (3,), (2, 2), (40,), (63,), (64,), (65,),
+                                  (127,), (128,), (129,), (12, 12), (3, 4, 5), (260,)]))
+    count = int(np.prod(shape)) * (2 if np.dtype(dtype).kind == "c" else 1)
+    pool = draw(st.lists(SPECIAL_FLOATS, min_size=1, max_size=5))
+    values = draw(st.lists(st.builds(lambda x, sign: sign * x, st.sampled_from(pool),
+                                     st.sampled_from([1.0, -1.0])),
+                           min_size=count, max_size=count))
+    return _array(dtype, shape, values)
+
+
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), SPECIAL_FLOATS,
+    st.builds(complex, SPECIAL_FLOATS, SPECIAL_FLOATS), HOSTILE, _arrays(),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(np.complex128, st.complex_numbers()))
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.tuples(children, children),
+                               st.dictionaries(HOSTILE, children, max_size=4)),
+    max_leaves=12)
 
 
 class TestSerializer:
@@ -82,7 +134,10 @@ class TestSerializer:
             arr = raw.astype(dtype).reshape(shape)
             if hermitian:   # exactly hermitian, as rp-gram writes its matrix
                 arr = (arr + np.conj(np.swapaxes(arr, -1, -2))) / 2
-        assert to_text({"a": arr}) == to_text({"a": arr.tolist()})
+        want = to_text({"a": arr.tolist()})
+        assert to_text({"a": arr}) == want
+        if arr.size:    # below ARRAY_PASS_FLOATS to_text walks: call the pass itself
+            assert '{"a":' + rpkit.report._array_text(arr) + "}\n" == want
 
     def test_array_text_of_a_gibbs_gram(self):
         # a (3, 8) Gibbs Gram: half its magnitudes repeat, with both signs
@@ -93,6 +148,67 @@ class TestSerializer:
         x = M.ravel().view(np.float64)
         assert M.shape == (81, 81) and np.unique(np.abs(x)).size < 0.6 * x.size
         assert to_text({"matrix": M}) == to_text({"matrix": M.tolist()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=TREES)
+    def test_to_text_matches_the_walk_oracle(self, tree):
+        # every report reads back as its tree; where the old walk wrote valid
+        # JSON that reads back as the tree too, the bytes are its bytes
+        report = {"tree": tree}
+        text = to_text(report)
+        want = report_oracles.plain(report)
+        assert json.loads(text.encode("utf-8")) == want
+        old = report_oracles.serialize(report)
+        try:
+            valid = json.loads(old.encode("utf-8")) == want
+        except ValueError:      # UnicodeEncodeError and JSONDecodeError alike
+            valid = False
+        if valid:
+            assert text == old
+
+    @pytest.mark.parametrize("value, literal", [
+        ("a\tb", '"a\\tb"'), ('q"uote', '"q\\"uote"'), ("back\\slash", '"back\\\\slash"'),
+        ("\x00\x1f", '"\\u0000\\u001f"'), ("\ud800", '"\\ud800"'),
+        ("\ud83d\ude00", '"\\ud83d\\ude00"'), ("\u00e9\U0001f600", '"\u00e9\U0001f600"'),
+    ])
+    def test_one_string_rule_for_values_and_keys(self, value, literal):
+        # escapes as JSON needs them; non-ASCII stays raw UTF-8
+        assert to_text({"k": value}) == '{"k":' + literal + "}\n"
+        assert to_text({value: 1}) == "{" + literal + ":1}\n"
+        assert json.loads(to_text({value: value}).encode("utf-8")) == {
+            report_oracles.plain(value): report_oracles.plain(value)}
+
+    def test_report_head_is_serialized_once(self):
+        # the constant head is cached; a report whose head is an equal copy
+        # in another key order is written from its own objects
+        rpkit.report._head.cache_clear()
+        try:
+            for seed in (1, 2):
+                report = {"tool": TOOL, "conventions": CONVENTIONS, "seed": seed, "x": [1.5]}
+                assert to_text(report) == report_oracles.serialize(report)
+            info = rpkit.report._head.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            reordered = {"tool": dict(reversed(list(TOOL.items()))), "conventions": CONVENTIONS}
+            assert to_text(reordered) == report_oracles.serialize(reordered)
+            assert to_text({"tool": TOOL}) == report_oracles.serialize({"tool": TOOL})
+            swapped = {"conventions": CONVENTIONS, "tool": TOOL}
+            assert to_text(swapped) == report_oracles.serialize(swapped)
+            assert rpkit.report._head.cache_info().hits == 1
+        finally:
+            rpkit.report._head.cache_clear()
+
+    def test_small_arrays_take_the_walk(self, monkeypatch):
+        calls = []
+        real = rpkit.report._array_text
+        monkeypatch.setattr(rpkit.report, "_array_text",
+                            lambda a: calls.append(a.size) or real(a))
+        for arr in (np.zeros(0), np.arange(4.0), np.ones(ARRAY_PASS_FLOATS - 1),
+                    np.ones(ARRAY_PASS_FLOATS // 2 - 1, dtype=complex)):
+            assert to_text({"a": arr}) == report_oracles.serialize({"a": arr})
+        assert calls == []
+        for arr in (np.ones(ARRAY_PASS_FLOATS), np.ones(ARRAY_PASS_FLOATS // 2, dtype=complex)):
+            assert to_text({"a": arr}) == report_oracles.serialize({"a": arr})
+        assert calls == [ARRAY_PASS_FLOATS, ARRAY_PASS_FLOATS // 2]
 
     def test_witness_truncation(self):
         w = truncate_witness(np.arange(40.0))
@@ -640,3 +756,141 @@ def test_help_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: rpkit")
+
+
+@pytest.mark.parametrize("text", ["null", "3", '"command"', "[1]", "[]", "true"])
+def test_non_object_config_exit_3(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["green", "--config", str(cfg_path), "--out", str(tmp_path / "o.json")]) == 3
+    assert capsys.readouterr().err == "rpkit: config error: config must be a JSON object\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"dims": [8], "mass2": 1.0, "note": "a\tb"},
+    {"dims": [8], "mass2": 1.0, 'k"ey': 1, "back\\slash": "\x00"},
+    {"dims": [8], "mass2": 1.0, "note": "\ud800"},
+    {"dims": [8], "mass2": 1.0, "note": "\u00e9\u4e2d\U0001f600\u2028"},
+], ids=["tab", "quote-key", "lone-surrogate", "non-ascii"])
+def test_hostile_config_strings_write_valid_json(tmp_path, cfg):
+    code, _ = run_cli(tmp_path, "green", cfg)
+    raw = (tmp_path / "out.json").read_bytes()
+    assert code == 0 and json.loads(raw)["config"] == cfg
+    assert not (tmp_path / "out.json.tmp").exists()
+
+
+@pytest.mark.parametrize("name", ["write", "replace"])
+def test_failed_report_write_removes_the_temp_file(tmp_path, capsys, monkeypatch, name):
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dims": [8], "mass2": 1.0}))
+    out = tmp_path / "o.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.os, name, fail)
+        code = main(["green", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("rpkit: cannot write report: [Errno 28]")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_report_is_written_whole_through_short_writes(tmp_path, monkeypatch):
+    # os.write may take fewer bytes than it is given: the rest follows
+    real = cli.os.write
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: real(fd, data[:7]))
+    code, text = run_cli(tmp_path, "green", {"dims": [8], "mass2": 1.0, "note": "\u00e9"})
+    monkeypatch.undo()
+    assert code == 0 and text == run_cli(tmp_path, "green",
+                                         {"dims": [8], "mass2": 1.0, "note": "\u00e9"})[1]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("body", [
+    '{NL "dims": [8],NL "mass2": ]NL}',
+    '{NL "dims": [8],NL "note": "a\tb"NL}',
+    '{NL "dims": [8]NL "mass2": 1.0}',
+])
+def test_newlines_keep_the_parse_error_position(tmp_path, capsys, newline, body):
+    # the config is read as text with universal newlines: \r\n and \r count
+    # as one line break, as \n does
+    errs = []
+    for nl in ("\n", newline):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(body.replace("NL", nl).encode("utf-8"))
+        assert main(["green", "--config", str(cfg_path)]) == 3
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].startswith("rpkit: config parse error at line 3 col")
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'\xef\xbb\xbf{"dims": [8], "mass2": 1.0}',
+     "rpkit: config parse error at line 1 col 1: Unexpected UTF-8 BOM"),
+    ('{"dims": [8], "mass2": 1.0}'.encode("utf-16"),
+     "rpkit: config parse error: 'utf-8' codec can't decode byte 0xff in position 0"),
+    (b'{"dims": [8], \xff}', "rpkit: config parse error: 'utf-8' codec can't decode byte "
+                            "0xff in position 14"),
+])
+def test_config_must_be_utf8_without_bom(tmp_path, capsys, raw, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(raw)
+    assert main(["green", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err.startswith(message)
+
+
+NO_DRAW = [
+    ("green", {"dims": [6, 4], "mass2": 1.0}),
+    ("stochastic", {"dims": [8], "mass2": 1.0, "t_grid": [0.5, 100.0]}),
+    ("reconstruct", {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": 1.0},
+                     "basis_room": 2, "steps": 2}),
+    ("algebra-check", {"d": 3, "m": 4}),
+    ("sft-check", {"d": 3, "sequence": [1.0, 0.25, 0.25]}),
+    ("rp-gram", {"d": 2, "m": 6, "state": "trace"}),
+    ("rp-gram", {"d": 2, "m": 4, "state": "gibbs",
+                 "hamiltonian": [[[1.0, 0.0], [1, 0, 0, 1]], [[1.0, 0.0], [1, 0, 0, 1]]]}),
+]
+
+
+@pytest.mark.parametrize("command, cfg", NO_DRAW, ids=[c for c, _ in NO_DRAW])
+def test_commands_that_draw_nothing_build_no_generator(tmp_path, monkeypatch, command, cfg):
+    want = run_cli(tmp_path, command, cfg, "--seed", "3")
+
+    def no_generator(seed):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(cli, "default_rng", no_generator)
+    assert run_cli(tmp_path, command, cfg, "--seed", "3") == want
+
+
+DRAW = [
+    ("rp-gram", {"d": 2, "m": 6, "state": "gibbs", "beta": 0.7, "draw": {"family": "theorem"}}),
+    ("rp-gram", {"d": 3, "m": 4, "state": "gibbs", "beta": 0.7, "draw": {"family": "generic"}}),
+    ("reconstruct", {"d": 2, "m": 6, "state": "gibbs", "beta": 0.7,
+                     "draw": {"family": "theorem"}}),
+    ("sft-check", {"d": 2, "boxes": 3}),
+]
+
+
+@pytest.mark.parametrize("command, cfg", DRAW, ids=[c for c, _ in DRAW])
+def test_drawing_commands_draw_from_the_seed(tmp_path, capsys, monkeypatch, command, cfg):
+    # one generator, default_rng(seed); the report and stderr are those of a
+    # run that draws from a generator built directly from the seed
+    want = run_cli(tmp_path, command, cfg, "--seed", "11"), capsys.readouterr().err
+    seeds = []
+    generator = np.random.default_rng(11)
+    monkeypatch.setattr(cli, "default_rng", lambda seed: seeds.append(seed) or generator)
+    assert (run_cli(tmp_path, command, cfg, "--seed", "11"), capsys.readouterr().err) == want
+    assert seeds == [11]
+    if "draw" in cfg:
+        # a Gibbs draw reads as the terms of the Hamiltonian drawn directly
+        algebra = Algebra(AlgebraConfig(cfg["d"], cfg["m"]))
+        draw = {"theorem": draw_theorem_hamiltonian,
+                "generic": draw_generic_hamiltonian}[cfg["draw"]["family"]]
+        H = draw(algebra, np.random.default_rng(11))
+        explicit = {k: v for k, v in cfg.items() if k != "draw"}
+        explicit["hamiltonian"] = [[[z.real, z.imag], list(k)] for k, z in H.coeffs.items()]
+        code, text = run_cli(tmp_path, command, explicit, "--seed", "11")
+        assert capsys.readouterr().err == want[1] and code == want[0][0]
+        if text:
+            assert json.loads(text)["results"] == json.loads(want[0][1])["results"]
