@@ -44,7 +44,7 @@ from .lattice import (VIOLATION_TOL, LatticeModel, chain_gap, covariance_rp, gre
                       monotonicity_of, stochastic_rp_scan)
 from .reconstruction import quantize, shift_family, spectrum_report, transfer_operator
 from .report import CONVENTIONS, TOOL, curve_csv, to_text, truncate_witness
-from .verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
+from .verifier import (DEFAULT_TOL, NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                        draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
                        gram, leading_report, plus_basis, sft_positivity,
                        sft_positivity_sequence, _sectors)
@@ -331,13 +331,13 @@ COMMANDS = {
 
 
 def _default_tol(command, cfg) -> float:
-    """Exact identities (relations, box pictures) use 1e-12; spectral gates 1e-10;
-    the stochastic scan's violation gate 1e-8."""
+    """Exact identities (relations, box pictures) use 1e-12; spectral gates
+    DEFAULT_TOL (1e-10); the stochastic scan's violation gate VIOLATION_TOL (1e-8)."""
     if command == "algebra-check" or (command == "sft-check" and "sequence" not in cfg):
         return 1e-12
     if command == "stochastic":
         return VIOLATION_TOL
-    return 1e-10
+    return DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------

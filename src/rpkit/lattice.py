@@ -20,32 +20,36 @@ The transverse reduction.  The lattice Laplacian is a sum over axes, so
     A = T (x) 1 + 1 (x) (-laplacian_perp) + mass2,
 
 with T the 1-D time Laplacian: 2 on the diagonal, -1 between neighbours and,
-on a torus, -1 for the wrap bond (on an Nt = 2 torus the plane bond and the
-wrap bond join the same pair, and lattice_operator counts both: -2).  The
-transverse Laplacian is diagonal in a closed-form orthonormal basis, the
-product over the transverse axes of, on L sites,
+on a torus, -1 for the bond from the last row to the first (on an Nt = 2
+torus that bond and the plane bond join the same pair, and lattice_operator
+counts both: -2).  The 1-D -laplacian on L sites is diagonal in a
+closed-form orthonormal basis (_axis_vectors, _axis_eigenvalues):
 
     box:   sqrt(2/(L+1)) sin(pi j (x+1)/(L+1)),  j = 1..L,  eigenvalue 4 sin^2(pi j / (2(L+1)));
     torus: the real Fourier vectors, constant, then cos and sin of 2 pi f x / L
            for 0 < f < L/2, then (-1)^x for even L;        eigenvalue 4 sin^2(pi f / L),
 
-and lambda_k is the sum of the axis eigenvalues of mode k (columns in
-ascending order per axis, modes in C order over the axes).  In the basis
-(time) (x) (mode), A is block diagonal with one 1-D time operator
-T_k = T + mass2 + lambda_k per mode; so are C and C_t = A^{-1}(1 - exp(-2tA)),
-which are functions of A, and, because r acts on time only, so is the
-reflected block: B = sum_k B_k (x) u_k u_k^T, with B_k the reflected block of
-the 1-D problem at mass mass2 + lambda_k.  The spectrum of B is the union of
-the mode spectra, and an eigenvector tau of B_k is the site vector
-tau (x) u_k of B.  This is the transverse reduction of Glimm-Jaffe (Quantum
-Physics, ch. 6-10).
+columns in ascending order of eigenvalue.  The torus form covers L = 2 with
+its doubled bond: the constant at 0 and (-1)^x at 4.  The transverse basis
+is the product of the axis bases over dims[1:], and lambda_k is the sum of
+the axis eigenvalues of mode k (modes in C order over the axes).  In the
+basis (time) (x) (mode), A is block diagonal with one 1-D time operator
+T_k = T + m_k, m_k = mass2 + lambda_k, per mode; so are C and C_t =
+A^{-1}(1 - exp(-2tA)), which are functions of A, and, because r acts on
+time only, so is the reflected block: B = sum_k B_k (x) u_k u_k^T, with B_k
+the reflected block of the 1-D problem at mass m_k.  The spectrum of B is
+the union of the mode spectra, and an eigenvector tau of B_k is the site
+vector tau (x) u_k of B.  This is the transverse reduction of Glimm-Jaffe
+(Quantum Physics, ch. 6-10).  The time axis takes the same closed form: one
+basis V of the Nt rows (or of the h half rows) serves every mode, and only
+the eigenvalues mu_j + m_k change with k, so no time operator is formed.
 
 The cut of one mode.  Order the mode's time rows as (r(half), half), h = Nt/2
 rows each.  By the reflection symmetry both diagonal blocks of T_k are
-A_+ = T_k[half, half], the 1-D box stencil on h rows at mass mass2 +
-lambda_k.  The only bonds between the halves join a row to its own mirror:
-across the plane (the first half row) and, on a torus, around the wrap (the
-last half row).  So
+A_+ = T_k[half, half], the 1-D box stencil on h rows at mass m_k.  The only
+bonds between the halves join a row to its own mirror: across the plane
+(the first half row) and, on a torus, around the lattice (the last half
+row).  So
 
     T_k = [[A_+, -P E P^T], [-P E P^T, A_+]],
 
@@ -71,40 +75,48 @@ positive matrices: RP holds at every mass2 > 0.)  With the thin QR
 K = Q R, the nonzero eigenvalues of B_k are those of R W R^T, with
 eigenvectors Q U, and the other h - cut are exact zeros.
 
-A GreenSet therefore holds the per-mode stacks K (S x h x cut) and W
-(S x cut x cut): green_set makes one batched solve with the S half operators
-on the cut columns and one batched cut x cut solve, and covariance_rp reads
-the spectrum from a batched thin QR and one batched eigvalsh of the cut
-forms.  Nothing larger than the stack of half operators is formed on that
-path, so nothing n x n or n/2 x n/2 (on a 1-D lattice the one mode's h x h
-is the half's): the report carries the sorted spectrum (n/2 numbers), the
-worst mode and one witness, the worst mode's time vector (x) its transverse
-vector.  GreenSet.block
-forms the whole n/2 x n/2 block for the tests and for the 1-D chain transfer.
-Any block B takes the GreenSet form as one mode with K = 1 and W = B; the
-tests build counterexample covariances that way.  The tests keep the dense
-C = inv(A), the whole-lattice cut form and its complete QR as oracles.
+K in the sine basis.  A_+ = V diag(mu_j + m_k) V^T with V the box basis of
+the h half rows, so
 
-Stochastic quantization relaxes from zero initial data with dphi = -A phi ds
-+ sqrt(2) dW, so the time-s law has covariance C_t = A^{-1}(1 - exp(-2 t A)).
-C_t is a function of A and splits by mode: stochastic_rp_scan diagonalizes
-the S time operators T_k (Nt x Nt) once and, per t, takes the eigenvalues of
-the S reflected h x h blocks of the mode covariances.  C_t is not the inverse
-of a nearest-neighbour operator, so at finite t those blocks have no cut
+    K = A_+^{-1} P = V diag(g_k) V[cut]^T,   g_kj = 1 / (mu_j + m_k),
+
+which green_set contracts as V (g (*) V[cut]^T): the g-weighted cut rows of
+V, S x h x cut, then one product with V, so nothing S x h x h is formed.  A
+GreenSet holds the per-mode stacks K (S x h x cut) and W (S x cut x cut);
+the one solve is the batched cut x cut system for W, and covariance_rp reads
+the spectrum from a batched thin QR and one batched eigvalsh of the cut
+forms.  The report carries the sorted spectrum (n/2 numbers), the worst mode
+and one witness, the worst mode's time vector (x) its transverse vector.
+GreenSet.block forms the whole n/2 x n/2 block for the tests and for the
+1-D chain transfer.  Any block B takes the GreenSet form as one mode with
+K = 1 and W = B; the tests build counterexample covariances that way.  The
+tests keep the dense C = inv(A), the whole-lattice cut form and its complete
+QR, and the per-mode solve with the time stencils, as oracles.
+
+The scan.  Stochastic quantization relaxes from zero initial data with
+dphi = -A phi ds + sqrt(2) dW, so the time-s law has covariance
+C_t = A^{-1}(1 - exp(-2 t A)).  C_t is a function of A and splits by mode:
+with V the basis of the Nt time rows and w_kj = mu_j + m_k, mode k's
+covariance is V diag(g_t(w_kj)) V^T, g_t(w) = (1 - exp(-2 t w)) / w, and its
+reflected h x h block is V[r(half)] diag(g_t(w_k)) V[half]^T.
+stochastic_rp_scan takes, per t, the eigenvalues of the S reflected blocks;
+no eigh of a time operator is needed.  C_t is not the inverse of a
+nearest-neighbour operator, so at finite t those blocks have no cut
 structure, and RP fails there (Jaffe, arXiv:1411.2964).
 
-Work budget.  The mode path allocates S time operators (S Nt^2 entries for
-the scan, a quarter of that for green, and the 1-D chain transfer's h x h
-block), lists per site (the half and its labels) and the worst mode's
-transverse vector, built from the closed form.  Explicit test functions
-(TransverseModes.to_modes) and the block view also build one dense L x L
-basis per transverse axis of length L.  MODE_ENTRIES bounds
-S Nt^2 + n + sum L^2, each term up to the constant factor of its
-temporaries, so that every path of a model is covered; LatticeModel checks
-it on the dims, with Python integers, before anything is allocated.  So a
-long thin lattice such as [2, 100000], whose 10^10-entry transverse basis
-an explicit test function would build, is refused.  The dense
-lattice_operator, which only stochastic_covariance and the tests call,
+Work budget.  LatticeModel checks S Nt^2 + n against MODE_ENTRIES on the
+dims, with Python integers, before anything is allocated; each term counts
+up to the constant factor of its temporaries.  S Nt^2 bounds the scan, whose
+per-t stacks are the weighted half columns (S x Nt x h) and the blocks
+(S x h x h); green needs only S h cut + S cut^2 entries for K and W, so the
+term is more than it takes, and the budget does not yet tell the two apart.
+n bounds the lists per site (the half and its labels); the worst mode's
+transverse vector is built from the closed form, L entries per axis.  The
+dense L x L axis bases are built only by explicit test functions
+(TransverseModes.to_modes) and the block view: TransverseModes.bases holds
+sum L^2 to MODE_ENTRIES where they are built, so a long thin lattice such as
+[2, 100000] passes green and the scan, and only those calls refuse it.  The
+dense lattice_operator, which only stochastic_covariance and the tests call,
 checks n^2 against the same budget.
 """
 
@@ -119,11 +131,10 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidConfig, InvalidGeometry, SizeLimit, WrongHalf
 from .reconstruction import compress_shift, energies, quantize
-from .verifier import (GramReport, gram_report_from_matrix, scaled_report,
+from .verifier import (DEFAULT_TOL, GramReport, gram_report_from_matrix, scaled_report,
                        spectral_report)
 
-DEFAULT_TOL = 1e-10
-MODE_ENTRIES = 2**25    # work budget of the mode path: S Nt^2 + n + sum L^2 entries
+MODE_ENTRIES = 2**25    # work budget: S Nt^2 + n per lattice, sum L^2 per set of axis bases
 VIOLATION_TOL = 1e-8    # default gate: a scan row is violated when min eigenvalue < -tol
 
 
@@ -153,12 +164,10 @@ class LatticeModel:
             raise InvalidConfig(f"mass2 must be finite and > 0 (torus would be singular): "
                                 f"{self.mass2}")
         n = math.prod(self.dims)
-        # S Nt^2 + n + sum of L^2 over the transverse axes (module docstring)
-        work = n * self.dims[0] + n + sum(L * L for L in self.dims[1:])
+        work = n * self.dims[0] + n         # S Nt^2 + n (module docstring)
         if work > MODE_ENTRIES:
             raise SizeLimit(f"lattice {list(self.dims)}: the mode path takes "
-                            f"S Nt^2 + n + sum L^2 = {work} entries, "
-                            f"over the budget of {MODE_ENTRIES}")
+                            f"S Nt^2 + n = {work} entries, over the budget of {MODE_ENTRIES}")
         if self.bc == "torus" and self.mass2 < self.torus_floor():
             raise InvalidConfig(f"torus mass2 {self.mass2:.3e} is below the round-off floor "
                                 f"{self.torus_floor():.3e}: the operator is numerically singular")
@@ -259,7 +268,12 @@ class TransverseModes:
         return u
 
     def bases(self) -> list:
-        """The L x L eigenbasis (columns) of each transverse axis."""
+        """The L x L eigenbasis (columns) of each transverse axis; sum L^2 is
+        held to MODE_ENTRIES before any is built."""
+        work = sum(L * L for L in self.lengths)
+        if work > MODE_ENTRIES:
+            raise SizeLimit(f"transverse axes {list(self.lengths)}: their bases take "
+                            f"sum L^2 = {work} entries, over the budget of {MODE_ENTRIES}")
         return [_axis_vectors(L, self.bc, np.arange(L)) for L in self.lengths]
 
     def to_modes(self, x: np.ndarray) -> np.ndarray:
@@ -285,23 +299,6 @@ def transverse_modes(model: LatticeModel) -> TransverseModes:
     for L in model.dims[1:]:
         lam = np.add.outer(lam, _axis_eigenvalues(L, model.bc)).ravel()
     return TransverseModes(lengths=model.dims[1:], bc=model.bc, lam=lam)
-
-
-def time_operators(mass: np.ndarray, rows: int, wrap: bool = False) -> np.ndarray:
-    """The stack of 1-D operators -laplacian_t + mass[k] on `rows` time rows.
-
-    2 + mass[k] on the diagonal and -1 between neighbours; wrap adds the
-    torus bond between the last row and the first.  The half operators A_+
-    are the unwrapped stencil on the h half rows.
-    """
-    T = np.zeros((mass.size, rows, rows))
-    i = np.arange(rows)
-    T[:, i, i] = 2.0 + mass[:, None]
-    T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = -1.0
-    if wrap:
-        T[:, 0, -1] -= 1.0
-        T[:, -1, 0] -= 1.0
-    return T
 
 
 def lattice_operator(model: LatticeModel) -> np.ndarray:
@@ -381,21 +378,23 @@ def _cut(model: LatticeModel) -> tuple:
 def green_set(model: LatticeModel) -> GreenSet:
     """The cut factors K = A_+^{-1} P and W = (E^{-1} - Y E Y)^{-1}, Y = K[cut], per mode.
 
-    One batched solve with the S half operators A_+ (h x h) on the cut
-    columns and one batched cut x cut solve; A is never formed.  Factors
-    that are not finite, or a block that is identically zero (all its cut
-    forms are), are refused with InvalidConfig.  Exactly, C is entrywise
-    positive on a connected lattice, so the block is not zero.  A zero block
-    is underflow (mass2 = 1e308 puts K at 1e-308 on the cut and below the
-    smallest double off it): both RP forms then vanish, and their "positive"
-    verdict would rest on no entry at all.
+    K is read in the closed-form sine basis of the h half rows (module
+    docstring), contracted without forming anything S x h x h; the one solve
+    is the batched cut x cut system for W.  Factors that are not finite, or a
+    block that is identically zero (all its cut forms are), are refused with
+    InvalidConfig.  Exactly, C is entrywise positive on a connected lattice,
+    so the block is not zero.  A zero block is underflow (mass2 = 1e308 puts
+    K at 1e-308 on the cut and below the smallest double off it): both RP
+    forms then vanish, and their "positive" verdict would rest on no entry
+    at all.
     """
     modes = transverse_modes(model)
     h = model.dims[0] // 2
     cut, e = _cut(model)
     S, c = modes.size, cut.size
-    Ap = time_operators(model.mass2 + modes.lam, h)
-    K = np.linalg.solve(Ap, np.broadcast_to(np.eye(h)[:, cut], (S, h, c)))
+    V = _axis_vectors(h, "box", np.arange(h))
+    g = 1.0 / (_axis_eigenvalues(h, "box") + (model.mass2 + modes.lam)[:, None])
+    K = V @ (g[:, :, None] * V[cut].T)
     Y = K[:, cut]
     W = np.linalg.solve(np.diag(1.0 / e) - (Y * e) @ Y, np.broadcast_to(np.eye(c), (S, c, c)))
     if not (np.all(np.isfinite(K)) and np.all(np.isfinite(W))):
@@ -497,13 +496,18 @@ def stochastic_rp_scan(model: LatticeModel, ts, tol: float = VIOLATION_TOL) -> S
     """A row is violated when its minimal eigenvalue is below -tol.
 
     Each row is the spectrum of the delta-basis covariance Gram of C_t, read
-    mode by mode (module docstring): one batched eigh of the S time
-    operators, then per t one batched eigvalsh of the S reflected h x h
-    blocks.  The witness of the first violated row is the worst mode's bottom
-    eigenvector (x) its transverse vector.  A row at t > 0 whose blocks are
-    all zero is underflow and is refused with InvalidConfig, as green_set
-    refuses a zero block: exactly, C_t = int_0^{2t} exp(-sA) ds is entrywise
-    positive on a connected lattice.
+    mode by mode in the closed-form eigenbasis V of the time axis (module
+    docstring): per t, one batched eigvalsh of the S reflected h x h blocks
+    G_k = V[r(half)] diag(g(w_k)) V[half]^T.  V[r(half)] V[half]^T = 0, the
+    off-diagonal block of V V^T = 1, so subtracting a constant c_k from mode
+    k's relaxations g(w_k) leaves G_k unchanged in exact arithmetic; with
+    c_k the midrange of g(w_k), relaxations that are all equal, as under
+    underflow, give an exact zero block rather than round-off.  The witness
+    of the first violated row is the worst mode's bottom eigenvector (x) its
+    transverse vector.  A row at t > 0 whose blocks are all zero is
+    underflow and is refused with InvalidConfig, as green_set refuses a zero
+    block: exactly, C_t = int_0^{2t} exp(-sA) ds is entrywise positive on a
+    connected lattice.
     """
     ts = [float(t) for t in ts]
     for t in ts:
@@ -511,13 +515,15 @@ def stochastic_rp_scan(model: LatticeModel, ts, tol: float = VIOLATION_TOL) -> S
     modes = transverse_modes(model)
     Nt = model.dims[0]
     h = Nt // 2
-    w, V = np.linalg.eigh(time_operators(model.mass2 + modes.lam, Nt, model.bc == "torus"))
-    Vh = V[:, h:].transpose(0, 2, 1)        # eigenvectors on the half rows, as columns
-    Vr = V[:, h - 1::-1]                    # on their mirror rows
+    V = _axis_vectors(Nt, model.bc, np.arange(Nt))
+    w = _axis_eigenvalues(Nt, model.bc) + (model.mass2 + modes.lam)[:, None]
+    Vh, Vr = V[h:].T, V[h - 1::-1]          # half rows (as columns), their mirror rows
     rows = []
     wit_t, wit = None, None
     for t in ts:
-        G = (Vr * _relaxation(w, t)[:, None, :]) @ Vh
+        g = _relaxation(w, t)
+        g -= (g.max(axis=1, keepdims=True) + g.min(axis=1, keepdims=True)) / 2
+        G = Vr @ (g[:, :, None] * Vh)
         if t > 0 and not G.any():
             raise InvalidConfig(f"the relaxed covariance at mass2 = {model.mass2}, t = {t} "
                                 f"underflows: its reflected block is zero")

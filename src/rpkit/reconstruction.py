@@ -36,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
-from .verifier import GramReport
+from .verifier import DEFAULT_TOL, GramReport
 
-DEFAULT_TOL = 1e-10
 SHIFT_TOL = 1e-10   # shift-invariance gate, times max(1, max |M|)
 KERNEL_TOL = 1e-12  # transfer eigenvalues at or below this are ker T
 

@@ -1,8 +1,9 @@
 """Lattice helpers that only the tests use.
 
 Explicit site geometry, the 0/1 reflection matrix, the dense Green operator
-C = inv(A) and its reflected slice (the oracle of the mode form), the
-whole-lattice cut form (one solve with the dense half operator A_+, and the
+C = inv(A) and its reflected slice (the oracle of the mode form), the stack
+of 1-D time stencils with the per-mode solve and eigh that the closed-form
+time axis replaced, the whole-lattice cut form (one solve with the dense half operator A_+, and the
 spectrum from a complete QR of K), the half-space Green operators from
 adjusted stencils (the independent cross-check of the image charge identity
 C_N - C_D = 2 C[r(half), half]), a hand-built covariance that breaks RP, and
@@ -12,7 +13,7 @@ Gaussian moments by Wick pairing.
 import numpy as np
 
 from rpkit.errors import InvalidArgument
-from rpkit.lattice import GreenSet, lattice_operator
+from rpkit.lattice import GreenSet, _cut, lattice_operator, transverse_modes
 
 
 def site_index(model) -> dict:
@@ -41,6 +42,45 @@ def dense_block(model, C=None) -> np.ndarray:
     C = dense_green(model) if C is None else C
     half = model.half_indices()
     return C[np.ix_(model.reflection_indices()[half], half)]
+
+
+def time_operators(mass: np.ndarray, rows: int, wrap: bool = False) -> np.ndarray:
+    """The stack of 1-D operators -laplacian_t + mass[k] on `rows` time rows.
+
+    2 + mass[k] on the diagonal and -1 between neighbours; wrap adds the
+    torus bond between the last row and the first (on two rows it doubles
+    the one bond, as lattice_operator does).  The half operators A_+ are the
+    unwrapped stencil on the h half rows.
+    """
+    T = np.zeros((mass.size, rows, rows))
+    i = np.arange(rows)
+    T[:, i, i] = 2.0 + mass[:, None]
+    T[:, i[:-1], i[1:]] = T[:, i[1:], i[:-1]] = -1.0
+    if wrap:
+        T[:, 0, -1] -= 1.0
+        T[:, -1, 0] -= 1.0
+    return T
+
+
+def solved_cut_columns(model) -> np.ndarray:
+    """K = A_+^{-1} P per mode (S x h x cut) by one batched solve with the
+    stencils of the half operators."""
+    mass = model.mass2 + transverse_modes(model).lam
+    h = model.dims[0] // 2
+    cut = _cut(model)[0]
+    return np.linalg.solve(time_operators(mass, h),
+                           np.broadcast_to(np.eye(h)[:, cut], (mass.size, h, cut.size)))
+
+
+def eigh_scan_blocks(model, t: float) -> np.ndarray:
+    """The reflected h x h blocks of the mode covariances C_t (S x h x h),
+    from a batched eigh of the S time stencils T_k (Nt x Nt)."""
+    mass = model.mass2 + transverse_modes(model).lam
+    Nt = model.dims[0]
+    h = Nt // 2
+    w, V = np.linalg.eigh(time_operators(mass, Nt, model.bc == "torus"))
+    g = (1.0 - np.exp(-2.0 * t * w)) / w
+    return (V[:, h - 1::-1] * g[:, None, :]) @ V[:, h:].transpose(0, 2, 1)
 
 
 def covariance_green_set(model, C) -> GreenSet:

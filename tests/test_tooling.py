@@ -102,8 +102,9 @@ def test_outcomes_judge_lists_a_failed_check(tmp_path, capsys):
 
 def test_outcomes_diff_prints_the_largest_move_of_each_result(tmp_path, capsys):
     # reports whose exit codes agree: the largest |delta| of each numeric
-    # results key, complex entries and lists included; a flipped check and
-    # the keys that hold no numbers are left out, and the exit status stays 1
+    # results key, complex entries and lists included, and of each numeric
+    # field of a list of objects (the scan's rows); a flipped check and the
+    # keys that hold no numbers are left out, and the exit status stays 1
     outcomes = _load(OUTCOMES, "tools_outcomes")
 
     def record(path, checks):
@@ -113,11 +114,16 @@ def test_outcomes_diff_prints_the_largest_move_of_each_result(tmp_path, capsys):
     def report(results):
         return json.dumps({"command": "rp-gram", "results": results})
 
+    rows = [{"t": 0.25, "min_eig": -1e-3, "violated": True},
+            {"t": 100.0, "min_eig": 0.0, "violated": False}]
     base = {"min_eig": 1.0, "verdict": "positive", "psd": True, "worst_sector": None,
-            "matrix": [[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.5}]], "basis_size": 2}
+            "matrix": [[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.5}]], "basis_size": 2,
+            "rows": rows}
     moved = dict(base, min_eig=1.0 + 3e-14, matrix=[[{"re": 1.0, "im": 0.0},
-                                                     {"re": 0.0, "im": 0.5 - 2e-15}]])
-    other = dict(base, min_eig=1.0 - 5e-14)
+                                                     {"re": 0.0, "im": 0.5 - 2e-15}]],
+                 rows=[dict(rows[0], violated=False), dict(rows[1], min_eig=-4e-16)])
+    other = dict(base, min_eig=1.0 - 5e-14, rows=[dict(rows[0], min_eig=-1e-3 + 1e-16),
+                                                  rows[1]])
     a = record(tmp_path / "a.json", {"g/s1/r0/00": [0, report(base), ""],
                                      "g/s1/r0/01": [0, report(base), ""],
                                      "g/s1/r0/02": [0, report(base), ""]})
@@ -128,4 +134,5 @@ def test_outcomes_diff_prints_the_largest_move_of_each_result(tmp_path, capsys):
     assert outcomes.main(["diff", a, b]) == 1
     lines = [line for line in capsys.readouterr().out.splitlines() if "max |delta|" in line]
     assert lines == ["  max |delta| results.matrix: 2e-15 (g/s1/r0/00)",
-                     "  max |delta| results.min_eig: 5e-14 (g/s1/r0/01)"]
+                     "  max |delta| results.min_eig: 5e-14 (g/s1/r0/01)",
+                     "  max |delta| results.rows[].min_eig: 4e-16 (g/s1/r0/00)"]

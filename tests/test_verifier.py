@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpkit.algebra import (Algebra, AlgebraConfig, StateFunctional, evaluate, theta,
@@ -597,14 +597,12 @@ def test_cross_elements_need_no_orientation_phase(case):
 # grade sectors: the form, the eigh and the witness one sector at a time
 # ---------------------------------------------------------------------------
 
-@st.composite
-def sector_cases(draw):
-    """d 2-4, m 4-8, a state that conserves the reflection charge (the trace,
-    a theorem draw or one coupling_element with J < 0) and a max_grade basis."""
-    d, m = draw(st.integers(2, 4)), draw(st.sampled_from([4, 6, 8]))
+def sector_case(d, m, seed, kind, beta, max_grade):
+    """The algebra (d, m), a state that conserves the reflection charge (the
+    trace, a theorem draw or one coupling_element with J < 0, from
+    default_rng(seed)) and a max_grade basis."""
     algebra = make_algebra(d, m)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["trace", "theorem", "negative"]))
+    rng = np.random.default_rng(seed)
     if kind == "trace":
         omega = StateFunctional(kind="trace")
     else:
@@ -614,23 +612,62 @@ def sector_cases(draw):
             pool = plus_basis(algebra.cfg)
             H = coupling_element(algebra, pool[int(rng.integers(1, len(pool)))],
                                  -float(rng.uniform(0.5, 2.0)))
-        omega = StateFunctional(kind="gibbs", beta=draw(st.sampled_from([0.5, 1.0, 2.0])),
-                                hamiltonian=H)
-    max_grade = draw(st.one_of(st.none(), st.integers(0, (d - 1) * m // 2)))
+        omega = StateFunctional(kind="gibbs", beta=beta, hamiltonian=H)
     return algebra, omega, plus_basis(algebra.cfg, max_grade)
+
+
+@st.composite
+def sector_cases(draw):
+    """sector_case over d 2-4 and m 4-8."""
+    d, m = draw(st.integers(2, 4)), draw(st.sampled_from([4, 6, 8]))
+    return sector_case(d, m, draw(st.integers(0, 2**32 - 1)),
+                       draw(st.sampled_from(["trace", "theorem", "negative"])),
+                       draw(st.sampled_from([0.5, 1.0, 2.0])),
+                       draw(st.one_of(st.none(), st.integers(0, (d - 1) * m // 2))))
+
+
+def density_drift(omega, dim) -> float:
+    """A bound on |tr((rho~ - rho) c^K)| for a Weyl word c^K, rho~ the
+    density as StateFunctional.density computes it and rho the exact one.
+
+    c^K is a phased permutation, so the term is at most ||rho~ - rho||_1.
+    The eigh of H is backward stable: its eigenpairs are those of H + dH,
+    ||dH|| <= dim eps ||H||, with eigenvectors orthonormal within dim eps.
+    The Gibbs state moves by at most 2 beta ||dH|| in trace norm (Duhamel:
+    d rho = -beta int_0^1 rho^u dH rho^(1-u) du + beta rho tr(rho dH), each
+    part of trace norm <= beta ||dH|| by Hoelder), and the product
+    v e v^* with its normalization adds about dim eps.  ||H|| <= sum |h_K|,
+    each word unitary.  So the bound is dim eps (2 beta sum |h_K| + 1), and
+    0 for the trace state, whose density is exact.
+    """
+    if omega.kind == "trace":
+        return 0.0
+    norm = sum(abs(c) for c in omega.hamiltonian.coeffs.values())
+    return dim * np.finfo(float).eps * (2 * omega.beta * norm + 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=sector_cases())
+@example(case=sector_case(2, 6, 2145, "theorem", 2.0, None))
 def test_sector_form_matches_the_one_block_oracle(case):
     """The form of a charge-conserving state, evaluated one grade sector at a
     time, against all n^2 pairs evaluated as one block.
 
-    Each side is within (dim + 1) eps of the exact form entrywise
-    (form_matrix), so in-sector entries agree within 2 (dim + 1) eps, and the
-    oracle's cross-sector entries, exactly 0 (verifier docstring), are within
-    (dim + 1) eps of 0.  By Weyl the eigenvalues then move by at most n times
-    the entry bound, plus n eps for each eigh, |M_ab| <= 1.
+    Both sides read the same rounded density rho~, and each is within
+    (dim + 1) eps of the form of rho~ entrywise (form_matrix), so in-sector
+    entries agree within 2 (dim + 1) eps.  The exact cross-sector entries
+    are 0 (verifier docstring), and the sector path writes exact zeros; the
+    oracle reads tr(rho~ c^K) = tr((rho~ - rho) c^K), so it is within
+    (dim + 1) eps + density_drift of 0.  That term grows with beta ||H||
+    through the eigh of H: the pinned draw (d = 2, m = 6, beta = 2, a
+    theorem H, the full basis of 8) reads 3.1e-15 there, over (dim + 1) eps
+    = 2.0e-15 but 0.045 of the drift bound.  Over theorem and negative
+    draws at each beta (600 seeds per config of dim <= 64, 60 above) the
+    worst was 0.097 of the whole bound, which stays below 6e-11 (dim 256),
+    while the cross entries of a state that does not conserve the charge
+    are >= 1e-3 (test_a_charged_word_keeps_the_form_one_block).  By Weyl
+    the eigenvalues then move by at most n times the entry bound, plus n eps
+    for each eigh, |M_ab| <= 1.
     """
     algebra, omega, basis = case
     cfg, eps, n = algebra.cfg, np.finfo(float).eps, len(basis)
@@ -640,11 +677,13 @@ def test_sector_form_matches_the_one_block_oracle(case):
     got, want = form_matrix(omega, algebra, basis), one_block_form(omega, algebra, basis)
     same = sectors[:, None] == sectors[None, :]
     form = (cfg.dim + 1) * eps
+    cross = form + density_drift(omega, cfg.dim)
     assert np.abs(got - want)[same].max() <= 2 * form
     assert np.all(got[~same] == 0.0)
-    assert np.abs(want[~same]).max(initial=0.0) <= form
+    assert np.abs(want[~same]).max(initial=0.0) <= cross
     rep, oracle = gram(omega, algebra, basis), leading_report(want, basis, 0)
-    assert np.abs(rep.eigenvalues - oracle.eigenvalues).max() <= 2 * n * (form + n * eps)
+    entry = max(2 * form, cross)
+    assert np.abs(rep.eigenvalues - oracle.eigenvalues).max() <= n * entry + 2 * n * n * eps
     assert rep.verdict == oracle.verdict
     # the witness lies in the worst sector, and min_eig is that sector's bottom
     if len(set(sectors.tolist())) == 1:

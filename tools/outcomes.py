@@ -20,6 +20,8 @@ every exit-code flip in full, with both exit codes and the last stderr line
 of each side; then, over the differing reports whose exit codes agree, the
 largest |delta| of each numeric `results` key that moved (a number, a
 complex {"re", "im"} pair or a list of those) and the check it came from;
+a list of objects, such as the scan's `rows`, counts as one field per key
+of its objects, named `rows[].min_eig`;
 then the keys of the differing and the missing checks, up to SHOWN of each.
 It exits 1 on any difference.
 
@@ -127,6 +129,19 @@ def _numbers(value) -> list | None:
     return None
 
 
+def _fields(name: str, value):
+    """(name, value) of a results entry, or, for a list of objects that are
+    not complex pairs, (name[].key, the list of their values) per key that
+    every object holds, recursively."""
+    if isinstance(value, list) and value and \
+            all(isinstance(x, dict) and _numbers(x) is None for x in value):
+        for key in value[0]:
+            if all(key in x for x in value):
+                yield from _fields(f"{name}[].{key}", [x[key] for x in value])
+    else:
+        yield name, value
+
+
 def _result_moves(a: dict, b: dict, keys) -> dict:
     """{results key: (largest |delta|, check)} over the checks whose reports
     differ while their exit codes agree; keys whose values differ in shape or
@@ -139,8 +154,9 @@ def _result_moves(a: dict, b: dict, keys) -> dict:
             ra, rb = (json.loads(side[k][1]).get("results", {}) for side in (a, b))
         except ValueError:
             continue
-        for name in ra.keys() & rb.keys():
-            xa, xb = _numbers(ra[name]), _numbers(rb[name])
+        fa, fb = ({f: v for name in r for f, v in _fields(name, r[name])} for r in (ra, rb))
+        for name in fa.keys() & fb.keys():
+            xa, xb = _numbers(fa[name]), _numbers(fb[name])
             if xa is None or xb is None or len(xa) != len(xb):
                 continue
             delta = max((abs(p - q) for p, q in zip(xa, xb)), default=0.0)
