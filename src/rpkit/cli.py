@@ -20,6 +20,14 @@ check that draws nothing builds none.  A report is written atomically: its
 UTF-8 bytes go to <out>.tmp with os.write, which then replaces <out>; a
 failed write removes <out>.tmp and exits 5.  Identical config and seed give
 byte-identical output (timing is only included on --timing).
+
+An rp-gram report gives the size n of the basis as basis_size and, as matrix,
+the leading WITNESS_CAP x WITNESS_CAP principal block of the Gram M, as
+witness holds the first WITNESS_CAP entries of the witness: so the report
+holds at most WITNESS_CAP^2 entries of M whatever n is.  That block is itself
+the Gram of the first WITNESS_CAP members of plus_basis, a basis of at most
+WITNESS_CAP members is written whole, and the whole form is
+verifier.gram(...).matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .errors import (InvalidArgument, InvalidConfig, InvalidGeometry, InvalidSta
 from .lattice import (VIOLATION_TOL, LatticeModel, chain_gap, covariance_rp, green_set,
                       monotonicity_of, stochastic_rp_scan)
 from .reconstruction import quantize, shift_family, spectrum_report, transfer_operator
-from .report import CONVENTIONS, TOOL, curve_csv, to_text, truncate_witness
+from .report import CONVENTIONS, TOOL, WITNESS_CAP, curve_csv, to_text, truncate_witness
 from .verifier import (DEFAULT_TOL, NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                        draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
                        gram, leading_report, plus_basis, sft_positivity,
@@ -160,6 +168,8 @@ def run_algebra_check(cfg, tol, seed):
 
 
 def run_rp_gram(cfg, tol, seed):
+    """The Gram verdict over plus_basis, with the leading WITNESS_CAP block of
+    the form as matrix and the basis size n as basis_size (module docstring)."""
     algebra = Algebra(_algebra_config(cfg))
     omega = _state_from_config(cfg, algebra, seed)
     max_grade = cfg.get("max_grade")
@@ -177,7 +187,7 @@ def run_rp_gram(cfg, tol, seed):
         **({"not_applicable_reason": rep.not_applicable_reason}
            if rep.verdict == NOT_APPLICABLE else {}),
         "basis_size": len(basis),
-        "matrix": rep.matrix,
+        "matrix": rep.matrix[:WITNESS_CAP, :WITNESS_CAP],
         "witness": truncate_witness(rep.witness),
     }
     if omega.kind == "gibbs":
@@ -198,8 +208,9 @@ def run_reconstruct(cfg, tol, seed):
     else:
         omega = _state_from_config(cfg, algebra, seed)
     room = _count(cfg.get("basis_room", 0), "basis_room", 0, algebra.cfg.m // 2)
+    # steps = 0 shifts nothing, a vacuous transfer of 1 and gap 0 for any state;
     # from m/2 generators on, every plus monomial but the identity leaves the chain
-    steps = _count(cfg.get("steps", 1), "steps", 0, algebra.cfg.m // 2)
+    steps = _count(cfg.get("steps", 1), "steps", 1, algebra.cfg.m // 2)
     basis = [k for k in plus_basis(algebra.cfg)
              if not any(k[algebra.cfg.m - room:])] if room else plus_basis(algebra.cfg)
     # one form over the window and its shift images: its budget gate refuses

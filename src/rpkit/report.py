@@ -25,6 +25,12 @@ are odd: "%.17g" and "%.1f" print -x as "-" followed by the text of x for
 every finite x, -0.0 included ("-0.0").  An rp-gram matrix is exactly
 hermitian, (M + M^H)/2, so about half its floats repeat a magnitude, and
 the 17-digit conversion dominates the cost of the text.
+
+WITNESS_CAP bounds what a report holds of a vector or a form: a witness
+keeps its first WITNESS_CAP entries (truncate_witness), and an rp-gram
+report's matrix is the leading WITNESS_CAP x WITNESS_CAP principal block of
+the Gram, at most 256 complex entries, with basis_size giving its full size
+(cli).
 """
 
 from __future__ import annotations

@@ -67,8 +67,9 @@ DEFAULT_TOL = 1e-10
 # kept as it was set for the per-pair gather that the Omega table replaced.  The table's real work is u k (dim + d^(2 (w//2)))
 # <= u dim (d^(w//2) + d^(w - w//2)) multiply-adds plus n^2 w integer steps, for
 # u <= min(n^2, dim) distinct shifts and k <= d^(w - w//2) low frequencies
-# (form_matrix).  Lifting the gate needs its own bound on the eigh (n^3) and on
-# the report size (n^2 matrix entries).
+# (form_matrix).  Lifting the gate needs its own bound on the eigh (n^3); the
+# report already has one, as rp-gram writes at most WITNESS_CAP^2 = 256 entries
+# of the form (cli).
 GATHER_ENTRIES = 2**25
 # Shifts per chunk of the Omega table (_weyl_form).  A chunk keeps each BLAS
 # call under OMEGA_MACS multiply-adds, which OpenBLAS runs on one thread: it
@@ -230,28 +231,32 @@ def _theta_exponent(K: np.ndarray) -> np.ndarray:
     return -(K * (np.cumsum(K, axis=1) - K)).sum(1)
 
 
-def _weyl_words(cfg: AlgebraConfig, K: np.ndarray) -> tuple:
-    """The shift index S, frequency index F and phase exponent P of every
+def _weyl_words(cfg: AlgebraConfig, K: np.ndarray, pairs=None) -> tuple:
+    """The shift index S, frequency index F and phase exponent P of
     theta(B_a) o B_b, so that M_ab = zeta^P Omega[S, F] (form_matrix).
 
-    K holds the plus-half exponents of the family.  The symbols of theta(B_a)'s
-    word c^(k_a reversed) and of B_b come from algebra.weyl_symbol; each index
-    of a pair is one side's digits plus the other's, reduced digit by digit.
+    K holds the plus-half exponents of the family.  pairs = (a, b) are index
+    arrays into it that broadcast together, one word per (a, b) in their
+    shape; the default is every pair, as an n x n grid.  The symbols of
+    theta(B_a)'s word c^(k_a reversed) and of B_b come from
+    algebra.weyl_symbol; each index of a pair is one side's digits plus the
+    other's, reduced digit by digit.
     """
     d, w, n = cfg.d, cfg.m // 2, len(K)
+    a, b = (np.arange(n)[:, None], np.arange(n)) if pairs is None else pairs
     h = w // 2                          # digits with both generators left of the cut
     place = d ** np.arange(w - 1, -1, -1)
     steps, freq, phase = weyl_symbol(d, np.concatenate([K[:, ::-1], K]))
     shift = steps @ place
-    S = shift[:n, None] + shift[None, n:]
+    S = shift[a] + shift[n + b]
     if w % 2:                           # digit h straddles the cut: carry once
-        S -= (steps[:n, h, None] + steps[None, n:, h] >= d) * (d * place[h])
+        S -= (steps[a, h] + steps[n + b, h] >= d) * (d * place[h])
     g = K.sum(1) % d
     # left of digit h every frequency digit of B_b is its grade g_b
     left = ((freq[:n, None, :h] + np.arange(d)[:, None]) % d) @ place[:h]
-    F = left[:, g] + (freq[n:, h:] @ place[h:])[None, :]
+    F = left[a, g[b]] + (freq[n:, h:] @ place[h:])[b]
     theta_a = phase[:n] + 2 * _theta_exponent(K)
-    P = (theta_a[:, None] + phase[None, n:] + (d + 1) * np.outer(g, g)) % (2 * d)
+    P = (theta_a[a] + phase[n + b] + (d + 1) * g[a] * g[b]) % (2 * d)
     return S, F, P
 
 
@@ -333,10 +338,12 @@ def _form(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     cfg = algebra.cfg
     if not isinstance(omega, QuasiFreeState):
         n = len(K)
-        pairs = sectors[:, None] == sectors[None, :]
-        S, F, P = _weyl_words(cfg, K)
+        if (sectors == sectors[:1]).all():      # one block: every pair
+            return _weyl_form(omega.density(algebra), cfg, _weyl_words(cfg, K))
+        # the words of the in-sector pairs only, in row-major order
+        a, b = np.nonzero(sectors[:, None] == sectors[None, :])
         M = np.zeros((n, n), dtype=complex)
-        M[pairs] = _weyl_form(omega.density(algebra), cfg, (S[pairs], F[pairs], P[pairs]))
+        M[a, b] = _weyl_form(omega.density(algebra), cfg, _weyl_words(cfg, K, (a, b)))
         return M
     n, g = len(K), K.sum(1) % cfg.d
     P = (2 * _theta_exponent(K)[:, None] + (cfg.d - 1) * np.outer(g, g)) % (2 * cfg.d)
@@ -378,7 +385,7 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     so the shift index is the sum of one index per side less one carry.  The
     frequency digits of the left word vanish from h on, and those of the
     right word before h are |k_b|, so F[a, b] = left[a, g_b] + right[b] from
-    an n x d table.  The indices cost n^2 w integer work (_weyl_words).
+    an n x d table.  The indices cost w integer steps a pair (_weyl_words).
 
     Omega is built only for the u <= min(n^2, dim) distinct shifts and the
     k <= d^(w - w//2) low frequency digits in use.  The q^(f.i) sum of each
@@ -390,9 +397,10 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
 
     When omega conserves the reflection charge (module docstring: the trace
     state and every theorem-class Gibbs state), M_ab = 0 exactly unless
-    g_a = g_b, so only the pairs within a grade sector are evaluated and the
-    others are 0.0 (_sectors, _form): about n^2/d of the n^2 pairs.  Any
-    other state is one sector, and all n^2 pairs are evaluated.
+    g_a = g_b, so only the pairs within a grade sector get words and are
+    evaluated, and the others are 0.0 (_sectors, _form): about n^2/d of the
+    n^2 pairs.  Any other state is one sector, and all n^2 pairs are
+    evaluated.
 
     reconstruct evaluates one form, over the window followed by its shift
     images, and reads the window Gram off its leading block (leading_report).

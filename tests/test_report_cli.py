@@ -261,6 +261,38 @@ class TestCli:
         assert abs(M[1][1]["re"]) < 1e-12
         assert rep["results"]["verdict"] == "positive"
 
+    @pytest.mark.parametrize("state", [{"state": "trace"},
+                                       {"state": "gibbs", "draw": {"family": "generic"}}],
+                             ids=["trace", "generic"])
+    def test_rp_gram_matrix_is_the_leading_block(self, tmp_path, state):
+        # n = 32 at (2, 10): basis_size says 32, matrix is the leading 16 x 16
+        # block of the form, and reads back bit for bit
+        cfg = {"d": 2, "m": 10, **state}
+        code, text = run_cli(tmp_path, "rp-gram", cfg, "--seed", "3")
+        results = json.loads(text)["results"]
+        algebra = Algebra(AlgebraConfig(2, 10))
+        omega = cli._state_from_config(cfg, algebra, 3)
+        rep = gram(omega, algebra, plus_basis(algebra.cfg))
+        assert code == (0 if state["state"] == "trace" else 2)
+        assert results["basis_size"] == len(rep.matrix) == 32
+        got = np.array([[complex(z["re"], z["im"]) for z in row]
+                        for row in results["matrix"]])
+        assert got.shape == (rpkit.report.WITNESS_CAP, rpkit.report.WITNESS_CAP) == (16, 16)
+        assert got.tobytes() == rep.matrix[:16, :16].tobytes()
+
+    @pytest.mark.parametrize("state", [{"state": "trace"},
+                                       {"state": "gibbs", "draw": {"family": "theorem"}}],
+                             ids=["trace", "theorem"])
+    def test_rp_gram_matrix_of_16_members_is_whole(self, tmp_path, monkeypatch, state):
+        # n = 16 at (2, 8): the whole form, and the same bytes as with no cap
+        cfg = {"d": 2, "m": 8, **state}
+        code, text = run_cli(tmp_path, "rp-gram", cfg, "--seed", "4")
+        algebra = Algebra(AlgebraConfig(2, 8))
+        rep = gram(cli._state_from_config(cfg, algebra, 4), algebra, plus_basis(algebra.cfg))
+        assert len(json.loads(text)["results"]["matrix"]) == len(rep.matrix) == 16
+        monkeypatch.setattr(cli, "WITNESS_CAP", 10**9)
+        assert run_cli(tmp_path, "rp-gram", cfg, "--seed", "4") == (code, text)
+
     def test_rp_gram_theorem_draw(self, tmp_path):
         cfg = {"d": 2, "m": 4, "state": "gibbs", "beta": 1.0,
                "draw": {"family": "theorem"}}
@@ -674,14 +706,16 @@ def test_sft_sequence_budget_exit_4(tmp_path, capsys, monkeypatch, budget, d):
         "rpkit: size cap exceeded: config field 'sequence':")
 
 
-@pytest.mark.parametrize("steps", [4, 100, 1e30, -1], ids=["half", "hundred", "1e30", "negative"])
+@pytest.mark.parametrize("steps", [0, 4, 100, 1e30, -1],
+                         ids=["zero", "half", "hundred", "1e30", "negative"])
 def test_reconstruct_steps_out_of_range_exit_3(tmp_path, capsys, monkeypatch, steps):
     # from m/2 generators on every plus generator leaves the chain: the
-    # transfer would be the vacuum projection, a vacuous "positive" with gap 0
-    def no_gram(*args, **kwargs):
-        raise AssertionError("the Gram was built")
+    # transfer would be the vacuum projection, a vacuous "positive" with gap 0;
+    # steps = 0 shifts nothing, a transfer of 1 and gap 0 for any state
+    def no_form(*args, **kwargs):
+        raise AssertionError("the form was built")
 
-    monkeypatch.setattr(cli, "gram", no_gram)
+    monkeypatch.setattr(cli, "form_matrix", no_form)
     cfg = {"d": 2, "m": 8, "chain": {}, "basis_room": 3, "steps": steps}
     code, text = run_cli(tmp_path, "reconstruct", cfg)
     assert code == 3

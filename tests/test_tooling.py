@@ -136,3 +136,31 @@ def test_outcomes_diff_prints_the_largest_move_of_each_result(tmp_path, capsys):
     assert lines == ["  max |delta| results.matrix: 2e-15 (g/s1/r0/00)",
                      "  max |delta| results.min_eig: 5e-14 (g/s1/r0/01)",
                      "  max |delta| results.rows[].min_eig: 4e-16 (g/s1/r0/00)"]
+
+
+def test_outcomes_diff_names_a_field_that_changed_shape(tmp_path, capsys):
+    # a results field whose values changed shape is named with its count and
+    # first check, not skipped: a shorter matrix, a list that became a
+    # number, a field one side lacks; equal shapes keep the |delta| line
+    outcomes = _load(OUTCOMES, "tools_outcomes")
+
+    def record(path, reports):
+        checks = {f"g/s1/r0/{i:02d}": [0, json.dumps({"results": r}), ""]
+                  for i, r in enumerate(reports)}
+        path.write_text(json.dumps({"checks": checks}), encoding="utf-8")
+        return str(path)
+
+    z = {"re": 1.0, "im": 0.0}
+    base = {"min_eig": 1.0, "matrix": [[z, z], [z, z]], "witness": [z, z], "gap": 0.5}
+    a = record(tmp_path / "a.json", [base, base, base])
+    b = record(tmp_path / "b.json", [dict(base, min_eig=2.0),
+                                     dict(base, matrix=[[z]], witness=1.0),
+                                     {"min_eig": 1.0, "matrix": [[z]], "witness": [z, z]}])
+    capsys.readouterr()
+    assert outcomes.main(["diff", a, b]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "results." in line] == [
+        "  max |delta| results.min_eig: 1 (g/s1/r0/00)",
+        "  results.gap: shape differs on 1 checks (g/s1/r0/02)",
+        "  results.matrix: shape differs on 2 checks (g/s1/r0/01)",
+        "  results.witness: shape differs on 1 checks (g/s1/r0/01)"]

@@ -496,6 +496,29 @@ def test_chunk_order_is_the_masks_bit_for_bit(case, macs):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=form_cases())
+def test_in_sector_words_are_the_masked_grid(case):
+    """The words of the in-sector pairs only, against the words of all n^2
+    pairs masked to the sectors, element for element in row-major order; and
+    _form's one _weyl_form call over them gives the masked grid's form bit
+    for bit.  The grade sectors are imposed whatever the state, so that most
+    draws have several."""
+    algebra, omega, _, family = case
+    cfg = algebra.cfg
+    K = verifier._family_exponents(algebra, family)
+    sectors = K.sum(1) % cfg.d
+    pairs = sectors[:, None] == sectors[None, :]
+    grid = _weyl_words(cfg, K)
+    words = _weyl_words(cfg, K, np.nonzero(pairs))
+    for got, want in zip(words, grid):
+        assert got.dtype == want.dtype and np.array_equal(got, want[pairs])
+    want = np.zeros(pairs.shape, dtype=complex)
+    want[pairs] = verifier._weyl_form(omega.density(algebra), cfg,
+                                      tuple(x[pairs] for x in grid))
+    assert verifier._form(omega, algebra, K, sectors).tobytes() == want.tobytes()
+
+
 def test_form_matrix_wide_shift_chunks_match_gather():
     """d = 256, m = 2 with 144 random grades and a Gibbs state: one shift
     over 144 frequencies alone needs more than OMEGA_MACS multiply-adds, so

@@ -21,7 +21,9 @@ of each side; then, over the differing reports whose exit codes agree, the
 largest |delta| of each numeric `results` key that moved (a number, a
 complex {"re", "im"} pair or a list of those) and the check it came from;
 a list of objects, such as the scan's `rows`, counts as one field per key
-of its objects, named `rows[].min_eig`;
+of its objects, named `rows[].min_eig`; then each such field that changed
+shape (a list length, the nesting or the type of an entry, or a field that
+one side lacks) on how many checks, and the first;
 then the keys of the differing and the missing checks, up to SHOWN of each.
 It exits 1 on any difference.
 
@@ -142,11 +144,25 @@ def _fields(name: str, value):
         yield name, value
 
 
-def _result_moves(a: dict, b: dict, keys) -> dict:
-    """{results key: (largest |delta|, check)} over the checks whose reports
-    differ while their exit codes agree; keys whose values differ in shape or
-    hold no numbers are skipped, and so are keys that did not move."""
-    moves = {}
+def _skeleton(value):
+    """value with every number, real or a complex pair, replaced by 0: two
+    values have equal skeletons when only their numbers and strings differ."""
+    if isinstance(value, list):
+        return [_skeleton(x) for x in value]
+    if _numbers(value) is not None:
+        return 0
+    if isinstance(value, dict):
+        return {k: _skeleton(v) for k, v in value.items()}
+    return type(value).__name__
+
+
+def _result_moves(a: dict, b: dict, keys) -> tuple:
+    """({results field: (largest |delta|, check)}, {results field: [checks,
+    first check]}) over the checks whose reports differ while their exit
+    codes agree.  A field that changed shape (_skeleton) on a check, or that
+    one side lacks, goes to the second table; of the others, those that hold
+    no numbers or did not move are left out."""
+    moves, reshaped = {}, {}
     for k in keys:
         if a[k][0] != b[k][0] or a[k][1] is None or b[k][1] is None:
             continue
@@ -155,14 +171,17 @@ def _result_moves(a: dict, b: dict, keys) -> dict:
         except ValueError:
             continue
         fa, fb = ({f: v for name in r for f, v in _fields(name, r[name])} for r in (ra, rb))
-        for name in fa.keys() & fb.keys():
+        for name in fa.keys() | fb.keys():
+            if name not in fa or name not in fb or _skeleton(fa[name]) != _skeleton(fb[name]):
+                reshaped.setdefault(name, [0, k])[0] += 1
+                continue
             xa, xb = _numbers(fa[name]), _numbers(fb[name])
-            if xa is None or xb is None or len(xa) != len(xb):
+            if xa is None:
                 continue
             delta = max((abs(p - q) for p, q in zip(xa, xb)), default=0.0)
             if delta > moves.get(name, (0.0, None))[0]:
                 moves[name] = (delta, k)
-    return moves
+    return moves, reshaped
 
 
 def diff(path_a: str, path_b: str) -> int:
@@ -178,8 +197,11 @@ def diff(path_a: str, path_b: str) -> int:
         print(f"  exit {a[k][0]} -> {b[k][0]}: {k}")
         for side in (a, b):
             print(f"    {_last_line(side[k][2])}")
-    for name, (delta, k) in sorted(_result_moves(a, b, differing["report"]).items()):
+    moves, reshaped = _result_moves(a, b, differing["report"])
+    for name, (delta, k) in sorted(moves.items()):
         print(f"  max |delta| results.{name}: {delta:.3g} ({k})")
+    for name, (count, k) in sorted(reshaped.items()):
+        print(f"  results.{name}: shape differs on {count} checks ({k})")
     for k in keys[:SHOWN]:
         print(f"  differs ({', '.join(f for f in FIELDS if k in differing[f])}): {k}")
     for k in missing[:SHOWN]:
