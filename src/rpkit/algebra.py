@@ -416,6 +416,8 @@ class StateFunctional:
     hamiltonian: AlgebraElement | None = None
     _rho: np.ndarray | None = field(default=None, repr=False, compare=False)
     _cfg: AlgebraConfig | None = field(default=None, repr=False, compare=False)
+    # whether H conserves the reflection charge, kept by verifier.grade_sectors
+    _conserves: bool | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("trace", "gibbs"):

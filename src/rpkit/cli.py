@@ -54,8 +54,8 @@ from .reconstruction import quantize, shift_family, spectrum_report, transfer_op
 from .report import CONVENTIONS, TOOL, WITNESS_CAP, curve_csv, to_text, truncate_witness
 from .verifier import (DEFAULT_TOL, NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                        draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
-                       gram, leading_report, plus_basis, sft_positivity,
-                       sft_positivity_sequence, _sectors)
+                       grade_sectors, gram, leading_report, plus_basis, sft_positivity,
+                       sft_positivity_sequence)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -179,7 +179,7 @@ def run_rp_gram(cfg, tol, seed):
     results = {
         "verdict": rep.verdict,
         "min_eig": rep.min_eig,
-        "worst_sector": rep.sector,
+        "worst_sector": rep.block,
         "psd": rep.psd,
         "marginal": rep.marginal,
         "hermiticity_defect": rep.herm_defect,
@@ -218,7 +218,7 @@ def run_reconstruct(cfg, tol, seed):
     # identity (first in plus_basis) gives the reflection defect
     family, shifted = shift_family(basis, steps, algebra.cfg)
     M = form_matrix(omega, algebra, family)
-    greport = leading_report(M, basis, 0, tol, _sectors(omega, algebra.cfg, basis))
+    greport = leading_report(M, basis, 0, tol, grade_sectors(omega, algebra.cfg, basis))
     if greport.verdict != POSITIVE:
         return NOT_APPLICABLE, {"gram_verdict": greport.verdict,
                                 "min_eig": greport.min_eig}
@@ -259,7 +259,7 @@ def run_green(cfg, tol, seed):
         "covariance_rp_verdict": cov.verdict,
         "covariance_rp_min_eig": cov.min_eig,
         "cut_size": gs.cut_size,
-        "worst_mode": list(cov.mode),
+        "worst_mode": list(cov.block),
         "verdicts_agree": mono.verdict == cov.verdict,
         "witness": truncate_witness(mono.witness),
     }

@@ -110,12 +110,13 @@ up to the constant factor of its temporaries.  S Nt^2 bounds the scan, whose
 per-t stacks are the weighted half columns (S x Nt x h) and the blocks
 (S x h x h); green needs only S h cut + S cut^2 entries for K and W, so the
 term is more than it takes, and the budget does not yet tell the two apart.
-n bounds the lists per site (the half and its labels); the worst mode's
-transverse vector is built from the closed form, L entries per axis.  The
-dense L x L axis bases are built only by explicit test functions
-(TransverseModes.to_modes) and the block view: TransverseModes.bases holds
-sum L^2 to MODE_ENTRIES where they are built, so a long thin lattice such as
-[2, 100000] passes green and the scan, and only those calls refuse it.  The
+n bounds the one list per site, the half, whose site indices label the
+report (covariance_rp); the worst mode's transverse vector is built from
+the closed form, L entries per axis.  The dense L x L axis bases are built
+only by explicit test functions (TransverseModes.to_modes) and the block
+view: TransverseModes.bases holds sum L^2 to MODE_ENTRIES where they are
+built, so a long thin lattice such as [2, 100000] passes green and the
+scan, and only those calls refuse it.  The
 dense lattice_operator, which only stochastic_covariance and the tests call,
 checks n^2 against the same budget.
 """
@@ -131,8 +132,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidConfig, InvalidGeometry, SizeLimit, WrongHalf
 from .reconstruction import compress_shift, energies, quantize
-from .verifier import (DEFAULT_TOL, GramReport, gram_report_from_matrix, scaled_report,
-                       spectral_report)
+from .verifier import DEFAULT_TOL, GramReport, gram_report_from_matrix, judged
 
 MODE_ENTRIES = 2**25    # work budget: S Nt^2 + n per lattice, sum L^2 per set of axis bases
 VIOLATION_TOL = 1e-8    # default gate: a scan row is violated when min eigenvalue < -tol
@@ -193,11 +193,6 @@ class LatticeModel:
     @property
     def sites(self) -> list:
         return list(itertools.product(*[range(n) for n in self.dims]))
-
-    def half_sites(self) -> list:
-        """The positive-time sites as coordinate tuples, in the order of half_indices."""
-        Nt = self.dims[0]
-        return list(itertools.product(range(Nt // 2, Nt), *[range(n) for n in self.dims[1:]]))
 
     def _grid(self) -> np.ndarray:
         """Site indices laid out on the lattice (C order, the order of `sites`)."""
@@ -380,13 +375,12 @@ def green_set(model: LatticeModel) -> GreenSet:
 
     K is read in the closed-form sine basis of the h half rows (module
     docstring), contracted without forming anything S x h x h; the one solve
-    is the batched cut x cut system for W.  Factors that are not finite, or a
-    block that is identically zero (all its cut forms are), are refused with
-    InvalidConfig.  Exactly, C is entrywise positive on a connected lattice,
-    so the block is not zero.  A zero block is underflow (mass2 = 1e308 puts
-    K at 1e-308 on the cut and below the smallest double off it): both RP
-    forms then vanish, and their "positive" verdict would rest on no entry
-    at all.
+    is the batched cut x cut system for W.  Factors that are not finite, or
+    cut forms whose largest entry is below the smallest normal double
+    (finfo.tiny), are refused with InvalidConfig.  Exactly, C is entrywise
+    positive on a connected lattice, so the block is not zero: a smaller one
+    is underflow.  At mass2 = 1e308 the block is zero, at 1e160 subnormal,
+    with fewer than 53 significant bits, and a "positive" would rest on that.
     """
     modes = transverse_modes(model)
     h = model.dims[0] // 2
@@ -400,9 +394,9 @@ def green_set(model: LatticeModel) -> GreenSet:
     if not (np.all(np.isfinite(K)) and np.all(np.isfinite(W))):
         raise InvalidConfig(f"the Green operator at mass2 = {model.mass2} is not finite")
     gs = GreenSet(model=model, half=model.half_indices(), K=K, W=W, modes=modes)
-    if not gs.cut_form[1].any():
+    if np.abs(gs.cut_form[1]).max() < np.finfo(float).tiny:
         raise InvalidConfig(f"the Green operator at mass2 = {model.mass2} underflows: "
-                            f"its reflected block is zero")
+                            f"its reflected block is below the smallest normal double")
     return gs
 
 
@@ -412,26 +406,30 @@ def monotonicity_verdict(gs: GreenSet, tol: float = DEFAULT_TOL) -> GramReport:
 
 
 def monotonicity_of(cov: GramReport) -> GramReport:
-    """The monotonicity report read off the delta-basis covariance report, with no solve."""
-    return scaled_report(cov, 2.0)
+    """The monotonicity report read off the delta-basis covariance report, with
+    no solve: doubling is exact, so 2 cov.eigenvalues is the spectrum of 2 B
+    bit for bit, judged against the same tol with the same witness and mode."""
+    return judged(cov.basis, None, 2 * cov.eigenvalues, None, cov.witness, cov.tol,
+                  2 * cov.herm_defect, cov.reflection_defect, cov.block)
 
 
 def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL) -> GramReport:
     """Gram G_ij = (r f_i)^T C f_j for test functions supported on the half.
 
-    Defaults to the full half-space delta basis, where G is the block.  Its
-    spectrum is read mode by mode (module docstring): the eigenvalues of the
-    cut forms R W R^T, one batched eigvalsh, and h - cut exact zeros per
-    mode.  So min_eig is the true minimum of the block, an exact 0.0
-    whenever h > cut and every cut form is PSD.  The worst mode is the one
-    with the smallest cut eigenvalue; the witness is its time vector (x) its
+    Defaults to the full half-space delta basis gs.half, where G is the
+    block.  Its spectrum is read mode by mode (module docstring): the
+    eigenvalues of the cut forms R W R^T, one batched eigvalsh, and h - cut
+    exact zeros per mode.  So min_eig is the true minimum of the block, an
+    exact 0.0 whenever h > cut and every cut form is PSD.  The worst mode,
+    the report's block (TransverseModes.index), is the one with the
+    smallest cut eigenvalue; the witness is its time vector (x) its
     transverse vector: a unit kernel vector (the first column past the cut of
     the complete Q of that mode's K) when the minimum is the exact zero, else
     the bottom eigenvector of its cut form.  The hermiticity defect is the
     largest entry of K (W - W^T) K^T over the modes, the block's asymmetry in
     the mode basis.  Explicit test functions F give, per mode,
     (F_k K) W (F_k K)^T summed over the modes, F_k the mode-k coefficients of
-    the half columns of F; non-finite test functions are refused.
+    the half columns of F (one block); non-finite test functions are refused.
     """
     half = gs.half
     S, h, c = gs.K.shape
@@ -447,7 +445,7 @@ def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL) -> GramR
         skew = gs.W - gs.W.transpose(0, 2, 1)
         herm = float(np.abs(gs.K @ skew @ gs.K.transpose(0, 2, 1)).max()) if skew.any() else 0.0
         witness = np.outer(tau, gs.modes.vector(k)).ravel()
-        return spectral_report(gs.model.half_sites(), ev, witness, tol, herm, gs.modes.index(k))
+        return judged(half, None, ev, None, witness, tol, herm, 0.0, gs.modes.index(k))
     n = math.prod(gs.model.dims)
     fns = [np.asarray(f, dtype=float) for f in testfns]
     if any(f.shape != (n,) for f in fns):

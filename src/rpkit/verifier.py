@@ -42,9 +42,9 @@ theta(B_a) o B_b is a multiple of c^K with K = rev k_a + k_b, and chi(K) =
 form is block diagonal over the grades.  The trace state (H = 0) conserves
 chi, and so does every cross element E_k (chi = |k| - |k|) and every
 grade-0 one-sided word, hence every theorem-class H; a generic H does not.
-_sectors reads this off the words of H, _form evaluates the in-block pairs
-only and writes 0.0 across blocks, and gram_report_from_matrix takes one eigh
-per block.
+grade_sectors reads this off the words of H, _form evaluates the in-block
+pairs only and writes 0.0 across blocks, and gram_report_from_matrix takes one
+eigh per block.
 """
 
 from __future__ import annotations
@@ -105,9 +105,12 @@ def plus_basis(cfg: AlgebraConfig, max_grade: int | None = None) -> list:
 class GramReport:
     """Hermitian Gram form with PSD verdict and violation witness.
 
-    A form read off its spectrum without being formed (lattice.covariance_rp)
-    has no matrix and no eigenvectors, only the ascending eigenvalues and
-    the witness; mode names the transverse mode that holds the witness.
+    basis labels the members: exponent tuples (algebra), half-site indices
+    (lattice.covariance_rp) or test-function indices.  A form read off its
+    spectrum without being formed has no matrix and no eigenvectors, only
+    the ascending eigenvalues and the witness.  block names the worst block
+    of a block-diagonal form, the one that holds min_eig and the witness: a
+    grade sector (int) or a transverse mode (per-axis tuple); None is one block.
     """
 
     basis: list
@@ -123,8 +126,7 @@ class GramReport:
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None  # columns pair with `eigenvalues`
     not_applicable_reason: str = ""     # the gate that tripped: reflection or hermiticity
-    mode: tuple = ()
-    sector: int | None = None           # grade of the block that holds min_eig
+    block: int | tuple | None = None    # the worst block: grade sector or transverse mode
 
 
 def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
@@ -132,17 +134,18 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
                             sectors: np.ndarray | None = None) -> GramReport:
     """PSD verdict machinery shared by the algebra and lattice Gram forms.
 
-    sectors labels each member with its grade sector (_sectors); M is block
-    diagonal over them, and None is one block.  Each block gets its own eigh;
-    the eigenpairs are embedded in the full basis and sorted ascending, so
-    the witness is the worst block's bottom eigenvector, and the report's
-    sector is that block's grade (None for a form of one block).
+    sectors labels each member with its grade sector (grade_sectors); M is
+    block diagonal over them, and None is one block.  Each block gets its own
+    eigh; the eigenpairs are embedded in the full basis and sorted ascending,
+    so the witness is the worst block's bottom eigenvector, and the report's
+    block is that block's grade (None for one block).  basis labels M's rows.
     """
     herm = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
     Ms = (M + M.conj().T) / 2
+    # one block kept apart: via the sector loop a report at n = 4-27 took 20-45 us more
     if sectors is None or not np.any(sectors != sectors[:1]):
         ev, vec = np.linalg.eigh(Ms)
-        sector = None
+        block = None
     else:
         # members grouped by sector, so that each block is a slice
         perm = np.argsort(sectors, kind="stable")
@@ -158,38 +161,16 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
         ev = np.concatenate(parts)
         order = np.argsort(ev, kind="stable")
         ev, vec = ev[order], vec[:, order]
-        sector = int(grades[np.searchsorted(ends, order[0], side="right")])
+        block = int(grades[np.searchsorted(ends, order[0], side="right")])
     witness = vec[:, 0] if ev.size else np.zeros(0)
-    return _judged(list(basis), Ms, ev, vec, witness, tol, herm, reflection_defect,
-                   sector=sector)
+    return judged(list(basis), Ms, ev, vec, witness, tol, herm, reflection_defect, block)
 
 
-def spectral_report(basis, ev: np.ndarray, witness: np.ndarray, tol: float, herm: float,
-                    mode: tuple = ()) -> GramReport:
-    """The report of a form known by its ascending spectrum and one witness.
-
-    No matrix and no eigenvectors: lattice.covariance_rp reads the spectrum
-    mode by mode and never forms the block.
-    """
-    return _judged(list(basis), None, ev, None, witness, tol, herm, 0.0, mode)
-
-
-def scaled_report(rep: GramReport, factor: float) -> GramReport:
-    """The report of factor * rep.matrix, from rep's spectrum and without a solve.
-
-    For a power of two the scaling is exact, and eigh(factor M) is
-    factor * eigh(M) bit for bit, eigenvectors included; the verdict is taken
-    again on the scaled eigenvalues against the same tol, with the same witness.
-    """
-    M = None if rep.matrix is None else factor * rep.matrix
-    return _judged(rep.basis, M, factor * rep.eigenvalues, rep.eigenvectors, rep.witness,
-                   rep.tol, factor * rep.herm_defect, rep.reflection_defect, rep.mode,
-                   rep.sector)
-
-
-def _judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, mode=(),
-            sector=None) -> GramReport:
-    """The one verdict rule: the gates, then PSD against -tol."""
+def judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, block=None) -> GramReport:
+    """The one verdict rule and the one GramReport constructor: the gates,
+    then PSD against -tol.  ev is the ascending spectrum of Ms, vec its
+    eigenvectors and witness the bottom one; Ms and vec are None for a form
+    known by its spectrum alone (lattice.covariance_rp)."""
     min_eig = float(ev[0]) if ev.size else 0.0
     psd = min_eig >= -tol
     reason = "reflection" if reflection_defect > 1e-10 else "hermiticity" if herm > 1e-8 else ""
@@ -198,7 +179,7 @@ def _judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, mode=(),
         basis=basis, matrix=Ms, min_eig=min_eig, psd=psd, witness=witness,
         tol=tol, verdict=verdict, herm_defect=herm, reflection_defect=reflection_defect,
         marginal=psd and min_eig < 0, eigenvalues=ev, eigenvectors=vec,
-        not_applicable_reason=reason, mode=mode, sector=sector)
+        not_applicable_reason=reason, block=block)
 
 
 def _family_exponents(algebra: Algebra, family) -> np.ndarray:
@@ -311,34 +292,38 @@ def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
     return zeta[P] * vals.reshape(S.shape)
 
 
-def _sectors(omega: StateFunctional | QuasiFreeState, cfg: AlgebraConfig,
-             K) -> np.ndarray:
+def grade_sectors(omega: StateFunctional | QuasiFreeState, cfg: AlgebraConfig,
+                  K) -> np.ndarray:
     """The grade sector of each exponent row k of K: its grade |k| mod d when
     omega conserves the reflection charge chi (module docstring), else 0 for
     every row, one block.
 
     The trace state conserves it, and so does a Gibbs state all of whose
     Hamiltonian words have chi = 0.  A quasi-free chain state is one block.
+    The words of H are walked once per state, and the decision is kept on it.
     """
     if isinstance(omega, QuasiFreeState):
         return np.zeros(len(K), dtype=int)
-    if omega.kind == "gibbs":
-        d, w = omega.hamiltonian.cfg.d, omega.hamiltonian.cfg.m // 2
-        if any((sum(k[w:]) - sum(k[:w])) % d for k in omega.hamiltonian.coeffs):
-            return np.zeros(len(K), dtype=int)
+    if omega._conserves is None:
+        H = omega.hamiltonian
+        omega._conserves = omega.kind == "trace" or not any(
+            (sum(k[H.cfg.m // 2:]) - sum(k[:H.cfg.m // 2])) % H.cfg.d for k in H.coeffs)
+    if not omega._conserves:
+        return np.zeros(len(K), dtype=int)
     return np.asarray(K).reshape(len(K), -1).sum(1) % cfg.d
 
 
 def _form(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
           K: np.ndarray, sectors: np.ndarray) -> np.ndarray:
     """M_ab = omega(theta(B_a) o B_b) over the exponent rows K (form_matrix):
-    a quasi-free state gives its word values (one block, _sectors), any other
-    state the Omega table of its density over the pairs within one grade
-    sector, with 0.0 across sectors."""
+    a quasi-free state gives its word values (one block, grade_sectors), any
+    other state the Omega table of its density over the pairs within one
+    grade sector, with 0.0 across sectors."""
     cfg = algebra.cfg
     if not isinstance(omega, QuasiFreeState):
         n = len(K)
-        if (sectors == sectors[:1]).all():      # one block: every pair
+        # one block, every pair; via the sector path a generic (3, 8) gram took 2.65 ms, not 2.2
+        if (sectors == sectors[:1]).all():
             return _weyl_form(omega.density(algebra), cfg, _weyl_words(cfg, K))
         # the words of the in-sector pairs only, in row-major order
         a, b = np.nonzero(sectors[:, None] == sectors[None, :])
@@ -398,7 +383,7 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     When omega conserves the reflection charge (module docstring: the trace
     state and every theorem-class Gibbs state), M_ab = 0 exactly unless
     g_a = g_b, so only the pairs within a grade sector get words and are
-    evaluated, and the others are 0.0 (_sectors, _form): about n^2/d of the
+    evaluated, and the others are 0.0 (grade_sectors, _form): about n^2/d of the
     n^2 pairs.  Any other state is one sector, and all n^2 pairs are
     evaluated.
 
@@ -410,7 +395,7 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     family.
     """
     K = _family_exponents(algebra, family)
-    return _form(omega, algebra, K, _sectors(omega, algebra.cfg, K))
+    return _form(omega, algebra, K, grade_sectors(omega, algebra.cfg, K))
 
 
 def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
@@ -434,7 +419,7 @@ def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
     one = np.flatnonzero(~K.any(1))
     if one.size == 0:
         K = np.vstack([K, np.zeros((1, algebra.cfg.m), dtype=K.dtype)])
-    sectors = _sectors(omega, algebra.cfg, K)
+    sectors = grade_sectors(omega, algebra.cfg, K)
     return leading_report(_form(omega, algebra, K, sectors), basis,
                           one[0] if one.size else n, tol, sectors)
 
@@ -445,7 +430,7 @@ def leading_report(M: np.ndarray, basis, one: int, tol: float = DEFAULT_TOL,
     (form_matrix), with the reflection defect read as gram reads it: member
     `one` of the family is the identity, so its column holds omega(theta(B_a))
     and its row omega(B_a).  sectors are the family's grade sectors
-    (_sectors), None for one block."""
+    (grade_sectors), None for one block."""
     n = len(basis)
     refl = float(np.abs(M[:n, one] - M[one, :n].conj()).max(initial=0.0))
     return gram_report_from_matrix(M[:n, :n], basis, tol, reflection_defect=refl,

@@ -523,7 +523,7 @@ class TestModePath:
         model = LatticeModel((2, 6), 1.0, "box")
         gs = green_set(model)
         rep = covariance_rp(gs)
-        k = rep.mode[0]
+        k = rep.block[0]
         u = lattice.transverse_modes(model).vector(k)
         assert abs(abs(rep.witness @ u) - 1.0) < 1e-14     # one time row: the witness is +-u
         lam = np.linalg.eigvalsh(gs.cut_form[1])
@@ -711,11 +711,11 @@ class TestDenseOracles:
         # minimum is its exact zero, else an eigenvector at min_eig
         w = rep.witness
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12
-        assert len(rep.mode) == len(model.dims) - 1
+        assert len(rep.block) == len(model.dims) - 1
         assert np.abs(D @ w - rep.min_eig * w).max() <= h * tol + 1e-13 * rep.eigenvalues[-1]
         if h > c:
             # a kernel witness tau (x) u_k, tau in the complement of range(K_k)
-            k = int(np.ravel_multi_index(rep.mode, model.dims[1:])) if rep.mode else 0
+            k = int(np.ravel_multi_index(rep.block, model.dims[1:])) if rep.block else 0
             tau = w.reshape(gs.K.shape[1], -1) @ gs.modes.vector(k)
             assert abs(np.linalg.norm(tau) - 1.0) < 1e-12
             assert np.abs(gs.K[k].T @ tau).max() < 1e-12 * np.abs(gs.K[k]).max()
@@ -728,7 +728,7 @@ class TestDenseOracles:
         C = dense_green(model)
         R = _loop_reflection(model)
         n = C.shape[0]
-        labels = [model.sites[i] for i in gs.half]
+        labels = list(gs.half)
         want = gram_report_from_matrix(
             _loop_covariance(R, C, _deltas(n, gs.half)), labels)
         oracle = gram_report_from_matrix(dense_block(model, C), labels)
@@ -772,7 +772,7 @@ class TestDenseOracles:
         assert np.abs(rep.eigenvalues - want.eigenvalues).max() <= len(half) * tol
         # the scaling is exact: one spectrum serves both reports
         assert np.array_equal(rep.eigenvalues, 2 * cov.eigenvalues)
-        assert np.array_equal(rep.witness, cov.witness) and rep.mode == cov.mode
+        assert np.array_equal(rep.witness, cov.witness) and rep.block == cov.block
         assert rep.min_eig == 2 * cov.min_eig and rep.herm_defect == 2 * cov.herm_defect
 
     @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpkit.cli
 import rpkit.verifier
 from rpkit.algebra import AlgebraConfig, StateFunctional
 from rpkit.algebra import theta as theta_alg
@@ -282,6 +283,33 @@ def test_chain_reconstruct_reads_word_values_once(tmp_path, monkeypatch):
     assert main(["reconstruct", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out.json")]) == 0
     assert len(calls) == 1
+
+
+def test_reconstruct_walks_the_hamiltonian_once(tmp_path, monkeypatch):
+    # whether H conserves the reflection charge is decided once and kept on
+    # the state (grade_sectors): the family form and the window report share
+    # it.  At beta = 0 the draw is the trace state, which reconstructs (exit 0).
+    walks = []
+
+    class Words(dict):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    state = rpkit.cli._state_from_config
+
+    def watched(*args):
+        omega = state(*args)
+        omega.hamiltonian.coeffs = Words(omega.hamiltonian.coeffs)
+        return omega
+
+    monkeypatch.setattr(rpkit.cli, "_state_from_config", watched)
+    cfg = {"d": 3, "m": 6, "state": "gibbs", "beta": 0.0, "draw": {"family": "theorem"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["reconstruct", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize("J", [-1.0, 1.0], ids=["window-not-positive", "window-positive"])

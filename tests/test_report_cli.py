@@ -656,17 +656,18 @@ def test_wrong_type_config_exit_3(tmp_path, capsys, command, cfg):
 
 @pytest.mark.parametrize("command, cfg, names", [
     ("green", {"dims": [8], "mass2": 1e308}, "mass2"),
+    ("green", {"dims": [2, 2], "mass2": 1e160}, "mass2"),
     ("reconstruct", {**CHAIN_M4, "chain": {"coupling": 1e300, "beta": 1e300}}, "beta x coupling"),
     ("sft-check", {"d": 2, "sequence": [1e308, 1e308]}, "sequence"),
     ("reconstruct", {"d": 2, "m": 6, "state": "gibbs",
                      "hamiltonian": [[[1e308, 0], [1, 0, 0, 0, 0, 0]]]}, "hamiltonian"),
     ("rp-gram", {"d": 2, "m": 4, "state": "gibbs",
                  "hamiltonian": [[[1e308, 0], [0, 0, 0, 0]]]}, "hamiltonian"),
-], ids=["green-block-underflow", "chain-beta-coupling-overflow", "sequence-dft-overflow",
-        "gibbs-generator-overflow", "gibbs-identity-overflow"])
+], ids=["green-block-underflow", "green-block-subnormal", "chain-beta-coupling-overflow",
+        "sequence-dft-overflow", "gibbs-generator-overflow", "gibbs-identity-overflow"])
 def test_overflow_exit_3(tmp_path, capsys, command, cfg, names):
     # finite inputs whose result over- or underflows: refused, never a crash
-    # (exit 6) or a "positive" read off zeros, inf or nan
+    # (exit 6) or a "positive" read off zeros, subnormals, inf or nan
     code, text = run_cli(tmp_path, command, cfg)
     assert code == 3
     assert text == ""

@@ -1,7 +1,8 @@
 """Tooling contracts: the benchmark tracer's patch table names functions that
-exist, importing the package pulls in no scipy, and the outcome recorder
-finds a change and judges each check."""
+exist, importing the package pulls in no scipy, no module imports another's
+private name, and the outcome recorder finds a change and judges each check."""
 
+import ast
 import json
 import os
 import subprocess
@@ -46,6 +47,20 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name one module shares with another is public: give it a public name
+    # (dunders such as __version__ are public already)
+    found = []
+    for path in sorted((ROOT / "src" / "rpkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "rpkit"):
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert found == []
 
 
 def test_outcomes_dump_is_repeatable_and_diff_flags_a_stderr_change(tmp_path, capsys,

@@ -695,7 +695,7 @@ def test_sector_form_matches_the_one_block_oracle(case):
     algebra, omega, basis = case
     cfg, eps, n = algebra.cfg, np.finfo(float).eps, len(basis)
     K = verifier._family_exponents(algebra, basis)
-    sectors = verifier._sectors(omega, cfg, K)
+    sectors = verifier.grade_sectors(omega, cfg, K)
     assert np.array_equal(sectors, K.sum(1) % cfg.d)
     got, want = form_matrix(omega, algebra, basis), one_block_form(omega, algebra, basis)
     same = sectors[:, None] == sectors[None, :]
@@ -710,9 +710,9 @@ def test_sector_form_matches_the_one_block_oracle(case):
     assert rep.verdict == oracle.verdict
     # the witness lies in the worst sector, and min_eig is that sector's bottom
     if len(set(sectors.tolist())) == 1:
-        assert rep.sector is None
+        assert rep.block is None
     else:
-        inside = sectors == rep.sector
+        inside = sectors == rep.block
         assert np.all(rep.witness[~inside] == 0.0)
         Ms = rep.matrix[np.ix_(inside, inside)]
         assert abs(rep.min_eig - np.linalg.eigvalsh(Ms)[0]) <= 2 * n * n * eps
@@ -727,12 +727,12 @@ def test_a_charged_word_keeps_the_form_one_block():
     H = draw_theorem_hamiltonian(algebra, np.random.default_rng(7)) + 0.1 * (X + X.star())
     omega = StateFunctional(kind="gibbs", beta=1.0, hamiltonian=H)
     basis = plus_basis(algebra.cfg)
-    assert not verifier._sectors(omega, algebra.cfg, basis).any()
+    assert not verifier.grade_sectors(omega, algebra.cfg, basis).any()
     got = form_matrix(omega, algebra, basis)
     assert np.array_equal(got, one_block_form(omega, algebra, basis))
     g = np.array(basis).sum(1) % 3
     assert np.abs(got[g[:, None] != g[None, :]]).max() > 1e-3
-    assert gram(omega, algebra, basis).sector is None
+    assert gram(omega, algebra, basis).block is None
 
 
 @pytest.mark.parametrize("family, shapes", [("trace", [(27, 27)] * 3),
