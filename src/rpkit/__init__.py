@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .algebra import (AlgebraConfig, Algebra, AlgebraElement, StateFunctional,
                       build_algebra, clock_shift, evaluate, theta, twisted_product)
 from .verifier import (CouplingDecomposition, GramReport, coupling_decomposition,
-                       coupling_element, form_matrix, gram, leading_report, plus_basis,
-                       sft_positivity, sft_positivity_sequence)
+                       coupling_element, form_matrix, gram, gram_report_from_matrix,
+                       plus_basis, sft_positivity, sft_positivity_sequence)
 from .reconstruction import (QuotientSpace, SpectrumReport, TransferData, quantize,
                              shift_family, spectrum_report, time_shift, transfer_operator)
 from .lattice import (GreenSet, LatticeModel, covariance_rp, green_set,
@@ -25,7 +25,7 @@ __all__ = [
     "AlgebraConfig", "Algebra", "AlgebraElement", "StateFunctional", "build_algebra",
     "clock_shift", "evaluate", "theta", "twisted_product",
     "CouplingDecomposition", "GramReport", "coupling_decomposition", "coupling_element",
-    "form_matrix", "gram", "leading_report", "plus_basis", "sft_positivity",
+    "form_matrix", "gram", "gram_report_from_matrix", "plus_basis", "sft_positivity",
     "sft_positivity_sequence",
     "QuotientSpace", "SpectrumReport", "TransferData", "quantize", "shift_family",
     "spectrum_report", "time_shift", "transfer_operator",

@@ -416,8 +416,6 @@ class StateFunctional:
     hamiltonian: AlgebraElement | None = None
     _rho: np.ndarray | None = field(default=None, repr=False, compare=False)
     _cfg: AlgebraConfig | None = field(default=None, repr=False, compare=False)
-    # whether H conserves the reflection charge, kept by verifier.grade_sectors
-    _conserves: bool | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("trace", "gibbs"):
@@ -458,6 +456,17 @@ class StateFunctional:
                 rho /= np.trace(rho).real
             self._rho = rho
         return self._rho
+
+    @functools.cached_property
+    def conserves_charge(self) -> bool:
+        """Whether every word c^K of H has reflection charge chi(K) = 0
+        (verifier module docstring); the trace state has no H and conserves
+        it.  The words of H are walked once per state."""
+        if self.kind == "trace":
+            return True
+        H = self.hamiltonian
+        w = H.cfg.m // 2
+        return not any((sum(k[w:]) - sum(k[:w])) % H.cfg.d for k in H.coeffs)
 
 
 def evaluate(omega: StateFunctional, A: AlgebraElement) -> complex:

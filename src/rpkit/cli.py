@@ -47,15 +47,15 @@ from .boxes import Box22, adjoint, rot_pi, sft, star_product
 from .boxes import theta as theta_box
 from .chains import uniform_chain_state
 from .errors import (InvalidArgument, InvalidConfig, InvalidGeometry, InvalidState,
-                     RpkitError, SizeLimit, WrongHalf)
+                     PreconditionViolation, RpkitError, SizeLimit, WrongHalf)
 from .lattice import (VIOLATION_TOL, LatticeModel, chain_gap, covariance_rp, green_set,
                       monotonicity_of, stochastic_rp_scan)
 from .reconstruction import quantize, shift_family, spectrum_report, transfer_operator
 from .report import CONVENTIONS, TOOL, WITNESS_CAP, curve_csv, to_text, truncate_witness
 from .verifier import (DEFAULT_TOL, NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
                        draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
-                       grade_sectors, gram, leading_report, plus_basis, sft_positivity,
-                       sft_positivity_sequence)
+                       grade_sectors, gram, gram_report_from_matrix, plus_basis,
+                       sft_positivity, sft_positivity_sequence)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -218,7 +218,7 @@ def run_reconstruct(cfg, tol, seed):
     # identity (first in plus_basis) gives the reflection defect
     family, shifted = shift_family(basis, steps, algebra.cfg)
     M = form_matrix(omega, algebra, family)
-    greport = leading_report(M, basis, 0, tol, grade_sectors(omega, algebra.cfg, basis))
+    greport = gram_report_from_matrix(M, basis, tol, 0, grade_sectors(omega, algebra.cfg, basis))
     if greport.verdict != POSITIVE:
         return NOT_APPLICABLE, {"gram_verdict": greport.verdict,
                                 "min_eig": greport.min_eig}
@@ -268,6 +268,8 @@ def run_green(cfg, tol, seed):
             results["chain_gap"] = chain_gap(gs, tol)[0]
         except InvalidGeometry:
             pass    # a torus, or a half of one time row, has no transfer: no gap
+        except PreconditionViolation:
+            pass    # the dense chain Gram is not PSD at this tol (round-off): no gap
     return mono.verdict, results
 
 
@@ -401,6 +403,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite float >= 0.  nan would make every PSD test
+    false, inf every gate pass and a negative tol a PSD form negative."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use.  Its command choices are the
@@ -408,7 +422,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rpkit", description="reflection positivity verification toolkit")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--tol", type=_tolerance, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("structured", "csv"), default="structured")

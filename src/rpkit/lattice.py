@@ -108,10 +108,15 @@ Work budget.  LatticeModel checks S Nt^2 + n against MODE_ENTRIES on the
 dims, with Python integers, before anything is allocated; each term counts
 up to the constant factor of its temporaries.  S Nt^2 bounds the scan, whose
 per-t stacks are the weighted half columns (S x Nt x h) and the blocks
-(S x h x h); green needs only S h cut + S cut^2 entries for K and W, so the
-term is more than it takes, and the budget does not yet tell the two apart.
-n bounds the one list per site, the half, whose site indices label the
-report (covariance_rp); the worst mode's transverse vector is built from
+(S x h x h).  green holds S h cut + S cut^2 entries for K and W.  On a box
+that is all: W - W^T is 1 x 1 per mode, zero, and no more is formed.  On a
+torus with Nt >= 4 the batched solve leaves W - W^T nonzero, so the
+hermiticity defect of covariance_rp forms the S x h x h stack
+K (W - W^T) K^T, as the scan does (about 2.1e9 entries at 2048 x 2048).
+So the term bounds green on a torus and is more than it takes on a box;
+the budget does not yet tell them apart.  n bounds the spectrum and the
+witness, n/2 entries each; the half, whose site indices label the report
+(covariance_rp), is a range.  The worst mode's transverse vector is built from
 the closed form, L entries per axis.  The dense L x L axis bases are built
 only by explicit test functions (TransverseModes.to_modes) and the block
 view: TransverseModes.bases holds sum L^2 to MODE_ENTRIES where they are
@@ -132,7 +137,7 @@ import numpy as np
 
 from .errors import InvalidArgument, InvalidConfig, InvalidGeometry, SizeLimit, WrongHalf
 from .reconstruction import compress_shift, energies, quantize
-from .verifier import DEFAULT_TOL, GramReport, gram_report_from_matrix, judged
+from .verifier import DEFAULT_TOL, GramReport, gram_report_from_matrix
 
 MODE_ENTRIES = 2**25    # work budget: S Nt^2 + n per lattice, sum L^2 per set of axis bases
 VIOLATION_TOL = 1e-8    # default gate: a scan row is violated when min eigenvalue < -tol
@@ -202,10 +207,10 @@ class LatticeModel:
         """r[i] = index of the mirror image of site i."""
         return self._grid()[::-1].ravel()
 
-    def half_indices(self) -> list:
+    def half_indices(self) -> range:
         """Positive-time sites: t >= dims[0] / 2."""
         n = math.prod(self.dims)
-        return list(range(n // 2, n))       # C order with time first: the last n/2
+        return range(n // 2, n)             # C order with time first: the last n/2
 
 
 def _axis_eigenvalues(L: int, bc: str) -> np.ndarray:
@@ -330,7 +335,7 @@ class GreenSet:
     """
 
     model: LatticeModel
-    half: list
+    half: range
     K: np.ndarray
     W: np.ndarray
     modes: TransverseModes = field(default_factory=TransverseModes)
@@ -407,10 +412,10 @@ def monotonicity_verdict(gs: GreenSet, tol: float = DEFAULT_TOL) -> GramReport:
 
 def monotonicity_of(cov: GramReport) -> GramReport:
     """The monotonicity report read off the delta-basis covariance report, with
-    no solve: doubling is exact, so 2 cov.eigenvalues is the spectrum of 2 B
-    bit for bit, judged against the same tol with the same witness and mode."""
-    return judged(cov.basis, None, 2 * cov.eigenvalues, None, cov.witness, cov.tol,
-                  2 * cov.herm_defect, cov.reflection_defect, cov.block)
+    no solve: doubling is exact, so 2 cov.eigenvalues and 2 cov.herm_defect are
+    those of 2 B bit for bit, judged with the same tol, witness and mode."""
+    return GramReport(cov.basis, None, 2 * cov.eigenvalues, None, cov.witness, cov.tol,
+                      2 * cov.herm_defect, cov.reflection_defect, cov.block)
 
 
 def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL) -> GramReport:
@@ -445,7 +450,7 @@ def covariance_rp(gs: GreenSet, testfns=None, tol: float = DEFAULT_TOL) -> GramR
         skew = gs.W - gs.W.transpose(0, 2, 1)
         herm = float(np.abs(gs.K @ skew @ gs.K.transpose(0, 2, 1)).max()) if skew.any() else 0.0
         witness = np.outer(tau, gs.modes.vector(k)).ravel()
-        return judged(half, None, ev, None, witness, tol, herm, 0.0, gs.modes.index(k))
+        return GramReport(half, None, ev, None, witness, tol, herm, 0.0, gs.modes.index(k))
     n = math.prod(gs.model.dims)
     fns = [np.asarray(f, dtype=float) for f in testfns]
     if any(f.shape != (n,) for f in fns):

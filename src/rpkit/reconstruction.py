@@ -6,7 +6,7 @@ its members (shift_family), quotient the window by the null space of the
 form (quantize), and compress the shift, T[B] = [alpha B], onto the quotient
 (compress_shift).  Shifts falling off the chain map to the zero class.  The
 form is evaluated once: the window Gram that quantize reads is its leading
-block (verifier.leading_report), and transfer_operator reads the same form.
+block (gram_report_from_matrix), and transfer_operator reads the same form.
 
 Null rule, in quantize only: a window Gram eigenvalue is null iff it is
 <= tol.  quantize reads the eigenpairs and tol of the GramReport, so the

@@ -42,9 +42,13 @@ theta(B_a) o B_b is a multiple of c^K with K = rev k_a + k_b, and chi(K) =
 form is block diagonal over the grades.  The trace state (H = 0) conserves
 chi, and so does every cross element E_k (chi = |k| - |k|) and every
 grade-0 one-sided word, hence every theorem-class H; a generic H does not.
-grade_sectors reads this off the words of H, _form evaluates the in-block
-pairs only and writes 0.0 across blocks, and gram_report_from_matrix takes one
-eigh per block.
+grade_sectors reads this off the words of H (StateFunctional.conserves_charge),
+_form evaluates the in-block pairs only and writes 0.0 across blocks, and
+gram_report_from_matrix takes one eigh per block.
+
+One judge: gram_report_from_matrix judges the leading block of a family
+form (gram, reconstruct, lattice test functions), and a GramReport reads its
+verdict off the spectrum and the two defects it stores.
 """
 
 from __future__ import annotations
@@ -111,45 +115,69 @@ class GramReport:
     the ascending eigenvalues and the witness.  block names the worst block
     of a block-diagonal form, the one that holds min_eig and the witness: a
     grade sector (int) or a transverse mode (per-axis tuple); None is one block.
+    The verdict is read off these fields, never stored: the reflection gate
+    (1e-10), then the hermiticity gate (1e-8), then PSD against -tol.
     """
 
-    basis: list
+    basis: list | range                 # a range for the lattice half
     matrix: np.ndarray | None
-    min_eig: float
-    psd: bool
+    eigenvalues: np.ndarray             # ascending
+    eigenvectors: np.ndarray | None     # columns pair with `eigenvalues`
     witness: np.ndarray
     tol: float
-    verdict: str
     herm_defect: float = 0.0
     reflection_defect: float = 0.0
-    marginal: bool = False
-    eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None  # columns pair with `eigenvalues`
-    not_applicable_reason: str = ""     # the gate that tripped: reflection or hermiticity
     block: int | tuple | None = None    # the worst block: grade sector or transverse mode
+
+    @property
+    def min_eig(self) -> float:
+        return float(self.eigenvalues[0]) if self.eigenvalues.size else 0.0
+
+    @property
+    def psd(self) -> bool:
+        return self.min_eig >= -self.tol
+
+    @property
+    def marginal(self) -> bool:
+        return self.psd and self.min_eig < 0
+
+    @property
+    def not_applicable_reason(self) -> str:
+        """The gate that tripped: reflection or hermiticity, else ""."""
+        return ("reflection" if self.reflection_defect > 1e-10 else
+                "hermiticity" if self.herm_defect > 1e-8 else "")
+
+    @property
+    def verdict(self) -> str:
+        return NOT_APPLICABLE if self.not_applicable_reason else POSITIVE if self.psd else NEGATIVE
 
 
 def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
-                            reflection_defect: float = 0.0,
+                            one: int | None = None,
                             sectors: np.ndarray | None = None) -> GramReport:
-    """PSD verdict machinery shared by the algebra and lattice Gram forms.
-
-    sectors labels each member with its grade sector (grade_sectors); M is
-    block diagonal over them, and None is one block.  Each block gets its own
-    eigh; the eigenpairs are embedded in the full basis and sorted ascending,
-    so the witness is the worst block's bottom eigenvector, and the report's
-    block is that block's grade (None for one block).  basis labels M's rows.
+    """The GramReport of the leading n = len(basis) block of a family form M
+    (form_matrix).  Member `one` of the family is the identity, so its column
+    holds omega(theta(B_a)) and its row omega(B_a): their largest gap over the
+    n members is the reflection defect, 0.0 for one = None.  sectors labels
+    the family's members with their grade sectors (grade_sectors); the block
+    is block diagonal over them, and None is one block.  Each block gets its
+    own eigh; the eigenpairs are embedded in the full basis and sorted
+    ascending, so the witness is the worst block's bottom eigenvector, and
+    the report's block is that block's grade (None for one block).
     """
+    n = len(basis)
+    refl = 0.0 if one is None else float(np.abs(M[:n, one] - M[one, :n].conj()).max(initial=0.0))
+    M = M[:n, :n]
     herm = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
     Ms = (M + M.conj().T) / 2
     # one block kept apart: via the sector loop a report at n = 4-27 took 20-45 us more
-    if sectors is None or not np.any(sectors != sectors[:1]):
+    if sectors is None or not np.any(sectors[:n] != sectors[:1]):
         ev, vec = np.linalg.eigh(Ms)
         block = None
     else:
         # members grouped by sector, so that each block is a slice
-        perm = np.argsort(sectors, kind="stable")
-        counts = np.bincount(sectors)
+        perm = np.argsort(sectors[:n], kind="stable")
+        counts = np.bincount(sectors[:n])
         grades = np.flatnonzero(counts)
         ends = np.cumsum(counts[grades]).tolist()
         Mp = Ms[np.ix_(perm, perm)]
@@ -163,23 +191,7 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
         ev, vec = ev[order], vec[:, order]
         block = int(grades[np.searchsorted(ends, order[0], side="right")])
     witness = vec[:, 0] if ev.size else np.zeros(0)
-    return judged(list(basis), Ms, ev, vec, witness, tol, herm, reflection_defect, block)
-
-
-def judged(basis, Ms, ev, vec, witness, tol, herm, reflection_defect, block=None) -> GramReport:
-    """The one verdict rule and the one GramReport constructor: the gates,
-    then PSD against -tol.  ev is the ascending spectrum of Ms, vec its
-    eigenvectors and witness the bottom one; Ms and vec are None for a form
-    known by its spectrum alone (lattice.covariance_rp)."""
-    min_eig = float(ev[0]) if ev.size else 0.0
-    psd = min_eig >= -tol
-    reason = "reflection" if reflection_defect > 1e-10 else "hermiticity" if herm > 1e-8 else ""
-    verdict = NOT_APPLICABLE if reason else POSITIVE if psd else NEGATIVE
-    return GramReport(
-        basis=basis, matrix=Ms, min_eig=min_eig, psd=psd, witness=witness,
-        tol=tol, verdict=verdict, herm_defect=herm, reflection_defect=reflection_defect,
-        marginal=psd and min_eig < 0, eigenvalues=ev, eigenvectors=vec,
-        not_applicable_reason=reason, block=block)
+    return GramReport(list(basis), Ms, ev, vec, witness, tol, herm, refl, block)
 
 
 def _family_exponents(algebra: Algebra, family) -> np.ndarray:
@@ -299,16 +311,10 @@ def grade_sectors(omega: StateFunctional | QuasiFreeState, cfg: AlgebraConfig,
     every row, one block.
 
     The trace state conserves it, and so does a Gibbs state all of whose
-    Hamiltonian words have chi = 0.  A quasi-free chain state is one block.
-    The words of H are walked once per state, and the decision is kept on it.
+    Hamiltonian words have chi = 0 (StateFunctional.conserves_charge).  A
+    quasi-free chain state is one block.
     """
-    if isinstance(omega, QuasiFreeState):
-        return np.zeros(len(K), dtype=int)
-    if omega._conserves is None:
-        H = omega.hamiltonian
-        omega._conserves = omega.kind == "trace" or not any(
-            (sum(k[H.cfg.m // 2:]) - sum(k[:H.cfg.m // 2])) % H.cfg.d for k in H.coeffs)
-    if not omega._conserves:
+    if isinstance(omega, QuasiFreeState) or not omega.conserves_charge:
         return np.zeros(len(K), dtype=int)
     return np.asarray(K).reshape(len(K), -1).sum(1) % cfg.d
 
@@ -388,7 +394,8 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     evaluated.
 
     reconstruct evaluates one form, over the window followed by its shift
-    images, and reads the window Gram off its leading block (leading_report).
+    images, and judges the window Gram, its leading block
+    (gram_report_from_matrix).
     That block is the window's own form (gram) bit for bit for a quasi-free
     state, whose word values are elementwise eliminations, and up to the
     round-off above otherwise: BLAS may sum in another order for another
@@ -420,21 +427,8 @@ def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
     if one.size == 0:
         K = np.vstack([K, np.zeros((1, algebra.cfg.m), dtype=K.dtype)])
     sectors = grade_sectors(omega, algebra.cfg, K)
-    return leading_report(_form(omega, algebra, K, sectors), basis,
-                          one[0] if one.size else n, tol, sectors)
-
-
-def leading_report(M: np.ndarray, basis, one: int, tol: float = DEFAULT_TOL,
-                   sectors: np.ndarray | None = None) -> GramReport:
-    """The GramReport of the leading len(basis) block of a family form M
-    (form_matrix), with the reflection defect read as gram reads it: member
-    `one` of the family is the identity, so its column holds omega(theta(B_a))
-    and its row omega(B_a).  sectors are the family's grade sectors
-    (grade_sectors), None for one block."""
-    n = len(basis)
-    refl = float(np.abs(M[:n, one] - M[one, :n].conj()).max(initial=0.0))
-    return gram_report_from_matrix(M[:n, :n], basis, tol, reflection_defect=refl,
-                                   sectors=None if sectors is None else sectors[:n])
+    return gram_report_from_matrix(_form(omega, algebra, K, sectors), basis, tol,
+                                   one[0] if one.size else n, sectors)
 
 
 # ---------------------------------------------------------------------------

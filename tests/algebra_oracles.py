@@ -20,6 +20,9 @@ The Omega table with each chunk's pairs picked by a mask is the bit-for-bit
 reference of the pair order in rpkit.verifier._weyl_form.  The Omega table
 over all n^2 pairs as one block is the reference of the grade-sector form
 of rpkit.verifier._form, which evaluates the pairs within a sector only.
+The values of a report on a family form's leading block, computed step by
+step, with its verdict by the rule a GramReport once stored it with, are
+the reference of rpkit.verifier.gram_report_from_matrix and GramReport.
 """
 
 import numpy as np
@@ -402,3 +405,49 @@ def one_block_form(omega, algebra, family) -> np.ndarray:
     K = verifier._family_exponents(algebra, family)
     return verifier._weyl_form(dense_state(omega, algebra).density(algebra), cfg,
                                verifier._weyl_words(cfg, K))
+
+
+def stored_verdict(ev, tol, herm, reflection_defect) -> dict:
+    """The five values a GramReport once stored beside its spectrum, by the
+    rule they were stored with: the reflection gate (1e-10), then the
+    hermiticity gate (1e-8), then PSD against -tol."""
+    min_eig = float(ev[0]) if ev.size else 0.0
+    psd = min_eig >= -tol
+    reason = "reflection" if reflection_defect > 1e-10 else "hermiticity" if herm > 1e-8 else ""
+    verdict = "not-applicable" if reason else "positive" if psd else "negative"
+    return {"min_eig": min_eig, "psd": psd, "marginal": psd and min_eig < 0,
+            "not_applicable_reason": reason, "verdict": verdict}
+
+
+def leading_block_report(M, basis, one, tol, sectors) -> dict:
+    """Every value of the report on the leading n = len(basis) block of a
+    family form M, step by step: the reflection defect off the row and column
+    of member `one`, the block cut out and symmetrized, one eigh per grade
+    sector of sectors[:n] (None is one block) with its eigenpairs embedded in
+    the block's basis and sorted ascending, then stored_verdict."""
+    n = len(basis)
+    refl = float(np.abs(M[:n, one] - M[one, :n].conj()).max(initial=0.0))
+    B = M[:n, :n]
+    herm = float(np.abs(B - B.conj().T).max()) if B.size else 0.0
+    Ms = (B + B.conj().T) / 2
+    grades = [None] if sectors is None else sorted(set(sectors[:n].tolist()))
+    if len(grades) == 1:
+        ev, vec = np.linalg.eigh(Ms)
+        block = None
+    else:
+        vec = np.zeros_like(Ms)
+        parts, owner, col = [], [], 0
+        for g in grades:
+            idx = np.flatnonzero(sectors[:n] == g)
+            w, vec[idx, col:col + len(idx)] = np.linalg.eigh(Ms[np.ix_(idx, idx)])
+            parts.append(w)
+            owner += [g] * len(idx)
+            col += len(idx)
+        ev = np.concatenate(parts)
+        order = np.argsort(ev, kind="stable")
+        ev, vec = ev[order], vec[:, order]
+        block = owner[order[0]]
+    return {"basis": list(basis), "matrix": Ms, "eigenvalues": ev, "eigenvectors": vec,
+            "witness": vec[:, 0] if ev.size else np.zeros(0), "tol": tol,
+            "herm_defect": herm, "reflection_defect": refl, "block": block,
+            **stored_verdict(ev, tol, herm, refl)}

@@ -15,11 +15,12 @@ from rpkit.cli import main
 from rpkit.errors import (InvalidArgument, PreconditionViolation, ReconstructionFailure,
                           WrongHalf)
 from rpkit.reconstruction import (KERNEL_TOL, compress_shift, quantize, shift_defect,
-                                  spectrum_report, time_shift, transfer_operator)
+                                  shift_family, spectrum_report, time_shift,
+                                  transfer_operator)
 from rpkit.verifier import (coupling_element, draw_theorem_hamiltonian, gram,
-                            gram_report_from_matrix, leading_report, plus_basis)
+                            gram_report_from_matrix, plus_basis)
 
-from algebra_oracles import multiple_shift_transfer
+from algebra_oracles import leading_block_report, multiple_shift_transfer
 from conftest import family_form, make_algebra
 
 
@@ -440,6 +441,24 @@ def window_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
+@given(case=window_cases(), tol=st.sampled_from([0.0, 1e-10, 1e-6]),
+       span=st.sampled_from(["none", "window", "family"]), cut=st.integers(1, 64))
+def test_leading_block_report_matches_the_step_by_step_oracle(case, tol, span, cut):
+    # bit for bit, whether the sectors span none, the window or the whole
+    # family, on the window or on a shorter leading block of it
+    alg, om, basis, steps = case
+    family, _ = shift_family(basis, steps, alg.cfg)
+    M = family_form(om, alg, basis, steps)[0]
+    sectors = None if span == "none" else rpkit.verifier.grade_sectors(
+        om, alg.cfg, basis if span == "window" else family)
+    got = gram_report_from_matrix(M, basis[:cut], tol, 0, sectors)
+    want = leading_block_report(M, basis[:cut], 0, tol, sectors)
+    for key, value in want.items():
+        assert np.array_equal(getattr(got, key), value), key
+        assert type(getattr(got, key)) is type(value), key
+
+
+@settings(max_examples=60, deadline=None)
 @given(case=window_cases())
 def test_window_report_is_the_leading_block_of_the_family_form(case):
     """reconstruct's window report, read off the family form, is gram's.
@@ -454,7 +473,7 @@ def test_window_report_is_the_leading_block_of_the_family_form(case):
     300 draws: 0.06, 0.18 and 0.004 (dim + 1) eps.
     """
     alg, om, basis, steps = case
-    got = leading_report(family_form(om, alg, basis, steps)[0], basis, 0)
+    got = gram_report_from_matrix(family_form(om, alg, basis, steps)[0], basis, one=0)
     want = gram(om, alg, basis)
     if isinstance(om, QuasiFreeState):
         assert np.array_equal(got.matrix, want.matrix)

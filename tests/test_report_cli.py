@@ -778,6 +778,13 @@ def test_parser_built_once_for_successive_calls(tmp_path, capsys, monkeypatch):
     (["green"], "the following arguments are required: --config"),
     (["green", "--config", "x.json", "--seed", "abc"], "argument --seed: invalid int value"),
     (["no-such-command", "--config", "x.json"], "invalid choice: 'no-such-command'"),
+    # nan failed every PSD test (rp-gram exited 1 on the trace state), inf
+    # passed every gate and -1 made a PSD form negative.  "--tol=x", since
+    # argparse reads "-inf" after "--tol" as an option
+    *[([command, "--config", "x.json", f"--tol={tol}"],
+       f"argument --tol: must be a finite number >= 0, got '{tol}'")
+      for command, tol in [("rp-gram", "nan"), ("stochastic", "inf"), ("green", "-1"),
+                           ("sft-check", "-inf"), ("green", "-1e-300"), ("green", "abc")]],
 ])
 def test_usage_error_exit_3(capsys, argv, message):
     # argparse exits 2 on a usage error, and 2 means not-applicable here
@@ -929,3 +936,14 @@ def test_drawing_commands_draw_from_the_seed(tmp_path, capsys, monkeypatch, comm
         assert capsys.readouterr().err == want[1] and code == want[0][0]
         if text:
             assert json.loads(text)["results"] == json.loads(want[0][1])["results"]
+
+
+@pytest.mark.parametrize("dims, tol", [([8], "0"), ([8], "1e-18"), ([64], "0")])
+def test_green_leaves_out_a_chain_gap_below_round_off(tmp_path, dims, tol):
+    # the verdict is positive, but the dense chain Gram's min eig is about
+    # -1e-18, so quantize refuses it at this tol: the gap is left out, as on a
+    # torus, where it used to exit 2
+    code, text = run_cli(tmp_path, "green", {"dims": dims, "mass2": 1.0}, "--tol", tol)
+    assert code == 0
+    res = json.loads(text)["results"]
+    assert res["verdict"] == "positive" and "chain_gap" not in res

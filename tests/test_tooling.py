@@ -1,6 +1,7 @@
 """Tooling contracts: the benchmark tracer's patch table names functions that
 exist, importing the package pulls in no scipy, no module imports another's
-private name, and the outcome recorder finds a change and judges each check."""
+private name or assigns another object's private attribute, and the outcome
+recorder finds a change and judges each check."""
 
 import ast
 import json
@@ -49,17 +50,36 @@ def test_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_no_module_imports_a_private_name_of_another():
-    # a name one module shares with another is public: give it a public name
-    # (dunders such as __version__ are public already)
-    found = []
+def _private(name: str) -> bool:
+    """An underscore name; dunders such as __version__ are public."""
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _source_nodes():
+    """(file name, node) for every AST node of every rpkit module."""
     for path in sorted((ROOT / "src" / "rpkit").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "rpkit"):
-                found += [f"{path.name}:{node.lineno} {alias.name}"
-                          for alias in node.names
-                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+            yield path.name, node
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name one module shares with another is public: give it a public name
+    found = []
+    for name, node in _source_nodes():
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "rpkit"):
+            found += [f"{name}:{node.lineno} {alias.name}"
+                      for alias in node.names if _private(alias.name)]
+    assert found == []
+
+
+def test_no_module_assigns_a_private_attribute_of_another_object():
+    # an object's underscore attributes are its own: only `self` assigns them,
+    # and a value another module decides for it is a public method or property
+    found = [f"{name}:{node.lineno} {ast.unparse(node)}" for name, node in _source_nodes()
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+             and _private(node.attr)
+             and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
     assert found == []
 
 

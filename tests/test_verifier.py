@@ -12,12 +12,12 @@ from rpkit.reconstruction import quantize
 from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, _weyl_words,
                             coupling_decomposition, coupling_element, cross_element,
                             draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
-                            gram, gram_report_from_matrix, leading_report, plus_basis,
-                            sft_positivity, sft_positivity_sequence)
+                            gram, gram_report_from_matrix, plus_basis, sft_positivity,
+                            sft_positivity_sequence)
 
 from algebra_oracles import (gathered_form, gathered_reflection_defect, gemm_form_matrix,
                              masked_weyl_form, multiple_shift_family, one_block_form,
-                             pair_tables)
+                             pair_tables, stored_verdict)
 from conftest import make_algebra, random_element
 
 
@@ -320,20 +320,54 @@ class TestRandomSuites:
                 assert (theta(H) - H).norm_max() < 1e-12
 
 
+# the gate edges, both sides of each literal, and PSD edges at each tol
+HERM_EDGES = [0.0, 1e-9, 1e-8, np.nextafter(1e-8, 1.0), 1e-6]
+REFL_EDGES = [0.0, 1e-11, 1e-10, np.nextafter(1e-10, 1.0), 1e-6]
+TOLS = [0.0, 1e-12, 1e-10, 1e-8, 1.0]
+
+
+@st.composite
+def spectra(draw):
+    tol = draw(st.sampled_from(TOLS))
+    edges = [-tol, np.nextafter(-tol, -1.0), np.nextafter(-tol, 1.0), -0.0, 0.0, -5e-324]
+    ev = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(-2.0, 2.0)), max_size=6))
+    return np.sort(np.array(ev, dtype=float)), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=spectra(), herm=st.sampled_from(HERM_EDGES), refl=st.sampled_from(REFL_EDGES))
+def test_report_reads_its_verdict_off_its_spectrum(case, herm, refl):
+    # the five values a report once stored, against the rule they were stored with
+    ev, tol = case
+    rep = verifier.GramReport([], None, ev, None, np.zeros(0), tol, herm, refl)
+    want = stored_verdict(ev, tol, herm, refl)
+    got = {key: getattr(rep, key) for key in want}
+    assert got == want and [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+def with_identity(M, reflection_defect):
+    """M as the leading block of a family form whose last member is the
+    identity, with its column off its row by reflection_defect at member 0."""
+    n = len(M)
+    F = np.zeros((n + 1, n + 1), dtype=complex)
+    F[:n, :n], F[0, n] = M, reflection_defect
+    return F
+
+
 class TestNotApplicableReason:
     def test_reflection_gate_named_first(self):
         M = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)     # not hermitian either
-        rep = gram_report_from_matrix(M, [0, 1], reflection_defect=1e-6)
+        rep = gram_report_from_matrix(with_identity(M, 1e-6), [0, 1], one=2)
         assert (rep.verdict, rep.not_applicable_reason) == (NOT_APPLICABLE, "reflection")
 
     def test_hermiticity_gate(self):
         M = np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex)
-        rep = gram_report_from_matrix(M, [0, 1], reflection_defect=1e-16)
+        rep = gram_report_from_matrix(with_identity(M, 1e-16), [0, 1], one=2)
         assert (rep.verdict, rep.not_applicable_reason) == (NOT_APPLICABLE, "hermiticity")
 
     @pytest.mark.parametrize("M", [np.eye(2), -np.eye(2)])
     def test_applicable_has_no_reason(self, M):
-        rep = gram_report_from_matrix(M.astype(complex), [0, 1], reflection_defect=1e-11)
+        rep = gram_report_from_matrix(with_identity(M, 1e-11), [0, 1], one=2)
         assert rep.verdict in (POSITIVE, NEGATIVE) and rep.not_applicable_reason == ""
 
 
@@ -704,7 +738,7 @@ def test_sector_form_matches_the_one_block_oracle(case):
     assert np.abs(got - want)[same].max() <= 2 * form
     assert np.all(got[~same] == 0.0)
     assert np.abs(want[~same]).max(initial=0.0) <= cross
-    rep, oracle = gram(omega, algebra, basis), leading_report(want, basis, 0)
+    rep, oracle = gram(omega, algebra, basis), gram_report_from_matrix(want, basis, one=0)
     entry = max(2 * form, cross)
     assert np.abs(rep.eigenvalues - oracle.eigenvalues).max() <= n * entry + 2 * n * n * eps
     assert rep.verdict == oracle.verdict
