@@ -29,8 +29,15 @@ i_s + K_2s + j.  Summing the exponents,
     Q = sum_s [n_s sum_{t<s} n_t + K_2s K_2s+1 + K_2s+1 (K_2s+1 + 1) / 2],
 
 that is zeta^(P + 2 f.i), P = (d-1) E + 2Q mod 2d, with zeta = exp(i pi/d),
-eta = zeta^(d-1), q = zeta^2.  weyl_symbol computes n, f and P, root_table
-holds zeta^j; every word's matrix or pair in the package comes from them.
+eta = zeta^(d-1), q = zeta^2.  weyl_symbol computes n, f and P.
+
+One table gives every phase.  root_table(d) holds the exactly rounded zeta^j,
+j < 2d (built by unit_root, exact at quarter turns), and every phase in the
+package is one read of it at an exponent reduced mod 2d: each word's matrix
+or pair, q^e = zeta^(2e) in products, star and theta, the twist xi^(ab) =
+zeta^((d-1) a b mod 2d), the clock matrix and boxes.dft_zd.  Identities exact
+in theory, such as theta(theta(B_k) o B_l) = theta(B_l) o B_k, then hold to a
+few roundings of unit-modulus products, and exactly at d = 2.
 
 One rule orders every word.  Since c_i c_j = q^(-1) c_j c_i for i > j,
 moving c_j^(l_j) left past c_i^(k_i) costs q^(-k_i l_j), so
@@ -47,7 +54,7 @@ each with the coefficient conjugated (derived at star and theta).  The
 twisted product of homogeneous elements A in the left half and B in the
 right half is
 
-    A o B = xi^(grade(A) * grade(B)) * A B,    xi = exp(i*pi*(d-1)/d),
+    A o B = xi^(grade(A) * grade(B)) * A B,    xi = exp(i*pi*(d-1)/d) = zeta^(d-1),
 
 which reduces to the plain product whenever either grade vanishes (the
 bosonic case).  At d = 2 the phase xi equals exp(i*pi/2) = i, i.e. the square
@@ -63,28 +70,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigMismatch, InvalidConfig, InvalidState, SizeLimit
+from .errors import ConfigMismatch, InvalidConfig, InvalidState, SizeLimit, WrongHalf
 
 DEFAULT_CAP = 4096
 
 
 def unit_root(d: int, k: int = 1) -> complex:
-    """exp(2*pi*i*k/d), exact at quarter turns so Pauli cases come out integral."""
+    """exp(2*pi*i*k/d), exact at quarter turns: the builder of root_table only."""
     k = k % d
-    quarters = {(0, 4): 1.0 + 0j, (1, 4): 1j, (2, 4): -1.0 + 0j, (3, 4): -1j}
     if (4 * k) % d == 0:
-        return quarters[((4 * k // d) % 4, 4)]
+        return (1.0 + 0j, 1j, -1.0 + 0j, -1j)[4 * k // d]
     return np.exp(2j * np.pi * k / d)
+
+
+@functools.cache
+def root_table(d: int) -> np.ndarray:
+    """zeta^j = exp(i*pi*j/d) for j < 2d, by unit_root; q^j = zeta^(2j).
+    Built once per d and read-only: callers fancy-index it, which copies."""
+    table = np.array([unit_root(2 * d, j) for j in range(2 * d)])
+    table.flags.writeable = False
+    return table
 
 
 def clock_shift(d: int):
     """Clock and shift matrices with V U = q U V, U^d = V^d = 1.
 
-    U = diag(1, q, q^2, ...) and V maps e_j -> e_{j-1} (cyclic).
+    U = diag(1, q, q^2, ...), q^k = zeta^(2k) read off root_table, and V maps
+    e_j -> e_{j-1} (cyclic).
     """
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidConfig(f"degree must be an integer >= 2, got {d!r}")
-    U = np.diag([unit_root(d, k) for k in range(d)])
+    U = np.diag(root_table(d)[::2])
     V = np.zeros((d, d), dtype=complex)
     for i in range(d):
         V[i, (i + 1) % d] = 1.0
@@ -105,25 +121,8 @@ class AlgebraConfig:
             raise InvalidConfig(f"generator count m must be even and >= 2, got {self.m!r}")
 
     @property
-    def q(self) -> complex:
-        return np.exp(2j * np.pi / self.d)
-
-    @property
     def dim(self) -> int:
         return self.d ** (self.m // 2)
-
-    def twist(self, a: int, b: int) -> complex:
-        """Phase xi^(a*b) attached to grades (a, b) in the twisted product."""
-        return np.exp(1j * np.pi * (self.d - 1) * (a % self.d) * (b % self.d) / self.d)
-
-
-@functools.cache
-def root_table(d: int) -> np.ndarray:
-    """zeta^j = exp(i*pi*j/d) for j < 2d, by unit_root; q^j = zeta^(2j).
-    Built once per d and read-only: callers fancy-index it, which copies."""
-    table = np.array([unit_root(2 * d, j) for j in range(2 * d)])
-    table.flags.writeable = False
-    return table
 
 
 def digit_table(d: int, h: int) -> np.ndarray:
@@ -206,12 +205,7 @@ class Algebra:
         return AlgebraElement(self, {})
 
     def generators(self) -> list:
-        out = []
-        for j in range(self.cfg.m):
-            k = [0] * self.cfg.m
-            k[j] = 1
-            out.append(self.monomial(k))
-        return out
+        return [self.monomial(k) for k in np.eye(self.cfg.m, dtype=int)]
 
     # -- internals -------------------------------------------------------------
 
@@ -312,9 +306,10 @@ class AlgebraElement:
         if np.isscalar(other):
             return self.__rmul__(other)
         self._check(other)
-        d, q = self.cfg.d, self.cfg.q
+        d, zeta = self.cfg.d, root_table(self.cfg.d)
         return AlgebraElement(self.algebra, _collect(
-            (tuple((a + b) % d for a, b in zip(k1, k2)), v1 * v2 * q**_swap_phase(k1, k2, d))
+            (tuple((a + b) % d for a, b in zip(k1, k2)),
+             v1 * v2 * zeta[2 * _swap_phase(k1, k2, d)])
             for k1, v1 in self.coeffs.items() for k2, v2 in other.coeffs.items()))
 
     def star(self) -> "AlgebraElement":
@@ -323,9 +318,9 @@ class AlgebraElement:
         The generators are unitary, so (c^k)* is the inverse of c^k, and
         c^k c^(-k) = q^e(k, -k) = q^(-e(k, k)) by the ordering rule.
         """
-        d, q = self.cfg.d, self.cfg.q
+        d, zeta = self.cfg.d, root_table(self.cfg.d)
         return AlgebraElement(self.algebra, _collect(
-            (tuple(-e % d for e in k), np.conj(v) * q**_swap_phase(k, k, d))
+            (tuple(-e % d for e in k), np.conj(v) * zeta[2 * _swap_phase(k, k, d)])
             for k, v in self.coeffs.items()))
 
     def norm_max(self) -> float:
@@ -345,33 +340,29 @@ def theta(A: AlgebraElement) -> AlgebraElement:
     has every pair inverted; normal ordering it costs q^(-k_i k_j) per pair,
     which is e(k, k).  theta(A B) = theta(A) theta(B) and theta^2 = id.
     """
-    d, q = A.cfg.d, A.cfg.q
+    d, zeta = A.cfg.d, root_table(A.cfg.d)
     return AlgebraElement(A.algebra, _collect(
-        (k[::-1], np.conj(v) * q**_swap_phase(k, k, d)) for k, v in A.coeffs.items()))
-
-
-def _support_in(A: AlgebraElement, lo: int, hi: int) -> bool:
-    return all(lo <= j <= hi for j in A.support())
+        (k[::-1], np.conj(v) * zeta[2 * _swap_phase(k, k, d)]) for k, v in A.coeffs.items()))
 
 
 def twisted_product(A: AlgebraElement, B: AlgebraElement) -> AlgebraElement:
     """A o B for A supported on generators 1..m/2 and B on m/2+1..m.
 
-    Homogeneous parts of grades (a, b) pick up the phase xi^(a*b); for
-    grade-zero (bosonic) parts the product is untwisted.
+    Every generator of a word k1 of A precedes every one of a word k2 of B, so
+    e(k1, k2) = 0: each pair is the word k1 + k2, distinct pairs give distinct
+    words, and the twist is xi^(g1 g2) = zeta^((d-1) g1 g2 mod 2d), g = |k| mod d.
     """
     A._check(B)
     half = A.cfg.m // 2
-    from .errors import WrongHalf
-    if not _support_in(A, 1, half):
+    if max(A.support(), default=0) > half:
         raise WrongHalf("left factor of the twisted product must live on generators 1..m/2")
-    if not _support_in(B, half + 1, A.cfg.m):
+    if min(B.support(), default=half + 1) <= half:
         raise WrongHalf("right factor of the twisted product must live on generators m/2+1..m")
-    out = A.algebra.zero()
-    for ga, Pa in A.grade_parts().items():
-        for gb, Pb in B.grade_parts().items():
-            out = out + A.cfg.twist(ga, gb) * (Pa * Pb)
-    return out
+    d, zeta = A.cfg.d, root_table(A.cfg.d)
+    return AlgebraElement(A.algebra, _collect(
+        (tuple(a + b for a, b in zip(k1, k2)),
+         v1 * v2 * zeta[(d - 1) * (sum(k1) % d) * (sum(k2) % d) % (2 * d)])
+        for k1, v1 in A.coeffs.items() for k2, v2 in B.coeffs.items()))
 
 
 def relation_residual(algebra: Algebra) -> float:
@@ -380,7 +371,7 @@ def relation_residual(algebra: Algebra) -> float:
     theta(q c_j c_i) on their tables.  Two pair matrices differ by |phase_A -
     phase_B| where the perms agree, by both entries where not.  c^d = 1 makes
     perm a bijection, so c c* = 1 is |phase| = 1; c^d is taken by squaring."""
-    d, m, dim, q = algebra.cfg.d, algebra.cfg.m, algebra.cfg.dim, unit_root(algebra.cfg.d)
+    d, m, dim, q = algebra.cfg.d, algebra.cfg.m, algebra.cfg.dim, root_table(algebra.cfg.d)[2]
 
     def times(a, b):                    # the pair of the product a b
         return b[0][a[0]], a[1] * b[1][a[0]]
@@ -402,7 +393,7 @@ def relation_residual(algebra: Algebra) -> float:
         for j in range(i + 1, m):
             p, h = times(gens[j], c)
             # theta preserves the relations (antilinearity conjugates q)
-            lhs = theta(elems[i] * elems[j]) - theta(algebra.cfg.q * (elems[j] * elems[i]))
+            lhs = theta(elems[i] * elems[j]) - theta(q * (elems[j] * elems[i]))
             worst = max(worst, gap(times(c, gens[j]), (p, q * h)), lhs.norm_max())
     return worst
 
@@ -444,7 +435,7 @@ class StateFunctional:
                                  f"evaluated on d={algebra.cfg.d}, m={algebra.cfg.m}")
         if self._rho is None:
             dim = algebra.cfg.dim
-            if self.kind == "trace":
+            if self.kind == "trace" or self.beta == 0:     # Gibbs at beta = 0 is the trace
                 rho = np.eye(dim) / dim
             else:
                 H = self.hamiltonian.rep

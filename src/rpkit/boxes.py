@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import root_table
 from .errors import InvalidArgument
 
 
@@ -115,14 +116,14 @@ def group_box(w) -> Box22:
 
 
 def dft_zd(v) -> np.ndarray:
-    """Un-normalized DFT F[j] = sum_k v_k q^(jk), q = exp(2*pi*i/d)."""
+    """Un-normalized DFT F[j] = sum_k v_k q^(jk), q = exp(2*pi*i/d), with
+    q^(jk) = zeta^(2 (jk mod d)) read off algebra.root_table."""
     v = np.asarray(v, dtype=complex)
     d = len(v)
     if d < 2:
         raise InvalidArgument("DFT needs d >= 2")
     j = np.arange(d)
-    F = np.exp(2j * np.pi * np.outer(j, j) / d)
-    return F @ v
+    return root_table(d)[2 * (np.outer(j, j) % d)] @ v
 
 
 def cyclic_convolve(u, v) -> np.ndarray:

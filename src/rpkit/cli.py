@@ -403,6 +403,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _joined_tol(argv) -> list:
+    """argv with each `--tol VALUE` as `--tol=VALUE`, so that a value argparse
+    takes for an option (-inf, -1e-300) reaches _tolerance."""
+    args = list(argv)
+    for i in reversed(range(len(args) - 1)):
+        if args[i] == "--tol":
+            args[i:i + 2] = [f"--tol={args[i + 1]}"]
+    return args
+
+
 def _tolerance(text: str) -> float:
     """A --tol value: a finite float >= 0.  nan would make every PSD test
     false, inf every gate pass and a negative tol a PSD form negative."""
@@ -433,7 +443,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _main(argv) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_joined_tol(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:  # argparse's own text, on exit 3 instead of its 2
         _parser().print_usage(sys.stderr)
         print(f"rpkit: error: {exc}", file=sys.stderr)

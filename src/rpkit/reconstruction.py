@@ -205,22 +205,23 @@ def compress_shift(M: np.ndarray, shifted, quotient: QuotientSpace) -> ShiftComp
     M is the form on a family whose leading len(shifted) members are the
     window; shifted[j] is the family index of the shift of window member j,
     or None when it falls off.  The quotient of the window form supplies the
-    isometry V onto its range and its null vectors; S is the shift as a
-    family-by-window 0/1 matrix, and T = V^H M[window] S V.
+    isometry V onto its range and its null vectors; S v adds v onto the
+    members shifted[j], M[window] S gathers their columns, T = V^H M[window] S V.
     """
     n = len(shifted)
     iso, nulls = quotient.isometry, quotient.null_vectors
-    cols = np.zeros((M.shape[0], n), dtype=complex)
-    for j, tgt in enumerate(shifted):
-        if tgt is not None:
-            cols[tgt, j] = 1.0
+    live = [j for j, tgt in enumerate(shifted) if tgt is not None]
+    tgts = [shifted[j] for j in live]
     null_defect, witness = 0.0, None
     for v in nulls.T:
-        sv = cols @ v
+        sv = np.zeros(M.shape[0], dtype=complex)
+        np.add.at(sv, tgts, v[live])     # two members may share a shift
         nrm = float(np.sqrt(abs(np.real(sv.conj() @ M @ sv))))
         if nrm > null_defect:
             null_defect, witness = nrm, v
-    T = iso.conj().T @ (M[:n, :] @ cols) @ iso
+    MS = np.zeros((n, n), dtype=complex)
+    MS[:, live] = M[:n, tgts]
+    T = iso.conj().T @ MS @ iso
     asym = float(np.abs(T - T.conj().T).max()) if T.size else 0.0
     return ShiftCompression(transfer=(T + T.conj().T) / 2, asymmetry=asym,
                             null_defect=null_defect, null_witness=witness)

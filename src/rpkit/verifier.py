@@ -440,11 +440,6 @@ def _bar(cfg: AlgebraConfig, k) -> tuple:
     return tuple([0] * w + [(-e) % cfg.d for e in k[w:]])
 
 
-def _single(E: AlgebraElement):
-    (k, v), = E.coeffs.items()
-    return k, v
-
-
 def cross_element(algebra: Algebra, k) -> AlgebraElement:
     """E_k = theta(B_k) o B_k for the plus monomial with exponents k."""
     B = algebra.monomial(k)
@@ -504,8 +499,7 @@ def coupling_decomposition(H: AlgebraElement) -> CouplingDecomposition:
             h_minus = h_minus + term
         else:
             kp = tuple([0] * half + list(k[half:]))
-            E = cross_element(alg, kp)
-            mono, tau = _single(E)
+            (mono, tau), = cross_element(alg, kp).coeffs.items()
             if mono == k:
                 cross.append((v / tau, kp))
             else:
@@ -596,14 +590,17 @@ def sft_positivity_sequence(seq, d: int | None = None, tol: float = DEFAULT_TOL)
 # seeded Hamiltonian families used by the randomized suites
 # ---------------------------------------------------------------------------
 
-def draw_theorem_hamiltonian(algebra: Algebra, rng: np.random.Generator,
-                             max_couplings: int = 3) -> AlgebraElement:
+DRAW_COUPLINGS = 3   # a theorem draw has 1 .. DRAW_COUPLINGS cross couplings
+DRAW_TERMS = 4       # a generic draw has DRAW_TERMS words before its adjoint
+
+
+def draw_theorem_hamiltonian(algebra: Algebra, rng: np.random.Generator) -> AlgebraElement:
     """Zero-residual hermitian expansion with positive SFT: neutral one-sided
     part plus ferromagnetic diagonal couplings."""
     cfg = algebra.cfg
     basis = plus_basis(cfg)
     H = algebra.zero()
-    for _ in range(int(rng.integers(1, max_couplings + 1))):
+    for _ in range(int(rng.integers(1, DRAW_COUPLINGS + 1))):
         k = basis[int(rng.integers(1, len(basis)))]
         H = H + coupling_element(algebra, k, float(rng.uniform(0.0, 2.0)))
     g = algebra.zero()
@@ -614,12 +611,11 @@ def draw_theorem_hamiltonian(algebra: Algebra, rng: np.random.Generator,
     return H + g + theta(g)
 
 
-def draw_generic_hamiltonian(algebra: Algebra, rng: np.random.Generator,
-                             terms: int = 4) -> AlgebraElement:
+def draw_generic_hamiltonian(algebra: Algebra, rng: np.random.Generator) -> AlgebraElement:
     """Generic star-invariant H; almost surely fails the SFT criterion."""
     cfg = algebra.cfg
     H = algebra.zero()
-    for _ in range(terms):
+    for _ in range(DRAW_TERMS):
         k = tuple(int(x) for x in rng.integers(0, cfg.d, cfg.m))
         H = H + complex(rng.normal(), rng.normal()) * algebra.monomial(k)
     return H + H.star()

@@ -28,7 +28,7 @@ the reference of rpkit.verifier.gram_report_from_matrix and GramReport.
 import numpy as np
 
 from rpkit.algebra import (StateFunctional, _swap_phase, clock_shift, digit_table, root_table,
-                           theta, unit_root)
+                           theta)
 from rpkit.chains import QuasiFreeState
 from rpkit.errors import PreconditionViolation, ReconstructionFailure
 from rpkit.reconstruction import (DEFAULT_TOL, KERNEL_TOL, SHIFT_TOL, TransferData,
@@ -68,6 +68,16 @@ def dense_state(omega, algebra) -> StateFunctional:
     return StateFunctional(kind="gibbs", beta=1.0, hamiltonian=algebra.element(coeffs))
 
 
+def roots(d) -> np.ndarray:
+    """exp(i pi j / d) for j < 2d, one scalar np.exp each (the array exp can
+    differ in the last bit), with the cosine or sine that vanishes at a
+    quarter turn set to 0.0: the exactly rounded roots, computed apart from
+    rpkit's root_table."""
+    z = np.array([np.exp(1j * np.pi * j / d) for j in range(2 * d)])
+    return np.where(np.abs(z.real) < 1e-12, 0.0, z.real) + \
+        1j * np.where(np.abs(z.imag) < 1e-12, 0.0, z.imag)
+
+
 def _kron(ops):
     out = np.array([[1.0 + 0j]])
     for op in ops:
@@ -79,7 +89,7 @@ def dense_generators(cfg) -> list:
     """c_1 ... c_m as dim x dim matrices: U x ... x U x V (or eta VU) x 1 x ... x 1."""
     d, m = cfg.d, cfg.m
     U, V = clock_shift(d)
-    eta = unit_root(2 * d, d - 1)
+    eta = roots(d)[d - 1]
     eye = np.eye(d)
     gens = []
     for s in range(m // 2):
@@ -117,7 +127,7 @@ def _ordered(cfg, words) -> dict:
     for fact, v in words:
         ph, merged = reorder(fact, cfg.d)
         kk = tuple(merged.get(i, 0) for i in range(cfg.m))
-        out[kk] = out.get(kk, 0) + v * cfg.q**ph
+        out[kk] = out.get(kk, 0) + v * root_table(cfg.d)[2 * ph]
     return {k: v for k, v in out.items() if v != 0}
 
 
@@ -178,7 +188,7 @@ def gemm_form_matrix(omega, algebra, family) -> np.ndarray:
     X = dense_state(omega, algebra).density(algebra) @ L
     M = X.reshape(n, dim * dim) @ Rt.reshape(n, dim * dim).T
     g = np.array([E.grade for E in elems], dtype=int)
-    M *= algebra.cfg.twist(g[:, None], g[None, :])
+    M *= roots(algebra.cfg.d)[(algebra.cfg.d - 1) * np.outer(g, g) % (2 * algebra.cfg.d)]
     return M
 
 
@@ -187,8 +197,7 @@ def generator_perms(d: int, m: int) -> list:
     w = m // 2
     dim = d**w
     idx = np.arange(dim)
-    u = np.array([unit_root(d, k) for k in range(d)])
-    eta = unit_root(2 * d, d - 1)
+    u, eta = roots(d)[::2], roots(d)[d - 1]
     gens = []
     prefix = np.ones(dim, dtype=complex)        # q^(i_0 + ... + i_{s-1})
     for s in range(w):
@@ -231,13 +240,13 @@ def pair_tables(algebra, family) -> tuple:
     HL = np.empty((n, dim), dtype=complex)
     HR = np.empty((n, dim), dtype=complex)
     g = np.empty(n, dtype=int)
-    d, q = algebra.cfg.d, algebra.cfg.q
+    d = algebra.cfg.d
     gens = generator_perms(d, algebra.cfg.m)
     for a, k in enumerate(family):
         k = algebra._canon(k)
         PR[a], HR[a] = composed_perm(gens, k)
         PL[a], hL = composed_perm(gens, k[::-1])
-        HL[a] = q**_swap_phase(k, k, d) * hL
+        HL[a] = roots(d)[2 * _swap_phase(k, k, d)] * hL
         g[a] = sum(k) % d
     return PL, HL, PR, HR, g
 
@@ -247,7 +256,7 @@ def exact_roots(h, d) -> np.ndarray:
     rounded root exp(i pi j / d): the products that composed h leave its
     root j and no round-off of their own."""
     j = np.rint(np.angle(h) * d / np.pi).astype(int) % (2 * d)
-    return np.array([unit_root(2 * d, i) for i in range(2 * d)])[j]
+    return roots(d)[j]
 
 
 def exact_entries(mat, d) -> np.ndarray:
@@ -279,7 +288,7 @@ def gathered_form(omega, algebra, family) -> np.ndarray:
     PL, HL, PR, HR, g = pair_tables(algebra, family)
     n, dim = PL.shape
     rho = dense_state(omega, algebra).density(algebra).ravel()
-    twist = algebra.cfg.twist(g[:, None], g[None, :])
+    twist = roots(algebra.cfg.d)[(algebra.cfg.d - 1) * np.outer(g, g) % (2 * algebra.cfg.d)]
     cols = np.arange(dim)
     M = np.empty((n, n), dtype=complex)
     for a in range(n):

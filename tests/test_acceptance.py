@@ -64,7 +64,7 @@ def test_criterion_1_algebra_relations():
             if cfg.dim > DEFAULT_CAP:
                 continue
             gens = build_algebra(cfg)
-            q = cfg.q
+            q = np.exp(2j * np.pi / d)
             eye = np.eye(cfg.dim)
             for c in gens:
                 worst = max(worst, np.abs(np.linalg.matrix_power(c.rep, d) - eye).max())

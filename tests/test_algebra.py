@@ -190,7 +190,7 @@ class TestTheta:
         for d, m in [(2, 4), (3, 4), (4, 4)]:
             alg = make_algebra(d, m)
             gens = alg.generators()
-            q = alg.cfg.q
+            q = np.exp(2j * np.pi / d)
             for i in range(m):
                 for j in range(i + 1, m):
                     lhs = theta(gens[i] * gens[j])

@@ -779,18 +779,38 @@ def test_parser_built_once_for_successive_calls(tmp_path, capsys, monkeypatch):
     (["green", "--config", "x.json", "--seed", "abc"], "argument --seed: invalid int value"),
     (["no-such-command", "--config", "x.json"], "invalid choice: 'no-such-command'"),
     # nan failed every PSD test (rp-gram exited 1 on the trace state), inf
-    # passed every gate and -1 made a PSD form negative.  "--tol=x", since
-    # argparse reads "-inf" after "--tol" as an option
+    # passed every gate and -1 made a PSD form negative
     *[([command, "--config", "x.json", f"--tol={tol}"],
        f"argument --tol: must be a finite number >= 0, got '{tol}'")
       for command, tol in [("rp-gram", "nan"), ("stochastic", "inf"), ("green", "-1"),
                            ("sft-check", "-inf"), ("green", "-1e-300"), ("green", "abc")]],
+    # as a separate argument, argparse alone read -inf and -1e-300 as options
+    # and said "expected one argument"
+    *[([command, "--config", "x.json", "--tol", tol],
+       f"argument --tol: must be a finite number >= 0, got '{tol}'")
+      for command, tol in [("sft-check", "-inf"), ("green", "-1e-300")]],
 ])
 def test_usage_error_exit_3(capsys, argv, message):
     # argparse exits 2 on a usage error, and 2 means not-applicable here
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("usage: rpkit") and message in err
+
+
+def test_timing_is_written_only_on_request(tmp_path):
+    # --timing adds timing.seconds and nothing else; without it two runs
+    # write the same bytes
+    cfg = {"dims": [8], "mass2": 1.0}
+    out = tmp_path / "out.json"
+    assert run_cli(tmp_path, "green", cfg, "--timing")[0] == 0
+    timed = json.loads(out.read_bytes())
+    seconds = timed.pop("timing")["seconds"]
+    assert np.isfinite(seconds) and seconds >= 0
+    plain = []
+    for _ in range(2):
+        assert run_cli(tmp_path, "green", cfg)[0] == 0
+        plain.append(out.read_bytes())
+    assert plain[0] == plain[1] and json.loads(plain[0]) == timed
 
 
 def test_help_exits_0(capsys):

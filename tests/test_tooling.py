@@ -1,7 +1,8 @@
 """Tooling contracts: the benchmark tracer's patch table names functions that
 exist, importing the package pulls in no scipy, no module imports another's
-private name or assigns another object's private attribute, and the outcome
-recorder finds a change and judges each check."""
+private name or assigns another object's private attribute, no function but
+unit_root computes a phase with np.exp, and the outcome recorder finds a
+change and judges each check."""
 
 import ast
 import json
@@ -80,6 +81,26 @@ def test_no_module_assigns_a_private_attribute_of_another_object():
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
              and _private(node.attr)
              and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert found == []
+
+
+def _calls_exp_on_an_imaginary_literal(node) -> bool:
+    """node is a call of np.exp whose argument holds an imaginary literal."""
+    return (isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.exp", "numpy.exp")
+            and any(isinstance(sub, ast.Constant) and isinstance(sub.value, complex)
+                    for arg in node.args for sub in ast.walk(arg)))
+
+
+def test_every_phase_is_read_off_the_root_table():
+    # unit_root builds algebra.root_table; every other phase is a read of it,
+    # so no function computes a phase of its own
+    found = []
+    for path in sorted((ROOT / "src" / "rpkit").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                    func.name != "unit_root":
+                found += [f"{path.name}:{node.lineno} {func.name}" for node in ast.walk(func)
+                          if _calls_exp_on_an_imaginary_literal(node)]
     assert found == []
 
 

@@ -581,7 +581,7 @@ def test_weyl_words_are_the_composed_pairs(case):
     PL, HL, PR, HR, g = pair_tables(algebra, family)
     digits = np.arange(dim)[:, None] // d ** np.arange(w - 1, -1, -1) % d
     place = d ** np.arange(w - 1, -1, -1)
-    twist = algebra.cfg.twist(g[:, None], g[None, :])
+    twist = np.exp(1j * np.pi * (d - 1) * np.outer(g, g) / d)
     for a in range(len(family)):
         perm = PR[:, PL[a]]
         phase = HR[:, PL[a]] * HL[a] * twist[a][:, None]
@@ -628,10 +628,9 @@ def test_cross_elements_need_no_orientation_phase(case):
     element algebra, so coupling_element is star- and theta-invariant and
     sft_positivity reads its J back (verifier docstring).
 
-    Within 8 d^2 eps: the twist xi^(ab) = exp(i pi (d-1) a b / d) has an
-    argument up to pi d^2 for grades a, b < d, and np.exp carries an absolute
-    error of about |argument| eps; the powers of q add about d eps.  The worst
-    seen is 4.4e-14 = 3.1 d^2 eps, at d = 8.
+    Within 8 d^2 eps, a bound with room: every phase is one root_table read,
+    and test_cross_identities_hold_over_every_plus_pair holds the identities
+    to round-off.
     """
     alg, k, l, J = case
     d = alg.cfg.d
@@ -648,6 +647,34 @@ def test_cross_elements_need_no_orientation_phase(case):
     assert sv.verdict == POSITIVE
     assert set(sv.couplings) == {k, kbar}
     assert all(abs(v - J) <= tol * J for v in sv.couplings.values())
+
+
+@pytest.mark.parametrize("d, m, bound", [(2, 8, 0.0), (4, 6, 2e-16), (3, 6, 2e-15),
+                                         (6, 4, 2e-15), (8, 4, 2e-15)])
+def test_cross_identities_hold_over_every_plus_pair(d, m, bound):
+    """theta(theta(B_k) o B_l) = theta(B_l) o B_k, E_k* = E_kbar and
+    theta(E_k) = E_k over every pair of plus_basis (verifier docstring).
+
+    Each phase is one read of the exactly rounded root_table, so each side
+    carries a few roundings of products of unit-modulus factors.  At d = 2
+    every root is 1, i or their negatives, and the identities hold exactly;
+    at d = 4 the odd roots are np.exp's cos and sin of pi/4, which differ in
+    the last bit.
+    """
+    alg = make_algebra(d, m)
+    basis = plus_basis(alg.cfg)
+    B = [alg.monomial(k) for k in basis]
+    tB = [theta(b) for b in B]
+    worst = 0.0
+    for a, k in enumerate(basis):
+        E = twisted_product(tB[a], B[a])
+        kbar = tuple(-e % d for e in k)
+        worst = max(worst, (E.star() - cross_element(alg, kbar)).norm_max(),
+                    (theta(E) - E).norm_max())
+        for b in range(len(B)):
+            swapped = theta(twisted_product(tB[a], B[b])) - twisted_product(tB[b], B[a])
+            worst = max(worst, swapped.norm_max())
+    assert worst <= bound
 
 
 # ---------------------------------------------------------------------------
