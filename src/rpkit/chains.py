@@ -122,21 +122,37 @@ class QuasiFreeState:
 
     covariance: np.ndarray
 
-    def word_values(self, cfg: AlgebraConfig, words: np.ndarray) -> np.ndarray:
-        """omega(c^K) for each row K of words, exponents 0 or 1, one
+    def word_values(self, cfg: AlgebraConfig, supports: tuple) -> np.ndarray:
+        """omega(c^K) of the words whose supports word_supports gives, one
         pfaffians pass per word length."""
         m = len(self.covariance)
         if (cfg.d, cfg.m) != (2, m):
             raise ConfigMismatch(f"state built for d=2, m={m} evaluated on d={cfg.d}, m={cfg.m}")
         h = self.covariance.imag
-        length = words.sum(1)
-        out = np.where(length == 0, 1.0 + 0j, 0j)
-        for L in range(2, m + 1, 2):
-            rows = np.flatnonzero(length == L)
-            if rows.size:
-                idx = np.nonzero(words[rows])[1].reshape(-1, L)
-                out[rows] = 1j ** (L // 2) * pfaffians(h[idx[:, :, None], idx[:, None, :]])
+        base, parts = supports
+        out = base.copy()
+        for rows, idx in parts:
+            out[rows] = 1j ** (idx.shape[1] // 2) * pfaffians(h[idx[:, :, None], idx[:, None, :]])
         return out
+
+
+def word_supports(words: np.ndarray) -> tuple:
+    """The state-free half of QuasiFreeState.word_values over the rows K of
+    words, exponents 0 or 1: omega(c^K) is 1 for the empty word and 0 at odd
+    length, and the words of each even length L > 0 are read as Pfaffians on
+    their supports.  Returns that start (read-only) and, per L in ascending
+    order, the rows of those words and their supports, an N x L index array."""
+    length = np.count_nonzero(words, axis=1)
+    base = np.where(length == 0, 1.0 + 0j, 0j)
+    parts = []
+    for L in range(2, words.shape[1] + 1, 2):
+        rows = np.flatnonzero(length == L)
+        if rows.size:
+            idx = np.nonzero(words[rows])[1].reshape(-1, L)
+            rows.flags.writeable = idx.flags.writeable = False
+            parts.append((rows, idx))
+    base.flags.writeable = False
+    return base, tuple(parts)
 
 
 def uniform_chain_state(algebra: Algebra, coupling: float = 1.0,

@@ -53,9 +53,9 @@ from .lattice import (VIOLATION_TOL, LatticeModel, chain_gap, covariance_rp, gre
 from .reconstruction import quantize, shift_family, spectrum_report, transfer_operator
 from .report import CONVENTIONS, TOOL, WITNESS_CAP, curve_csv, to_text, truncate_witness
 from .verifier import (DEFAULT_TOL, NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling_decomposition,
-                       draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
-                       grade_sectors, gram, gram_report_from_matrix, plus_basis,
-                       sft_positivity, sft_positivity_sequence)
+                       draw_generic_hamiltonian, draw_theorem_hamiltonian, form_plan, gram,
+                       gram_report_from_matrix, plus_basis, sft_positivity,
+                       sft_positivity_sequence)
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -214,11 +214,13 @@ def run_reconstruct(cfg, tol, seed):
     basis = [k for k in plus_basis(algebra.cfg)
              if not any(k[algebra.cfg.m - room:])] if room else plus_basis(algebra.cfg)
     # one form over the window and its shift images: its budget gate refuses
-    # before any form is built, the window Gram is its leading block, and the
-    # identity (first in plus_basis) gives the reflection defect
+    # before any form is built, the window Gram is its leading block with the
+    # plan's sectors, and the identity (first in plus_basis) gives the
+    # reflection defect
     family, shifted = shift_family(basis, steps, algebra.cfg)
-    M = form_matrix(omega, algebra, family)
-    greport = gram_report_from_matrix(M, basis, tol, 0, grade_sectors(omega, algebra.cfg, basis))
+    plan = form_plan(omega, algebra, family)
+    M = plan.form(omega, algebra)
+    greport = gram_report_from_matrix(M, basis, tol, plan.one, plan.sectors)
     if greport.verdict != POSITIVE:
         return NOT_APPLICABLE, {"gram_verdict": greport.verdict,
                                 "min_eig": greport.min_eig}

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, PreconditionViolation, ReconstructionFailure
-from .verifier import DEFAULT_TOL, GramReport
+from .verifier import DEFAULT_TOL, GramReport, cached
 
 SHIFT_TOL = 1e-10   # shift-invariance gate, times max(1, max |M|)
 KERNEL_TOL = 1e-12  # transfer eigenvalues at or below this are ker T
@@ -85,17 +85,22 @@ def time_shift(k, steps: int, cfg) -> tuple | None:
 def shift_family(basis, steps: int, cfg) -> tuple:
     """The basis followed by the new shift images of its members by `steps`
     generators, and shifted[j], the family index of the shift of member j
-    (None when it falls off the chain)."""
-    family = list(basis)
-    index = {k: i for i, k in enumerate(family)}
-    shifted = []
-    for k in basis:
-        sk = time_shift(k, steps, cfg)
-        if sk is not None and sk not in index:
-            index[sk] = len(family)
-            family.append(sk)
-        shifted.append(None if sk is None else index[sk])
-    return family, shifted
+    (None when it falls off the chain).  The images and indices are found
+    once per (d, m, steps, basis) (verifier.cached); each call returns new
+    lists, the basis members as given."""
+    def build():
+        index = {k: i for i, k in enumerate(basis)}
+        images, shifted = [], []
+        for k in basis:
+            sk = time_shift(k, steps, cfg)
+            if sk is not None and sk not in index:
+                index[sk] = len(basis) + len(images)
+                images.append(sk)
+            shifted.append(None if sk is None else index[sk])
+        return tuple(images), tuple(shifted)
+    images, shifted = cached(("shift", cfg.d, cfg.m, type(steps), steps, tuple(basis)), build,
+                             lambda v: len(v[1]))
+    return list(basis) + list(images), list(shifted)
 
 
 def energies(w: np.ndarray, dt: float) -> np.ndarray:

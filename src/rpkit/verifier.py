@@ -44,17 +44,26 @@ chi, and so does every cross element E_k (chi = |k| - |k|) and every
 grade-0 one-sided word, hence every theorem-class H; a generic H does not.
 grade_sectors reads this off the words of H (StateFunctional.conserves_charge),
 _form evaluates the in-block pairs only and writes 0.0 across blocks, and
-gram_report_from_matrix takes one eigh per block.
+gram_report_from_matrix takes one eigh per block, one stacked eigh per block
+size.
 
 One judge: gram_report_from_matrix judges the leading block of a family
 form (gram, reconstruct, lattice test functions), and a GramReport reads its
 verdict off the spectrum and the two defects it stores.
+
+Plan and apply (form_matrix): the half of a form that does not read the
+state is planned once per family and kept, with the plus bases, the shift
+families and the sector groupings, in one least-recently-used cache of
+PLAN_PAIRS pairs (cached); each state then reads only its rho or covariance
+and gets the bits that a new plan would give.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +72,7 @@ import numpy as np
 from .algebra import (Algebra, AlgebraConfig, AlgebraElement, StateFunctional, check_dim,
                       digit_table, evaluate, root_table, theta, twisted_product, weyl_symbol)
 from .boxes import dft_zd
-from .chains import QuasiFreeState
+from .chains import QuasiFreeState, word_supports
 from .errors import InvalidArgument, InvalidConfig, SizeLimit, WrongHalf
 
 DEFAULT_TOL = 1e-10
@@ -75,34 +84,80 @@ DEFAULT_TOL = 1e-10
 # report already has one, as rp-gram writes at most WITNESS_CAP^2 = 256 entries
 # of the form (cli).
 GATHER_ENTRIES = 2**25
-# Shifts per chunk of the Omega table (_weyl_form).  A chunk keeps each BLAS
+# Shifts per chunk of the Omega table (_omega_plan).  A chunk keeps each BLAS
 # call under OMEGA_MACS multiply-adds, which OpenBLAS runs on one thread: it
 # threads a zgemm from 2^16, and a threaded call waited 4-8 ms on a 2-vCPU
 # host, where the whole (4, 6) form takes 0.5 ms.  A shift that alone needs
 # more is a chunk of its own.
 OMEGA_MACS = 2**15
+# Weight budget of the plan cache (cached): a form plan weighs its evaluated
+# pairs, a list its members, a sector grouping its labels.  The benchmark's
+# working set is 22,904 pairs, the plans of the six rp-gram rungs (2, 8) ..
+# (4, 6): 16,762 pairs of one-block plans and 6,142 in-sector ones.  Their
+# arrays hold 38 B a pair (zeta^P 16 B, the chunk positions sel and pos 16 B,
+# the in-sector positions, and per plan the gather offsets and DFT blocks),
+# and the Pfaffian supports of the reconstruct windows 47 B.  At 48 B a pair,
+# 2^16 pairs keep that set 2.8 times over in at most about 3 MB.
+PLAN_PAIRS = 2**16
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
 NOT_APPLICABLE = "not-applicable"
+
+_PLANS: OrderedDict = OrderedDict()     # key -> (value, weight), least recent first
+_held = 0                               # total weight in _PLANS
+
+
+def clear_plans() -> None:
+    """Forget every cached plan, basis and shift family (cached)."""
+    global _held
+    _PLANS.clear()
+    _held = 0
+
+
+def cached(key, build, weight=len):
+    """build() kept under key in one least-recently-used cache of at most
+    PLAN_PAIRS total weight(value): form plans (form_plan), grade-sector
+    groupings (gram_report_from_matrix), bases (plus_basis) and shift
+    families (reconstruction.shift_family).  An entry weighs at least 1, so
+    empty values cannot pile up.  A value heavier than the whole budget is
+    returned and not kept, and an exception in build() keeps nothing, so it
+    is raised again on the next call."""
+    global _held
+    hit = _PLANS.get(key)
+    if hit is not None:
+        _PLANS.move_to_end(key)
+        return hit[0]
+    value = build()
+    w = max(1, weight(value))
+    if w <= PLAN_PAIRS:
+        while _PLANS and _held + w > PLAN_PAIRS:
+            _held -= _PLANS.popitem(last=False)[1][1]
+        _PLANS[key] = value, w
+        _held += w
+    return value
+
+
+def _read_only(*arrays) -> None:
+    for x in arrays:
+        x.flags.writeable = False
 
 
 def plus_basis(cfg: AlgebraConfig, max_grade: int | None = None) -> list:
     """Monomial exponent tuples spanning the right-half algebra.
 
     Ordered so that lower generator indices vary first: 1, c_{m/2+1},
-    c_{m/2+2}, ..., matching the documented report layout.
+    c_{m/2+2}, ..., matching the documented report layout.  Built once per
+    (d, m, max_grade) (cached); each call returns a new list.
     """
-    w = cfg.m // 2
-    check_dim(cfg)
-    keys = sorted(itertools.product(range(cfg.d), repeat=w),
-                  key=lambda t: tuple(reversed(t)))
-    out = []
-    for k in keys:
-        if max_grade is not None and sum(k) > max_grade:
-            continue
-        out.append(tuple([0] * w + list(k)))
-    return out
+    def build():
+        w = cfg.m // 2
+        check_dim(cfg)
+        keys = sorted(itertools.product(range(cfg.d), repeat=w),
+                      key=lambda t: tuple(reversed(t)))
+        return tuple(tuple([0] * w + list(k)) for k in keys
+                     if max_grade is None or sum(k) <= max_grade)
+    return list(cached(("basis", cfg.d, cfg.m, max_grade), build))
 
 
 @dataclass
@@ -152,6 +207,26 @@ class GramReport:
         return NOT_APPLICABLE if self.not_applicable_reason else POSITIVE if self.psd else NEGATIVE
 
 
+def _sector_blocks(labels: np.ndarray) -> tuple:
+    """The grade of each column of the concatenated sector spectra, and per
+    block size b the (rows, cols) of its S blocks, each S x b: block s holds
+    the members rows[s] (in order) and fills the columns cols[s], the blocks
+    laid out by ascending grade."""
+    perm = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels)
+    grades = np.flatnonzero(counts)
+    sizes = counts[grades]
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for b in sorted(set(sizes.tolist())):
+        cols = starts[sizes == b][:, None] + np.arange(b)
+        groups.append((perm[cols], cols))
+        _read_only(*groups[-1])
+    owner = np.repeat(grades, sizes)
+    _read_only(owner)
+    return owner, tuple(groups)
+
+
 def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
                             one: int | None = None,
                             sectors: np.ndarray | None = None) -> GramReport:
@@ -161,9 +236,11 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
     n members is the reflection defect, 0.0 for one = None.  sectors labels
     the family's members with their grade sectors (grade_sectors); the block
     is block diagonal over them, and None is one block.  Each block gets its
-    own eigh; the eigenpairs are embedded in the full basis and sorted
-    ascending, so the witness is the worst block's bottom eigenvector, and
-    the report's block is that block's grade (None for one block).
+    own eigh, the blocks of one size in one stacked call; the eigenpairs are
+    embedded in the full basis in ascending grade order and sorted ascending,
+    so the witness is the worst block's bottom eigenvector, and the report's
+    block is that block's grade (None for one block).  The grouping of the
+    labels is built once per labelling (cached).
     """
     n = len(basis)
     refl = 0.0 if one is None else float(np.abs(M[:n, one] - M[one, :n].conj()).max(initial=0.0))
@@ -175,37 +252,27 @@ def gram_report_from_matrix(M: np.ndarray, basis, tol: float = DEFAULT_TOL,
         ev, vec = np.linalg.eigh(Ms)
         block = None
     else:
-        # members grouped by sector, so that each block is a slice
-        perm = np.argsort(sectors[:n], kind="stable")
-        counts = np.bincount(sectors[:n])
-        grades = np.flatnonzero(counts)
-        ends = np.cumsum(counts[grades]).tolist()
-        Mp = Ms[np.ix_(perm, perm)]
+        labels = np.asarray(sectors[:n])
+        owner, groups = cached(("sectors", labels.dtype.str, labels.tobytes()),
+                               lambda: _sector_blocks(labels), lambda _: n)
+        ev = np.empty(n)
         vec = np.zeros_like(Ms)
-        parts = []
-        for a, b in zip([0] + ends, ends):
-            w, vec[perm[a:b], a:b] = np.linalg.eigh(Mp[a:b, a:b])
-            parts.append(w)
-        ev = np.concatenate(parts)
+        for rows, cols in groups:
+            ev[cols], vec[rows[:, :, None], cols[:, None, :]] = \
+                np.linalg.eigh(Ms[rows[:, :, None], rows[:, None, :]])
         order = np.argsort(ev, kind="stable")
         ev, vec = ev[order], vec[:, order]
-        block = int(grades[np.searchsorted(ends, order[0], side="right")])
+        block = int(owner[order[0]])
     witness = vec[:, 0] if ev.size else np.zeros(0)
     return GramReport(list(basis), Ms, ev, vec, witness, tol, herm, refl, block)
 
 
 def _family_exponents(algebra: Algebra, family) -> np.ndarray:
-    """The family as an n x m array of exponents mod d, after the work budget.
-
-    A family whose form would cost more than GATHER_ENTRIES = n^2 dim is
-    refused with SizeLimit before any table is built, and a member off the
-    plus half with WrongHalf.
-    """
+    """The family as an n x m array of exponents mod d: a member off the
+    plus half is refused with WrongHalf, and one that is no exponent tuple
+    of length m with InvalidConfig."""
     cfg = algebra.cfg
-    n, dim, w = len(family), cfg.dim, cfg.m // 2
-    if n * n * dim > GATHER_ENTRIES:
-        raise SizeLimit(f"Gram form over {n} monomials at dimension {dim} gathers "
-                        f"{n * n * dim} entries, over the budget of {GATHER_ENTRIES}")
+    n, w = len(family), cfg.m // 2
     try:
         K = np.array(family, dtype=np.int64).reshape(n, -1) if n else np.zeros((0, cfg.m), int)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -261,14 +328,15 @@ def _members(x: np.ndarray, size: int) -> tuple:
     return np.flatnonzero(mask), (np.cumsum(mask) - 1)[x]
 
 
-def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
-    """M = zeta^P Omega[S, F] (form_matrix).
+def _omega_plan(cfg: AlgebraConfig, S: np.ndarray, F: np.ndarray) -> tuple:
+    """The state-free half of Omega[S, F] over flat word indices (form_matrix):
+    the DFT blocks F1 and F2 and, per chunk of shifts, where its gather reads
+    rho and where its pairs sit in the chunk's table; _omega_values applies it.
 
     The digits split into a high block of D1 = d^(w//2) states and a low
     block of D2 = d^(w - w//2).  Omega is built for the shifts in S and the
     low frequency digits in F only, a chunk of shifts at a time (OMEGA_MACS).
     """
-    S, F, P = words
     d, w, dim = cfg.d, cfg.m // 2, cfg.dim
     hi, lo = digit_table(d, w // 2), digit_table(d, w - w // 2)
     D1, D2 = len(hi), len(lo)
@@ -278,30 +346,46 @@ def _weyl_form(rho: np.ndarray, cfg: AlgebraConfig, words) -> np.ndarray:
         """Index of each state x + s, digit by digit, for each s."""
         return (x[None] + x[s][:, None]) % d @ (d ** np.arange(x.shape[1] - 1, -1, -1))
 
-    shifts, slot = _members(S.ravel(), dim)
-    f_hi, f_lo = np.divmod(F.ravel(), D2)
+    shifts, slot = _members(S, dim)
+    f_hi, f_lo = np.divmod(F, D2)
     cols, col = _members(f_lo, D2)
     F1 = zeta[2 * (hi @ hi.T) % (2 * d)]        # D1 x D1 DFT q^(f.i), high digits
     F2 = zeta[2 * (lo @ lo[cols].T) % (2 * d)]  # D2 x k, the low frequencies in use
-    i = np.arange(dim).reshape(D1, 1, D2)
-    flat = rho.ravel()
-    vals = np.empty(S.size, dtype=complex)
     step = max(1, OMEGA_MACS // (dim * len(cols)))
     # the pairs ordered by slot once, by a stable radix sort (slot < dim <=
     # DEFAULT_CAP < 2^16): the pairs of shifts first .. first + u - 1 are
     # order[start[first]:start[first + u]]
     order = np.argsort(slot.astype(np.uint16), kind="stable")
     start = np.concatenate([[0], np.cumsum(np.bincount(slot, minlength=len(shifts)))])
+    chunks = []
     for first in range(0, len(shifts), step):
         s_hi, s_lo = np.divmod(shifts[first:first + step], D2)
         u = len(s_hi)
-        # V[i_hi, s, i_lo] = rho[i + s, i], then the low and the high DFT block:
-        # Om[f_hi, s, col]
-        V = flat[(plus(hi, s_hi).T[:, :, None] * D2 + plus(lo, s_lo)[None]) * dim + i]
-        Om = (F1 @ (V.reshape(-1, D2) @ F2).reshape(D1, -1)).ravel()
+        # V[i_hi, s, i_lo] = rho[i + s, i], i = i_hi D2 + i_lo, is read at
+        # (i + s) dim + i = high[i_hi, s] + low[s, i_lo]: the u x dim sum is
+        # left to _omega_values
+        high = (plus(hi, s_hi).T * (D2 * dim) + np.arange(D1)[:, None] * D2)[:, :, None]
+        low = (plus(lo, s_lo) * dim + np.arange(D2))[None]
         sel = order[start[first]:start[first + u]]
-        vals[sel] = Om[(f_hi[sel] * u + slot[sel] - first) * len(cols) + col[sel]]
-    return zeta[P] * vals.reshape(S.shape)
+        chunks.append((high, low, sel, (f_hi[sel] * u + slot[sel] - first) * len(cols) + col[sel]))
+        _read_only(*chunks[-1])
+    _read_only(F1, F2)
+    return F1, F2, tuple(chunks), len(S)
+
+
+def _omega_values(rho: np.ndarray, table: tuple) -> np.ndarray:
+    """Omega[S, F] of the density rho over the words of an _omega_plan table:
+    per chunk the gather V, then the low and the high DFT block,
+    Om[f_hi, s, col], and its entries at the chunk's pairs."""
+    F1, F2, chunks, size = table
+    D1, D2 = len(F1), len(F2)
+    flat = rho.ravel()
+    vals = np.empty(size, dtype=complex)
+    for high, low, sel, pos in chunks:
+        V = flat[high + low]
+        Om = (F1 @ (V.reshape(-1, D2) @ F2).reshape(D1, -1)).ravel()
+        vals[sel] = Om[pos]
+    return vals
 
 
 def grade_sectors(omega: StateFunctional | QuasiFreeState, cfg: AlgebraConfig,
@@ -319,27 +403,105 @@ def grade_sectors(omega: StateFunctional | QuasiFreeState, cfg: AlgebraConfig,
     return np.asarray(K).reshape(len(K), -1).sum(1) % cfg.d
 
 
-def _form(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
-          K: np.ndarray, sectors: np.ndarray) -> np.ndarray:
-    """M_ab = omega(theta(B_a) o B_b) over the exponent rows K (form_matrix):
-    a quasi-free state gives its word values (one block, grade_sectors), any
-    other state the Omega table of its density over the pairs within one
-    grade sector, with 0.0 across sectors."""
-    cfg = algebra.cfg
-    if not isinstance(omega, QuasiFreeState):
-        n = len(K)
+class FormPlan(NamedTuple):
+    """The state-free half of a family form (form_plan), arrays read-only:
+    n members, the identity at index `one` (None if absent), their grade
+    sectors, the flat positions a n + b of the evaluated pairs (None for all
+    n^2, in order), the phase zeta^P of each, and the table of their values:
+    _omega_plan's for a density, chains.word_supports for a quasi-free state."""
+
+    n: int
+    one: int | None
+    sectors: np.ndarray
+    at: np.ndarray | None
+    phase: np.ndarray
+    table: tuple
+
+    @property
+    def pairs(self) -> int:
+        return len(self.phase)
+
+    def form(self, omega: StateFunctional | QuasiFreeState, algebra: Algebra) -> np.ndarray:
+        """The form of omega over the plan's family (form_matrix)."""
+        return _form(omega, algebra, self)
+
+
+def _plan(cfg: AlgebraConfig, K: np.ndarray, sectors: np.ndarray, wick: bool) -> FormPlan:
+    """The plan of the exponent rows K split into the grade sectors
+    `sectors`: for a quasi-free state (wick) the words of all n^2 pairs,
+    else those of the pairs within a sector, with their phases (form_matrix)."""
+    n, d = len(K), cfg.d
+    one = np.flatnonzero(~K.any(1))
+    zeta = root_table(d)
+    if wick:
+        g = K.sum(1) % d
+        P = (2 * _theta_exponent(K)[:, None] + (d - 1) * np.outer(g, g)) % (2 * d)
+        at, phase = None, zeta[P].ravel()
+        table = word_supports((K[:, None, ::-1] + K[None]).reshape(n * n, cfg.m))
+    else:
         # one block, every pair; via the sector path a generic (3, 8) gram took 2.65 ms, not 2.2
         if (sectors == sectors[:1]).all():
-            return _weyl_form(omega.density(algebra), cfg, _weyl_words(cfg, K))
-        # the words of the in-sector pairs only, in row-major order
-        a, b = np.nonzero(sectors[:, None] == sectors[None, :])
-        M = np.zeros((n, n), dtype=complex)
-        M[a, b] = _weyl_form(omega.density(algebra), cfg, _weyl_words(cfg, K, (a, b)))
-        return M
-    n, g = len(K), K.sum(1) % cfg.d
-    P = (2 * _theta_exponent(K)[:, None] + (cfg.d - 1) * np.outer(g, g)) % (2 * cfg.d)
-    words = (K[:, None, ::-1] + K[None]).reshape(n * n, cfg.m)
-    return root_table(cfg.d)[P] * omega.word_values(cfg, words).reshape(n, n)
+            at, (S, F, P) = None, _weyl_words(cfg, K)
+        else:
+            # the words of the in-sector pairs only, in row-major order
+            a, b = np.nonzero(sectors[:, None] == sectors[None, :])
+            at, (S, F, P) = a * n + b, _weyl_words(cfg, K, (a, b))
+            _read_only(at)
+        phase, table = zeta[P].ravel(), _omega_plan(cfg, S.ravel(), F.ravel())
+    _read_only(sectors, phase)
+    return FormPlan(n, int(one[0]) if one.size else None, sectors, at, phase, table)
+
+
+def form_plan(omega: StateFunctional | QuasiFreeState, algebra: Algebra, family,
+              identity: bool = False) -> FormPlan:
+    """The plan of the form of omega over a plus-half family (form_matrix).
+
+    The GATHER_ENTRIES gate counts the n members as given, on every call and
+    before any lookup.  The plan depends on (d, m), the family, how omega
+    splits it into grade sectors (a quasi-free state; a state that conserves
+    the reflection charge; any other) and OMEGA_MACS, and on nothing else of
+    omega: it is built once per such key and kept (cached), so every further
+    state on the family reads only its own rho or covariance.  identity
+    appends the identity to a family without it (gram).  A family whose
+    members are not tuples is validated and planned, and not kept.
+    """
+    cfg = algebra.cfg
+    n, dim = len(family), cfg.dim
+    if n * n * dim > GATHER_ENTRIES:
+        raise SizeLimit(f"Gram form over {n} monomials at dimension {dim} gathers "
+                        f"{n * n * dim} entries, over the budget of {GATHER_ENTRIES}")
+    wick = isinstance(omega, QuasiFreeState)
+
+    def build():
+        K = _family_exponents(algebra, family)
+        if identity and K.any(1).all():
+            K = np.vstack([K, np.zeros((1, cfg.m), dtype=K.dtype)])
+        return _plan(cfg, K, grade_sectors(omega, cfg, K), wick)
+    split = "wick" if wick else omega.conserves_charge
+    try:
+        key = ("form", cfg.d, cfg.m, tuple(map(tuple, family)), split, identity, OMEGA_MACS)
+        hash(key)
+    except TypeError:
+        return build()
+    return cached(key, build, lambda p: p.pairs)
+
+
+def _form(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
+          plan: FormPlan) -> np.ndarray:
+    """M_ab = omega(theta(B_a) o B_b) over the plan's family (form_matrix):
+    a quasi-free state gives its word values, any other state the Omega
+    table of its density, at the plan's pairs, times their phases, with 0.0
+    at the pairs the plan leaves out."""
+    if isinstance(omega, QuasiFreeState):
+        vals = omega.word_values(algebra.cfg, plan.table)
+    else:
+        vals = _omega_values(omega.density(algebra), plan.table)
+    n = plan.n
+    if plan.at is None:                 # _plan's one-block fork: every pair, in order
+        return (plan.phase * vals).reshape(n, n)
+    M = np.zeros(n * n, dtype=complex)
+    M[plan.at] = plan.phase * vals
+    return M.reshape(n, n)
 
 
 def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
@@ -393,6 +555,17 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     n^2 pairs.  Any other state is one sector, and all n^2 pairs are
     evaluated.
 
+    Plan and apply.  Only rho or the covariance, and how the state splits
+    the family into sectors, depend on the state.  form_plan plans the rest
+    once per key (d, m, family, split, OMEGA_MACS) and keeps it (cached,
+    PLAN_PAIRS): the sectors, the in-sector positions and each pair's
+    zeta^P, and for a density the DFT blocks and each chunk's gather offsets
+    and pair positions (_omega_plan), for a quasi-free state the supports of
+    each word length (chains.word_supports).  _form applies a plan with the
+    arithmetic of the one-step form in the same order, so a kept plan gives
+    the bits of a new one.  Each chunk's u x dim gather index is summed per
+    apply and not kept: it would hold up to dim^2 = 2^24 entries at dim 4096.
+
     reconstruct evaluates one form, over the window followed by its shift
     images, and judges the window Gram, its leading block
     (gram_report_from_matrix).
@@ -401,8 +574,7 @@ def form_matrix(omega: StateFunctional | QuasiFreeState, algebra: Algebra,
     round-off above otherwise: BLAS may sum in another order for another
     family.
     """
-    K = _family_exponents(algebra, family)
-    return _form(omega, algebra, K, grade_sectors(omega, algebra.cfg, K))
+    return _form(omega, algebra, form_plan(omega, algebra, family))
 
 
 def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
@@ -414,21 +586,15 @@ def gram(omega: StateFunctional | QuasiFreeState, algebra: Algebra, basis,
     one-point values off the same form: theta(1) = 1 and the twist of a
     grade-0 factor is 1, so omega(theta(B_a)) is the identity column and
     omega(B_a) the identity row.  A basis without the identity gets it as an
-    extra last member.  The budget gate counts the caller's n only, as it
-    did for the gather, so that extra member can take the table to
-    (n + 1)^2 dim > GATHER_ENTRIES, by 2n + 1 words; bases built by
-    plus_basis hold the identity.  No dense rep is built.  A state that
+    extra last member (form_plan's identity).  The budget gate counts the
+    caller's n only, as it did for the gather, so that extra member can take
+    the table to (n + 1)^2 dim > GATHER_ENTRIES, by 2n + 1 words; bases built
+    by plus_basis hold the identity.  No dense rep is built.  A state that
     conserves the reflection charge gets the form and the eigh one grade
     sector at a time (form_matrix, gram_report_from_matrix).
     """
-    K = _family_exponents(algebra, basis)
-    n = len(K)
-    one = np.flatnonzero(~K.any(1))
-    if one.size == 0:
-        K = np.vstack([K, np.zeros((1, algebra.cfg.m), dtype=K.dtype)])
-    sectors = grade_sectors(omega, algebra.cfg, K)
-    return gram_report_from_matrix(_form(omega, algebra, K, sectors), basis, tol,
-                                   one[0] if one.size else n, sectors)
+    plan = form_plan(omega, algebra, basis, identity=True)
+    return gram_report_from_matrix(_form(omega, algebra, plan), basis, tol, plan.one, plan.sectors)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ the reference of rpkit.reconstruction.transfer_operator, which reads one
 form over the shift images only.  The chain window's density, built from an entanglement
 Hamiltonian of its covariance, is the reference of the Pfaffian word values
 of rpkit.chains.QuasiFreeState; the oracles that read a density read it.
-The Omega table with each chunk's pairs picked by a mask is the bit-for-bit
-reference of the pair order in rpkit.verifier._weyl_form.  The Omega table
+The Omega table with each chunk's pairs picked by a mask, planned once and
+applied to each density, is the bit-for-bit reference of the pair order of
+rpkit.verifier._omega_plan and _omega_values.  The Omega table
 over all n^2 pairs as one block is the reference of the grade-sector form
 of rpkit.verifier._form, which evaluates the pairs within a sector only.
 The values of a report on a family form's leading block, computed step by
@@ -373,10 +374,12 @@ def multiple_shift_transfer(omega, algebra, basis, qspace, steps=1) -> TransferD
                         normalization=norm, shift_defect=defect)
 
 
-def masked_weyl_form(rho, cfg, words) -> np.ndarray:
-    """rpkit.verifier._weyl_form with each chunk's pairs picked by a mask
-    over all n^2 pairs, chunks x n^2 work: the same reads and writes as the
-    pairs ordered by chunk once, so the same bits."""
+def masked_weyl_plan(cfg, words) -> tuple:
+    """The state-free half of masked_weyl_form: the phases zeta^P, the DFT
+    blocks, and per chunk of shifts (rpkit.verifier.OMEGA_MACS) its whole
+    u x dim gather index, its mask over all n^2 pairs and their positions in
+    the chunk's table, chunks x n^2 work: the same reads and writes as the
+    pairs ordered by chunk once (rpkit.verifier._omega_plan)."""
     S, F, P = words
     d, w, dim = cfg.d, cfg.m // 2, cfg.dim
     hi, lo = digit_table(d, w // 2), digit_table(d, w - w // 2)
@@ -392,17 +395,29 @@ def masked_weyl_form(rho, cfg, words) -> np.ndarray:
     F1 = zeta[2 * (hi @ hi.T) % (2 * d)]
     F2 = zeta[2 * (lo @ lo[cols].T) % (2 * d)]
     i = np.arange(dim).reshape(D1, 1, D2)
-    flat = rho.ravel()
-    vals = np.empty(S.shape, dtype=complex)
     step = max(1, verifier.OMEGA_MACS // (dim * len(cols)))
+    chunks = []
     for first in range(0, len(shifts), step):
         s_hi, s_lo = np.divmod(shifts[first:first + step], D2)
         u = len(s_hi)
-        V = flat[(plus(hi, s_hi).T[:, :, None] * D2 + plus(lo, s_lo)[None]) * dim + i]
-        Om = (F1 @ (V.reshape(-1, D2) @ F2).reshape(D1, -1)).ravel()
+        index = (plus(hi, s_hi).T[:, :, None] * D2 + plus(lo, s_lo)[None]) * dim + i
         sel = (slot >= first) & (slot < first + u)
-        vals[sel] = Om[(f_hi[sel] * u + slot[sel] - first) * len(cols) + col[sel]]
-    return zeta[P] * vals
+        chunks.append((index, sel, (f_hi[sel] * u + slot[sel] - first) * len(cols) + col[sel]))
+    return zeta[P], F1, F2, chunks
+
+
+def masked_weyl_form(rho, plan) -> np.ndarray:
+    """The Omega table form of the density rho over a masked_weyl_plan: per
+    chunk the gather, the low and the high DFT block, and the masked pairs."""
+    phase, F1, F2, chunks = plan
+    D1, D2 = len(F1), len(F2)
+    flat = rho.ravel()
+    vals = np.empty(phase.shape, dtype=complex)
+    for index, sel, pos in chunks:
+        V = flat[index]
+        Om = (F1 @ (V.reshape(-1, D2) @ F2).reshape(D1, -1)).ravel()
+        vals[sel] = Om[pos]
+    return phase * vals
 
 
 def one_block_form(omega, algebra, family) -> np.ndarray:
@@ -412,8 +427,8 @@ def one_block_form(omega, algebra, family) -> np.ndarray:
     (a quasi-free state is read through its density)."""
     cfg = algebra.cfg
     K = verifier._family_exponents(algebra, family)
-    return verifier._weyl_form(dense_state(omega, algebra).density(algebra), cfg,
-                               verifier._weyl_words(cfg, K))
+    plan = verifier._plan(cfg, K, np.zeros(len(K), dtype=int), False)
+    return verifier._form(dense_state(omega, algebra), algebra, plan)
 
 
 def stored_verdict(ev, tol, herm, reflection_defect) -> dict:

@@ -2,7 +2,7 @@ import pytest
 
 from rpkit.algebra import Algebra, AlgebraConfig
 from rpkit.reconstruction import shift_family
-from rpkit.verifier import form_matrix
+from rpkit.verifier import clear_plans, form_matrix
 
 _CACHE = {}
 acceptance_lines = []
@@ -28,6 +28,15 @@ def family_form(omega, algebra, basis, steps=1):
     shift index, as reconstruct builds them for transfer_operator."""
     family, shifted = shift_family(basis, steps, algebra.cfg)
     return form_matrix(omega, algebra, family), shifted
+
+
+@pytest.fixture(autouse=True)
+def no_cached_plans():
+    """Each test starts with an empty plan cache (verifier.cached), so that
+    what it sees does not hang on the tests before it: a plan kept by one
+    of them would, for one, hide the word tables from a patched
+    verifier._weyl_words."""
+    clear_plans()
 
 
 @pytest.fixture

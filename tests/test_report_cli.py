@@ -716,7 +716,7 @@ def test_reconstruct_steps_out_of_range_exit_3(tmp_path, capsys, monkeypatch, st
     def no_form(*args, **kwargs):
         raise AssertionError("the form was built")
 
-    monkeypatch.setattr(cli, "form_matrix", no_form)
+    monkeypatch.setattr(cli, "form_plan", no_form)
     cfg = {"d": 2, "m": 8, "chain": {}, "basis_room": 3, "steps": steps}
     code, text = run_cli(tmp_path, "reconstruct", cfg)
     assert code == 3

@@ -3,20 +3,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rpkit.algebra import (Algebra, AlgebraConfig, StateFunctional, evaluate, theta,
-                           twisted_product)
+from rpkit.algebra import (Algebra, AlgebraConfig, StateFunctional, evaluate, root_table,
+                           theta, twisted_product)
 from rpkit.boxes import dft_zd
-from rpkit.errors import InvalidArgument, PreconditionViolation, SizeLimit, WrongHalf
+from rpkit.chains import uniform_chain_state
+from rpkit.errors import InvalidArgument, InvalidConfig, PreconditionViolation, SizeLimit, WrongHalf
 from rpkit import verifier
-from rpkit.reconstruction import quantize
-from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, _weyl_words,
+from rpkit.reconstruction import quantize, shift_family
+from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, _weyl_words, clear_plans,
                             coupling_decomposition, coupling_element, cross_element,
                             draw_generic_hamiltonian, draw_theorem_hamiltonian, form_matrix,
                             gram, gram_report_from_matrix, plus_basis, sft_positivity,
                             sft_positivity_sequence)
 
 from algebra_oracles import (gathered_form, gathered_reflection_defect, gemm_form_matrix,
-                             masked_weyl_form, multiple_shift_family, one_block_form,
+                             masked_weyl_form, masked_weyl_plan, multiple_shift_family,
+                             one_block_form,
                              pair_tables, stored_verdict)
 from conftest import make_algebra, random_element
 
@@ -517,17 +519,22 @@ def test_form_matrix_in_small_chunks_matches_gather(case, macs):
 @given(case=form_cases(), macs=st.sampled_from([1, 2**6, 2**9]))
 def test_chunk_order_is_the_masks_bit_for_bit(case, macs):
     """The pairs ordered by chunk once against each chunk's mask over all
-    n^2 pairs (algebra_oracles.masked_weyl_form), with OMEGA_MACS small
-    enough for many chunks: the same entries read, so the same bits."""
+    n^2 pairs (algebra_oracles.masked_weyl_plan), with OMEGA_MACS small
+    enough for many chunks: the same entries read, so the same bits.  Each
+    side is planned once and applied to the state's density and to that of
+    the trace state."""
     algebra, omega, _, family = case
+    cfg = algebra.cfg
     K = verifier._family_exponents(algebra, family)
-    words = _weyl_words(algebra.cfg, K)
-    rho = omega.density(algebra)
+    S, F, P = _weyl_words(cfg, K)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verifier, "OMEGA_MACS", macs)
-        got = verifier._weyl_form(rho, algebra.cfg, words)
-        want = masked_weyl_form(rho, algebra.cfg, words)
-    assert np.array_equal(got, want)
+        table = verifier._omega_plan(cfg, S.ravel(), F.ravel())
+        oracle = masked_weyl_plan(cfg, (S, F, P))
+    for state in (omega, StateFunctional(kind="trace")):
+        rho = state.density(algebra)
+        got = root_table(cfg.d)[P] * verifier._omega_values(rho, table).reshape(S.shape)
+        assert np.array_equal(got, masked_weyl_form(rho, oracle))
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,9 +542,9 @@ def test_chunk_order_is_the_masks_bit_for_bit(case, macs):
 def test_in_sector_words_are_the_masked_grid(case):
     """The words of the in-sector pairs only, against the words of all n^2
     pairs masked to the sectors, element for element in row-major order; and
-    _form's one _weyl_form call over them gives the masked grid's form bit
-    for bit.  The grade sectors are imposed whatever the state, so that most
-    draws have several."""
+    the form of a plan over them gives the masked grid's form bit for bit.
+    The grade sectors are imposed whatever the state, so that most draws
+    have several."""
     algebra, omega, _, family = case
     cfg = algebra.cfg
     K = verifier._family_exponents(algebra, family)
@@ -547,10 +554,12 @@ def test_in_sector_words_are_the_masked_grid(case):
     words = _weyl_words(cfg, K, np.nonzero(pairs))
     for got, want in zip(words, grid):
         assert got.dtype == want.dtype and np.array_equal(got, want[pairs])
+    S, F, P = (x[pairs] for x in grid)
     want = np.zeros(pairs.shape, dtype=complex)
-    want[pairs] = verifier._weyl_form(omega.density(algebra), cfg,
-                                      tuple(x[pairs] for x in grid))
-    assert verifier._form(omega, algebra, K, sectors).tobytes() == want.tobytes()
+    want[pairs] = root_table(cfg.d)[P] * verifier._omega_values(
+        omega.density(algebra), verifier._omega_plan(cfg, S, F))
+    got = verifier._form(omega, algebra, verifier._plan(cfg, K, sectors, False))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_form_matrix_wide_shift_chunks_match_gather():
@@ -796,13 +805,14 @@ def test_a_charged_word_keeps_the_form_one_block():
     assert gram(omega, algebra, basis).block is None
 
 
-@pytest.mark.parametrize("family, shapes", [("trace", [(27, 27)] * 3),
-                                            ("theorem", [(27, 27)] * 3),
+@pytest.mark.parametrize("family, shapes", [("trace", [(3, 27, 27)]),
+                                            ("theorem", [(3, 27, 27)]),
                                             ("generic", [(81, 81)])])
 def test_gram_hands_eigh_one_block_per_sector(monkeypatch, family, shapes):
     """(3, 8) on the full basis of 81 monomials: the trace and a theorem draw
-    conserve the reflection charge, so their Gram is three 27 x 27 sectors;
-    a generic draw does not, and its Gram is one 81 x 81 block."""
+    conserve the reflection charge, so their Gram is three 27 x 27 sectors,
+    handed to eigh as one stack; a generic draw does not, and its Gram is
+    one 81 x 81 block."""
     algebra = make_algebra(3, 8)
     if family == "trace":
         omega = StateFunctional(kind="trace")
@@ -816,3 +826,180 @@ def test_gram_hands_eigh_one_block_per_sector(monkeypatch, family, shapes):
                         real(a, *r, **kw))
     gram(omega, algebra, plus_basis(algebra.cfg))
     assert seen == shapes
+
+
+# ---------------------------------------------------------------------------
+# plans: the state-free half of a form, built once per family and reused
+# ---------------------------------------------------------------------------
+
+PLAN_CONFIGS = [(2, 4), (2, 6), (2, 8), (3, 4), (3, 6), (4, 4)]
+
+
+@st.composite
+def plan_cases(draw):
+    """An algebra, a plus-half window and the family the form is taken over
+    (a plus basis, a max_grade subset, its shift family at steps 1 or 2, or
+    the window with some members repeated), the trace state, a theorem and
+    a generic draw, a chain window at d = 2, and an OMEGA_MACS (None keeps
+    the default)."""
+    d, m = draw(st.sampled_from(PLAN_CONFIGS))
+    algebra = make_algebra(d, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = plus_basis(algebra.cfg, draw(st.one_of(st.none(), st.integers(0, (d - 1) * m // 2))))
+    shape = draw(st.sampled_from(["basis", "shift", "repeats"]))
+    if shape == "shift":
+        family, _ = shift_family(basis, draw(st.integers(1, 2)), algebra.cfg)
+    elif shape == "repeats":
+        family = basis + [basis[int(i)] for i in rng.integers(0, len(basis), 3)]
+    else:
+        family = basis
+    states = [StateFunctional(kind="trace")]
+    for draw_h in (draw_theorem_hamiltonian, draw_generic_hamiltonian):
+        states.append(StateFunctional(kind="gibbs", beta=float(rng.uniform(0.2, 2.0)),
+                                      hamiltonian=draw_h(algebra, rng)))
+    if d == 2:
+        states.append(uniform_chain_state(algebra, float(rng.uniform(-1.5, 1.5)),
+                                          float(rng.uniform(0.2, 2.0))))
+    return algebra, basis, family, states, draw(st.sampled_from([1, 2**6, None]))
+
+
+def plan_outcome(omega, algebra, basis, family) -> list:
+    """The bytes of the family form, of the window report read off its
+    leading block with the plan's sectors, as reconstruct reads it, and of
+    gram's report over the family."""
+    def report(rep):
+        return [rep.matrix.tobytes(), rep.eigenvalues.tobytes(), rep.eigenvectors.tobytes(),
+                rep.witness.tobytes(), rep.herm_defect, rep.reflection_defect, rep.block]
+    plan = verifier.form_plan(omega, algebra, family)
+    M = form_matrix(omega, algebra, family)
+    window = gram_report_from_matrix(M, basis, one=plan.one, sectors=plan.sectors)
+    return [M.tobytes()] + report(window) + report(gram(omega, algebra, family))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=plan_cases())
+def test_a_warm_plan_gives_the_bits_of_a_cold_one(case):
+    """Every state's form and reports from new plans only (PLAN_PAIRS = 0
+    keeps none), from the plans of one cache shared by all four states, run
+    twice, and again after the cache is cleared: the same bytes."""
+    algebra, basis, family, states, macs = case
+    with pytest.MonkeyPatch.context() as mp:
+        if macs is not None:
+            mp.setattr(verifier, "OMEGA_MACS", macs)
+        clear_plans()
+        with pytest.MonkeyPatch.context() as cold_only:
+            cold_only.setattr(verifier, "PLAN_PAIRS", 0)
+            cold = [plan_outcome(omega, algebra, basis, family) for omega in states]
+        assert len(verifier._PLANS) == 0
+        for _ in range(2):
+            assert [plan_outcome(omega, algebra, basis, family) for omega in states] == cold
+        clear_plans()
+        assert [plan_outcome(omega, algebra, basis, family) for omega in states[::-1]] \
+            == cold[::-1]
+
+
+def test_a_plan_is_built_once_per_family(monkeypatch):
+    """Two states that split the family alike share one plan: the words are
+    built for the first only.  The plan's arrays are read-only."""
+    algebra = make_algebra(3, 6)
+    basis = plus_basis(algebra.cfg)
+    words, real = [], verifier._weyl_words
+    monkeypatch.setattr(verifier, "_weyl_words", lambda *a: words.append(1) or real(*a))
+    theorem = StateFunctional(kind="gibbs", beta=1.0, hamiltonian=draw_theorem_hamiltonian(
+        algebra, np.random.default_rng(3)))
+    plan = verifier.form_plan(StateFunctional(kind="trace"), algebra, basis)
+    assert verifier.form_plan(theorem, algebra, basis) is plan
+    gram(theorem, algebra, basis)       # the basis holds the identity: the plan with identity
+    gram(StateFunctional(kind="trace"), algebra, basis)
+    assert words == [1, 1]
+    arrays = [plan.sectors, plan.at, plan.phase, *plan.table[:2]] + \
+        [x for chunk in plan.table[2] for x in chunk]
+    for x in arrays:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[(0,) * x.ndim] = 0
+    chain = verifier.form_plan(uniform_chain_state(make_algebra(2, 6)), make_algebra(2, 6),
+                               plus_basis(AlgebraConfig(2, 6)))
+    base, parts = chain.table
+    assert all(not x.flags.writeable for x in [chain.phase, base, *[y for p in parts for y in p]])
+
+
+def test_the_plan_key_holds_omega_macs(monkeypatch):
+    """A plan built at one OMEGA_MACS is not read at another: the chunks
+    differ, and the default's plan comes back when the default does."""
+    algebra = make_algebra(2, 8)
+    omega, basis = StateFunctional(kind="trace"), plus_basis(AlgebraConfig(2, 8))
+    plan = verifier.form_plan(omega, algebra, basis)
+    monkeypatch.setattr(verifier, "OMEGA_MACS", 1)
+    small = verifier.form_plan(omega, algebra, basis)
+    assert small is not plan and len(small.table[2]) > len(plan.table[2])
+    monkeypatch.undo()
+    assert verifier.form_plan(omega, algebra, basis) is plan
+
+
+def test_the_budget_gate_runs_before_the_lookup(monkeypatch):
+    """A cached plan does not pass a family that the GATHER_ENTRIES gate now
+    refuses: the gate counts the caller's n on every call."""
+    algebra = make_algebra(2, 8)
+    omega, basis = StateFunctional(kind="trace"), plus_basis(AlgebraConfig(2, 8))
+    gram(omega, algebra, basis)
+    monkeypatch.setattr(verifier, "GATHER_ENTRIES", 16 * 16 * 16 - 1)
+    for call in (lambda: gram(omega, algebra, basis),
+                 lambda: form_matrix(omega, algebra, basis)):
+        with pytest.raises(SizeLimit, match="over the budget of 4095"):
+            call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: plus_basis(AlgebraConfig(2, 26)), SizeLimit),
+    (lambda: form_matrix(StateFunctional(kind="trace"), make_algebra(2, 4),
+                         [(0, 0, 0, 0), (1, 0, 0, 0)]), WrongHalf),
+    (lambda: gram(StateFunctional(kind="trace"), make_algebra(2, 4), [(0, 0, 1)]), InvalidConfig),
+    (lambda: form_matrix(StateFunctional(kind="trace"), make_algebra(2, 4), [0, 1]),
+     InvalidConfig),
+    (lambda: shift_family([(0, 0, 1, 0)], -1, AlgebraConfig(2, 4)), InvalidArgument),
+], ids=["size", "wrong-half", "short-tuple", "no-tuples", "negative-steps"])
+def test_a_refused_plan_is_refused_again_and_kept_nowhere(call, error):
+    for _ in range(2):
+        with pytest.raises(error):
+            call()
+    assert len(verifier._PLANS) == 0
+
+
+def test_returned_lists_are_the_callers_own():
+    """Mutating what plus_basis and shift_family return does not change
+    what the next call returns."""
+    cfg = AlgebraConfig(2, 6)
+    basis = plus_basis(cfg)
+    want = list(basis)
+    family, shifted = shift_family(basis, 1, cfg)
+    want_family, want_shifted = list(family), list(shifted)
+    basis.append((0, 0, 0, 1, 1, 1))
+    basis[0] = None
+    family.clear()
+    shifted[0] = 99
+    assert plus_basis(cfg) == want
+    assert shift_family(want, 1, cfg) == (want_family, want_shifted)
+
+
+def test_a_plan_over_the_budget_is_used_and_not_kept(monkeypatch):
+    """Under a small PLAN_PAIRS the (2, 8) plan of 256 pairs is built, gives
+    the bits of a kept one, and leaves no entry; smaller entries are evicted
+    least recently used first, until the held weight fits the budget; an
+    empty entry weighs 1."""
+    algebra = make_algebra(2, 8)
+    omega, basis = StateFunctional(kind="gibbs", beta=1.0, hamiltonian=draw_generic_hamiltonian(
+        algebra, np.random.default_rng(5))), plus_basis(AlgebraConfig(2, 8))
+    want = form_matrix(omega, algebra, basis)
+    clear_plans()
+    monkeypatch.setattr(verifier, "PLAN_PAIRS", 255)
+    assert form_matrix(omega, algebra, basis).tobytes() == want.tobytes()
+    assert len(verifier._PLANS) == 0
+    for d, m in [(2, 2), (2, 4), (2, 6), (3, 8), (2, 14)]:     # 2 + 4 + 8 + 81 + 128 members
+        plus_basis(AlgebraConfig(d, m))
+    plus_basis(AlgebraConfig(2, 2))                             # read last
+    plus_basis(AlgebraConfig(4, 6))                             # 64 more: three go
+    assert [k[1:3] for k in verifier._PLANS] == [(2, 14), (2, 2), (4, 6)]
+    assert verifier._held == sum(w for _, w in verifier._PLANS.values()) == 194
+    assert plus_basis(AlgebraConfig(2, 4), max_grade=-1) == []      # weighs 1
+    assert verifier._held == 195
