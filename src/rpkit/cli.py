@@ -8,7 +8,8 @@ one line "rpkit: internal error: <Type>: <message>" without a traceback).
 reconstruct never exits 1: a Gram or transfer that fails a gate is refused
 (2).  Config numbers are read through one coercion (_number; _count adds a
 range), so a string, a bool, a non-integral count or a count that leaves a
-check vacuous is a config error (3), never a crash.
+check vacuous is a config error (3), never a crash, and so is a config
+that names two states (_one_state).
 
 The config is read with one binary read and decoded as UTF-8, with "\r\n" and
 "\r" read as "\n" as a text-mode read would (so a parse error keeps its line
@@ -129,7 +130,16 @@ def _hamiltonian_from_terms(algebra, terms):
     return H
 
 
+def _one_state(cfg, first, *others):
+    """ConfigError naming both fields when cfg has `first` and one of `others`:
+    either names the state, and the second would be dropped silently."""
+    other = next((o for o in others if o in cfg), None)
+    if first in cfg and other:
+        raise ConfigError(f"config names two states: '{first}' and '{other}'")
+
+
 def _state_from_config(cfg, algebra, seed):
+    _one_state(cfg, "hamiltonian", "draw")
     kind = cfg.get("state", "trace")
     if kind == "trace":
         return StateFunctional(kind="trace")
@@ -201,6 +211,7 @@ def run_rp_gram(cfg, tol, seed):
 
 def run_reconstruct(cfg, tol, seed):
     algebra = Algebra(_algebra_config(cfg))
+    _one_state(cfg, "chain", "state", "hamiltonian", "draw")
     if "chain" in cfg:
         ch = _require(cfg, "chain", dict)
         omega = uniform_chain_state(algebra, _number(ch.get("coupling", 1.0), float, "coupling"),

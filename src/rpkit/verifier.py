@@ -6,11 +6,12 @@ that span iff M is positive semidefinite.
 
 A star- and theta-invariant Hamiltonian decomposes into one-sided parts, a
 diagonal cross-cut part sum_k lambda_k E_k, E_k = theta(B_k) o B_k, and a
-residual.  The sufficient positivity criterion implemented here ("positive
-SFT"): residual and non-neutral one-sided terms vanish, and the couplings
-J_k = -lambda_k are all real and >= 0.  Gibbs functionals of such
-Hamiltonians produce PSD Grams at every beta; the acceptance suite checks
-this, and that generic Hamiltonians violating it give indefinite Grams.
+residual, in one pass over the words of H.  The sufficient positivity
+criterion implemented here ("positive SFT"): H itself is theta-invariant,
+residual and non-neutral one-sided terms vanish, and the couplings J_k =
+-lambda_k are all real and >= 0.  Gibbs functionals of such Hamiltonians
+produce PSD Grams at every beta; the acceptance suite checks this, and that
+generic Hamiltonians violating it give indefinite Grams.
 
 J_k needs no orientation phase: with the twist xi = zeta^(d-1), zeta =
 exp(i pi/d) (Jaffe-Pedrocchi, arXiv:1406.1384), theta(E_k) = E_k and E_k* =
@@ -616,7 +617,7 @@ def coupling_element(algebra: Algebra, k, J: float) -> AlgebraElement:
     """Star- and theta-invariant summand -J (E_k + E_kbar), J real >= 0 in the
     theorem class (module docstring).  A self-paired ladder (k == kbar)
     contributes -J E_k alone."""
-    kk = algebra._canon(k)
+    (kk,) = algebra.monomial(k).coeffs
     kb = _bar(algebra.cfg, kk)
     term = -J * cross_element(algebra, kk)
     return term if kb == kk else term + -J * cross_element(algebra, kb)
@@ -626,52 +627,38 @@ def coupling_element(algebra: Algebra, k, J: float) -> AlgebraElement:
 class CouplingDecomposition:
     """H = h_minus + h_plus + sum_k lambda_k theta(B_k) o B_k + residual."""
 
+    H: AlgebraElement   # the H that was split
     h_plus: AlgebraElement
     h_minus: AlgebraElement
     cross: list  # [(lambda_k, plus-monomial exponent tuple), ...]
     residual: AlgebraElement
 
-    def reassemble(self) -> AlgebraElement:
-        alg = self.h_plus.algebra
-        out = self.h_minus + self.h_plus + self.residual
-        for lam, k in self.cross:
-            out = out + lam * cross_element(alg, k)
-        return out
-
 
 def coupling_decomposition(H: AlgebraElement) -> CouplingDecomposition:
-    """Split a star-invariant H along the reflection cut.
+    """Split a star-invariant H along the reflection cut, in one pass over
+    its words sorted by reversed exponent tuple.
 
-    Monomials supported on one half go to h_plus/h_minus (the identity counts
-    as h_plus).  A cross-cut monomial factors as (minus part)(plus part); it
-    is diagonal-matched when the minus part mirrors the plus part, i.e. the
-    monomial of theta(B_k) o B_k for B_k the plus part.  Everything else
-    lands in the residual.
+    A word on one half goes to h_plus or h_minus (the identity to h_plus).  A
+    cross-cut word k is diagonal-matched when its minus half mirrors its plus
+    half, k[:w] == rev k[w:]: it is the word of E_k = theta(B_k) o B_k for B_k
+    its plus part, whose coefficient tau (cross_element) gives lambda_k =
+    v / tau.  Every other word lands in the residual.
     """
-    alg = H.algebra
-    m = H.cfg.m
-    half = m // 2
-    h_plus = alg.zero()
-    h_minus = alg.zero()
-    residual = alg.zero()
-    cross = []
-    for k, v in sorted(H.coeffs.items(), key=lambda kv: tuple(reversed(kv[0]))):
-        term = alg.element({k: v})
-        minus_supp = any(k[:half])
-        plus_supp = any(k[half:])
-        if not minus_supp:
-            h_plus = h_plus + term
-        elif not plus_supp:
-            h_minus = h_minus + term
+    alg, w = H.algebra, H.cfg.m // 2
+    h_plus, h_minus, residual, cross = {}, {}, {}, []
+    for k, v in sorted(H.coeffs.items(), key=lambda kv: kv[0][::-1]):
+        if not any(k[:w]):
+            h_plus[k] = v
+        elif not any(k[w:]):
+            h_minus[k] = v
+        elif k[:w] == k[w:][::-1]:
+            kp = (0,) * w + k[w:]
+            (tau,) = cross_element(alg, kp).coeffs.values()
+            cross.append((v / tau, kp))
         else:
-            kp = tuple([0] * half + list(k[half:]))
-            (mono, tau), = cross_element(alg, kp).coeffs.items()
-            if mono == k:
-                cross.append((v / tau, kp))
-            else:
-                residual = residual + term
-    return CouplingDecomposition(h_plus=h_plus, h_minus=h_minus, cross=cross,
-                                 residual=residual)
+            residual[k] = v
+    return CouplingDecomposition(H, AlgebraElement(alg, h_plus), AlgebraElement(alg, h_minus),
+                                 cross, AlgebraElement(alg, residual))
 
 
 @dataclass
@@ -687,7 +674,8 @@ class SftVerdict:
 def sft_positivity(dec: CouplingDecomposition, tol: float = DEFAULT_TOL) -> SftVerdict:
     """Sufficient RP criterion for a zero-residual hermitian expansion.
 
-    The cross-coupling block K is diagonal over the matched monomials with
+    theta-invariance is read off the H that was split (dec.H).  The
+    cross-coupling block K is diagonal over the matched monomials with
     entries J_k = -lambda_k, with no phase: E_k is theta-invariant (module
     docstring).  The verdict is positive iff K is PSD (all J_k real >= -tol)
     and the one-sided parts are charge neutral.
@@ -697,10 +685,9 @@ def sft_positivity(dec: CouplingDecomposition, tol: float = DEFAULT_TOL) -> SftV
                           reason=f"residual norm {dec.residual.norm_max():.3e} exceeds 1e-10")
     scale = max([1.0] + [abs(l) for l, _ in dec.cross])
     couplings = {k: -lam for lam, k in dec.cross}
-    # theta-invariance of the reassembled H (reflection-invariant omega needs it)
-    H = dec.reassemble()
-    tdef = (theta(H) - H).norm_max()
-    if tdef > 1e-8 * max(1.0, H.norm_max()):
+    # theta-invariance of H (reflection-invariant omega needs it)
+    tdef = (theta(dec.H) - dec.H).norm_max()
+    if tdef > 1e-8 * max(1.0, dec.H.norm_max()):
         return SftVerdict(NOT_APPLICABLE, couplings,
                           reason=f"H not reflection invariant (defect {tdef:.3e})")
     # one-sided parts must be charge neutral (grade 0) for the verified cone
@@ -769,10 +756,9 @@ def draw_theorem_hamiltonian(algebra: Algebra, rng: np.random.Generator) -> Alge
     for _ in range(int(rng.integers(1, DRAW_COUPLINGS + 1))):
         k = basis[int(rng.integers(1, len(basis)))]
         H = H + coupling_element(algebra, k, float(rng.uniform(0.0, 2.0)))
-    g = algebra.zero()
-    for k in basis[1:]:
-        if sum(k) % cfg.d == 0 and rng.random() < 0.7:
-            g = g + complex(rng.normal(), rng.normal()) * algebra.monomial(k)
+    # rng order as a loop: random() per grade-0 word, then normal() twice if kept
+    g = algebra.element({k: complex(rng.normal(), rng.normal()) for k in basis[1:]
+                         if sum(k) % cfg.d == 0 and rng.random() < 0.7})
     g = g + g.star()
     return H + g + theta(g)
 

@@ -24,6 +24,12 @@ of rpkit.verifier._form, which evaluates the pairs within a sector only.
 The values of a report on a family form's leading block, computed step by
 step, with its verdict by the rule a GramReport once stored it with, are
 the reference of rpkit.verifier.gram_report_from_matrix and GramReport.
+The split of a Hamiltonian term by term, one element per word added into its
+part and cross_element read for every cross-cut word, with the SFT verdict
+that tests theta-invariance on H rebuilt from the parts, is the reference of
+rpkit.verifier.coupling_decomposition and sft_positivity; the theorem draw
+with its one-sided part added word by word is the reference of
+draw_theorem_hamiltonian's rng order.
 """
 
 import numpy as np
@@ -35,7 +41,8 @@ from rpkit.errors import PreconditionViolation, ReconstructionFailure
 from rpkit.reconstruction import (DEFAULT_TOL, KERNEL_TOL, SHIFT_TOL, TransferData,
                                   compress_shift, energies, shift_defect, time_shift)
 from rpkit import verifier
-from rpkit.verifier import _members, form_matrix, gram
+from rpkit.verifier import (DRAW_COUPLINGS, CouplingDecomposition, _members, coupling_element,
+                            cross_element, form_matrix, gram, plus_basis, sft_positivity)
 
 
 def dense_state(omega, algebra) -> StateFunctional:
@@ -475,3 +482,60 @@ def leading_block_report(M, basis, one, tol, sectors) -> dict:
             "witness": vec[:, 0] if ev.size else np.zeros(0), "tol": tol,
             "herm_defect": herm, "reflection_defect": refl, "block": block,
             **stored_verdict(ev, tol, herm, refl)}
+
+
+def term_coupling_decomposition(H) -> CouplingDecomposition:
+    """The split of H along the cut, word by word in reversed-tuple order: each
+    word becomes one element added into h_plus (the identity too), h_minus or
+    the residual, and every cross-cut word reads cross_element of its plus
+    part to learn whether it is diagonal-matched."""
+    alg = H.algebra
+    half = H.cfg.m // 2
+    h_plus, h_minus, residual, cross = alg.zero(), alg.zero(), alg.zero(), []
+    for k, v in sorted(H.coeffs.items(), key=lambda kv: tuple(reversed(kv[0]))):
+        term = alg.element({k: v})
+        if not any(k[:half]):
+            h_plus = h_plus + term
+        elif not any(k[half:]):
+            h_minus = h_minus + term
+        else:
+            kp = tuple([0] * half + list(k[half:]))
+            (mono, tau), = cross_element(alg, kp).coeffs.items()
+            if mono == k:
+                cross.append((v / tau, kp))
+            else:
+                residual = residual + term
+    return CouplingDecomposition(H, h_plus, h_minus, cross, residual)
+
+
+def reassemble(dec):
+    """h_minus + h_plus + residual + sum_k lambda_k cross_element(k)."""
+    out = dec.h_minus + dec.h_plus + dec.residual
+    for lam, k in dec.cross:
+        out = out + lam * cross_element(dec.H.algebra, k)
+    return out
+
+
+def reassembled_sft_positivity(H, tol=verifier.DEFAULT_TOL):
+    """sft_positivity of the term-by-term split, its theta-invariance tested
+    on H reassembled from the parts."""
+    dec = term_coupling_decomposition(H)
+    return sft_positivity(CouplingDecomposition(reassemble(dec), dec.h_plus, dec.h_minus,
+                                                dec.cross, dec.residual), tol)
+
+
+def loop_theorem_hamiltonian(algebra, rng):
+    """draw_theorem_hamiltonian with its neutral one-sided part g summed one
+    monomial at a time."""
+    cfg = algebra.cfg
+    basis = plus_basis(cfg)
+    H = algebra.zero()
+    for _ in range(int(rng.integers(1, DRAW_COUPLINGS + 1))):
+        k = basis[int(rng.integers(1, len(basis)))]
+        H = H + coupling_element(algebra, k, float(rng.uniform(0.0, 2.0)))
+    g = algebra.zero()
+    for k in basis[1:]:
+        if sum(k) % cfg.d == 0 and rng.random() < 0.7:
+            g = g + complex(rng.normal(), rng.normal()) * algebra.monomial(k)
+    g = g + g.star()
+    return H + g + theta(g)

@@ -724,6 +724,31 @@ def test_reconstruct_steps_out_of_range_exit_3(tmp_path, capsys, monkeypatch, st
     assert capsys.readouterr().err.startswith("rpkit: config error: config field 'steps':")
 
 
+TERMS = [[[1.0, 0.0], [1, 0, 0, 1]]]
+TWO_STATES = [
+    ("rp-gram", {"d": 2, "m": 4, "state": "gibbs", "hamiltonian": TERMS,
+                 "draw": {"family": "theorem"}}, "'hamiltonian' and 'draw'"),
+    ("rp-gram", {"d": 2, "m": 4, "state": "gibbs", "hamiltonian": TERMS,
+                 "draw": {"family": "x"}}, "'hamiltonian' and 'draw'"),
+    ("reconstruct", {"d": 2, "m": 6, "chain": {}, "state": "gibbs",
+                     "draw": {"family": "theorem"}}, "'chain' and 'state'"),
+    ("reconstruct", {"d": 2, "m": 6, "chain": {}, "hamiltonian": TERMS[:0]},
+     "'chain' and 'hamiltonian'"),
+    ("reconstruct", {"d": 2, "m": 6, "state": "gibbs", "hamiltonian": TERMS[:0],
+                     "draw": {"family": "theorem"}}, "'hamiltonian' and 'draw'"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, fields", TWO_STATES,
+                         ids=["gram-draw", "gram-unknown-draw", "chain-state",
+                              "chain-hamiltonian", "reconstruct-draw"])
+def test_config_naming_two_states_exit_3(tmp_path, capsys, command, cfg, fields):
+    # the second state was dropped silently, a draw even when its family is unknown
+    code, text = run_cli(tmp_path, command, cfg)
+    assert (code, text) == (3, "")
+    assert capsys.readouterr().err == f"rpkit: config error: config names two states: {fields}\n"
+
+
 def test_gibbs_density_at_huge_beta_warns_nothing(tmp_path, capsys):
     # -beta (w - w_min) overflows to -inf above the ground level; exp(-inf) = 0
     # is the ground-state limit, and no RuntimeWarning may reach stderr

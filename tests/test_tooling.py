@@ -1,6 +1,7 @@
 """Tooling contracts: the benchmark tracer's patch table names functions that
 exist, importing the package pulls in no scipy, no module imports another's
-private name or assigns another object's private attribute, no function but
+private name, assigns another object's private attribute or reads a private
+attribute that it does not define itself, no function but
 unit_root computes a phase with np.exp, and the outcome recorder finds a
 change and judges each check."""
 
@@ -56,11 +57,17 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _sources():
+    """(file name, AST) of every rpkit module."""
+    for path in sorted((ROOT / "src" / "rpkit").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _source_nodes():
     """(file name, node) for every AST node of every rpkit module."""
-    for path in sorted((ROOT / "src" / "rpkit").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            yield path.name, node
+    for name, tree in _sources():
+        for node in ast.walk(tree):
+            yield name, node
 
 
 def test_no_module_imports_a_private_name_of_another():
@@ -81,6 +88,33 @@ def test_no_module_assigns_a_private_attribute_of_another_object():
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
              and _private(node.attr)
              and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    assert found == []
+
+
+def _defined_names(tree) -> set:
+    """The names a module defines: its functions, methods and classes, and
+    every name or attribute it assigns (dataclass fields included)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def test_no_module_reads_a_private_attribute_it_does_not_define():
+    # x._name is read only in the module that defines _name (lattice's
+    # model._grid() is LatticeModel's own method): what another module needs
+    # of an object is public
+    found = []
+    for name, tree in _sources():
+        own = _defined_names(tree)
+        found += [f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and _private(node.attr) and node.attr not in own]
     assert found == []
 
 

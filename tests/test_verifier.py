@@ -17,9 +17,10 @@ from rpkit.verifier import (NEGATIVE, NOT_APPLICABLE, POSITIVE, _weyl_words, cle
                             sft_positivity_sequence)
 
 from algebra_oracles import (gathered_form, gathered_reflection_defect, gemm_form_matrix,
-                             masked_weyl_form, masked_weyl_plan, multiple_shift_family,
-                             one_block_form,
-                             pair_tables, stored_verdict)
+                             loop_theorem_hamiltonian, masked_weyl_form, masked_weyl_plan,
+                             multiple_shift_family, one_block_form, pair_tables, reassemble,
+                             reassembled_sft_positivity, stored_verdict,
+                             term_coupling_decomposition)
 from conftest import make_algebra, random_element
 
 
@@ -208,7 +209,95 @@ class TestCouplingDecomposition:
             alg = make_algebra(d, m)
             H = draw_generic_hamiltonian(alg, rng)
             dec = coupling_decomposition(H)
-            assert (dec.reassemble() - H).norm_max() < 1e-12
+            assert dec.H is H
+            assert (reassemble(dec) - H).norm_max() < 1e-12
+
+    def test_cross_element_runs_once_per_matched_word(self, monkeypatch):
+        # a theorem draw's matched words, an off-diagonal cross word and a
+        # generic draw's unmatched ones: only the matched words read tau
+        alg = make_algebra(3, 4)
+        rng = np.random.default_rng(5)
+        X = alg.monomial((1, 2, 1, 1))
+        H = draw_theorem_hamiltonian(alg, rng) + draw_generic_hamiltonian(alg, rng) + X + X.star()
+        calls = []
+        monkeypatch.setattr(verifier, "cross_element",
+                            lambda *a: calls.append(a[1]) or cross_element(*a))
+        dec = coupling_decomposition(H)
+        assert len(calls) == len(dec.cross) > 0
+        assert calls == [k for _, k in dec.cross]
+        assert dec.residual.norm_max() > 0
+
+
+@st.composite
+def split_cases(draw):
+    """An H over d 2-4: a theorem, generic or negative draw, or hand-made
+    words (odd one-sided, off-diagonal cross, each word repeated)."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    m = draw(st.sampled_from([m for m in (2, 4, 6) if d ** (m // 2) <= 64]))
+    alg, w = make_algebra(d, m), m // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["theorem", "generic", "negative", "odd", "offdiagonal",
+                                 "repeated"]))
+    if kind == "theorem":
+        return draw_theorem_hamiltonian(alg, rng)
+    if kind == "generic":
+        return draw_generic_hamiltonian(alg, rng)
+    basis = plus_basis(alg.cfg)
+    if kind == "negative":
+        return coupling_element(alg, basis[int(rng.integers(1, len(basis)))],
+                                -float(rng.uniform(0.5, 2.0)))
+    half = st.lists(st.integers(0, d - 1), min_size=w, max_size=w)
+    if kind == "odd":
+        k = (0,) * w + tuple(draw(half.filter(lambda h: sum(h) % d)))
+        g = complex(rng.normal(), rng.normal()) * alg.monomial(k)
+        g = g + g.star()
+        return draw_theorem_hamiltonian(alg, rng) + g + theta(g)
+    if kind == "offdiagonal":
+        k = tuple(draw(half.filter(any))) + tuple(draw(half.filter(any)))
+        X = complex(rng.normal(), rng.normal()) * alg.monomial(k)
+        return coupling_element(alg, basis[-1], 1.0) + X + X.star()
+    words = draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * m), min_size=1, max_size=4))
+    H = alg.zero()
+    for k in words * 2:
+        H = H + complex(rng.normal(), rng.normal()) * alg.monomial(k)
+    return H + H.star()
+
+
+def _bits(z) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=120, deadline=None)
+@given(H=split_cases())
+def test_one_pass_split_matches_the_term_by_term_split(H):
+    """Every part holds the term-by-term split's words in its order with equal
+    coefficients, lambda keeps its bits, and sft_positivity, which reads
+    theta-invariance off H, gives the verdict of the reassembled H."""
+    dec, ref = coupling_decomposition(H), term_coupling_decomposition(H)
+    for part in ("h_plus", "h_minus", "residual"):
+        new, old = getattr(dec, part).coeffs, getattr(ref, part).coeffs
+        assert list(new.items()) == list(old.items()), part
+        assert getattr(dec, part).norm_max() == getattr(ref, part).norm_max()
+    assert [(_bits(lam), k) for lam, k in dec.cross] == \
+        [(_bits(lam), k) for lam, k in ref.cross]
+    sv, want = sft_positivity(dec), reassembled_sft_positivity(H)
+    assert (sv.verdict, sv.reason) == (want.verdict, want.reason)
+    assert [(k, _bits(J)) for k, J in sv.couplings.items()] == \
+        [(k, _bits(J)) for k, J in want.couplings.items()]
+    assert (sv.eigenvalues is None) == (want.eigenvalues is None)
+    if sv.eigenvalues is not None:
+        assert sv.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("d, m", [(2, 4), (2, 8), (3, 4), (3, 6), (4, 6)])
+def test_theorem_draw_keeps_the_loop_words_bits_and_rng_state(d, m):
+    alg = make_algebra(d, m)
+    for seed in range(6):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        H, want = draw_theorem_hamiltonian(alg, rng), loop_theorem_hamiltonian(alg, ref)
+        assert list(H.coeffs) == list(want.coeffs)
+        assert [_bits(v) for v in H.coeffs.values()] == [_bits(v) for v in want.coeffs.values()]
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSftPositivity:
