@@ -1,15 +1,21 @@
 """Command-line front end: config in, verdicts and machine-readable reports out.
 
-Exit codes: 0 positive verdicts, 1 negative (violation found), 2
-not-applicable or reconstruction failure, 3 config/parse error (usage errors
-of the command line too), 4 size cap
-exceeded, 5 I/O failure, 6 internal error (any other exception, reported as
-one line "rpkit: internal error: <Type>: <message>" without a traceback).
+Exit codes are stated once, in EXIT_OF and REFUSALS.  A verdict exits 0
+positive, 1 negative (violation found) or 2 not-applicable (EXIT_OF).  A
+refusal, an RpkitError, exits with the code and stderr label of the first
+REFUSALS row of its type: 2 for a precondition or reconstruction failure, 3
+for a config, parse or usage error, 4 for a size cap exceeded, 5 for an I/O
+failure.  Any other exception exits EXIT_INTERNAL (6), reported as one line
+"rpkit: internal error: <Type>: <message>" without a traceback.  main is one
+try around the whole run, with one handler for each of the two.
+
 reconstruct never exits 1: a Gram or transfer that fails a gate is refused
 (2).  Config numbers are read through one coercion (_number; _count adds a
 range), so a string, a bool, a non-integral count or a count that leaves a
 check vacuous is a config error (3), never a crash, and so is a config
-that names two states (_one_state).
+that names two states (_one_state) or a state key that the chosen state does
+not read (_unread).  --seed is an integer >= 0 and --tol a finite number >= 0
+(3 otherwise).
 
 The config is read with one binary read and decoded as UTF-8, with "\r\n" and
 "\r" read as "\n" as a text-mode read would (so a parse error keeps its line
@@ -34,6 +40,7 @@ verifier.gram(...).matrix.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -58,14 +65,6 @@ from .verifier import (DEFAULT_TOL, NEGATIVE, NOT_APPLICABLE, POSITIVE, coupling
                        gram_report_from_matrix, plus_basis, sft_positivity,
                        sft_positivity_sequence)
 
-EXIT_POSITIVE = 0
-EXIT_NEGATIVE = 1
-EXIT_NOT_APPLICABLE = 2
-EXIT_PARSE = 3
-EXIT_SIZE = 4
-EXIT_IO = 5
-EXIT_INTERNAL = 6
-
 # sft-check boxes: each box draws two d^2 x d^2 complex matrices and runs a
 # fixed number of same-size transforms and two products on them, so its
 # memory grows as d^4 and the run as d^4 x boxes.  2^20 entries allow one
@@ -74,8 +73,31 @@ EXIT_INTERNAL = 6
 SFT_ENTRIES = 2**20
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(RpkitError):
+    """A config field that is missing, of the wrong type or out of range."""
+
+
+class UsageError(RpkitError):
+    """A command line, config text or option that cannot be read or run."""
+
+
+class IOFailure(RpkitError):
+    """The config cannot be read or the report cannot be written."""
+
+
+# The exit-code contract (module docstring): a refusal exits with the code of
+# the first row whose type it is, with its label after "rpkit: " on stderr.
+EXIT_OF = {POSITIVE: 0, NEGATIVE: 1, NOT_APPLICABLE: 2}
+REFUSALS = (
+    (ConfigError, 3, "config error: "),
+    (SizeLimit, 4, "size cap exceeded: "),
+    ((InvalidConfig, InvalidArgument, InvalidGeometry, InvalidState, WrongHalf), 3,
+     "invalid config: "),
+    (UsageError, 3, ""),
+    (IOFailure, 5, ""),
+    (RpkitError, 2, ""),    # a precondition or reconstruction failure
+)
+EXIT_INTERNAL = 6
 
 
 def _require(cfg, key, kind=None):
@@ -138,10 +160,19 @@ def _one_state(cfg, first, *others):
         raise ConfigError(f"config names two states: '{first}' and '{other}'")
 
 
+def _unread(cfg, state, *keys):
+    """ConfigError naming the first of `keys` that cfg has: the chosen state
+    does not read it, so it would be dropped silently."""
+    key = next((k for k in keys if k in cfg), None)
+    if key:
+        raise ConfigError(f"config field '{key}' is not read by the {state} state")
+
+
 def _state_from_config(cfg, algebra, seed):
     _one_state(cfg, "hamiltonian", "draw")
     kind = cfg.get("state", "trace")
     if kind == "trace":
+        _unread(cfg, "trace", "beta", "hamiltonian", "draw")
         return StateFunctional(kind="trace")
     if kind != "gibbs":
         raise ConfigError(f"state must be 'trace' or 'gibbs', got {kind!r}")
@@ -202,7 +233,7 @@ def run_rp_gram(cfg, tol, seed):
     }
     if omega.kind == "gibbs":
         dec = coupling_decomposition(omega.hamiltonian)
-        sv = sft_positivity(dec)
+        sv = sft_positivity(dec, tol)
         results["sft_verdict"] = sv.verdict
         results["sft_reason"] = sv.reason
         results["residual_norm"] = dec.residual.norm_max()
@@ -213,6 +244,7 @@ def run_reconstruct(cfg, tol, seed):
     algebra = Algebra(_algebra_config(cfg))
     _one_state(cfg, "chain", "state", "hamiltonian", "draw")
     if "chain" in cfg:
+        _unread(cfg, "chain", "beta")
         ch = _require(cfg, "chain", dict)
         omega = uniform_chain_state(algebra, _number(ch.get("coupling", 1.0), float, "coupling"),
                                     _number(ch.get("beta", 1.0), float, "beta"))
@@ -370,50 +402,60 @@ def _default_tol(command, cfg) -> float:
 # driver
 # ---------------------------------------------------------------------------
 
+def _read_config(path: str) -> dict:
+    """The config at path: one binary read decoded as UTF-8, with the universal
+    newlines of a text-mode read, parsed as a JSON object."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        cfg = json.loads(text)
+    except OSError as exc:
+        raise IOFailure(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config parse error at line {exc.lineno} col {exc.colno}: "
+                         f"{exc.msg}") from exc
+    except ValueError as exc:   # e.g. an integer literal over the int-to-str digit limit
+        raise UsageError(f"config parse error: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
+
+
 def _emit(text: str, out_path: str | None) -> None:
     """text to stdout, or as UTF-8 to out_path through out_path.tmp and one
     os.replace, so the report appears whole or not at all.  A failed write
-    removes the temporary file and raises its OSError."""
-    if out_path is None:
-        sys.stdout.write(text)
-        return
-    data = memoryview(text.encode("utf-8"))
-    tmp = out_path + ".tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    removes the temporary file and raises IOFailure."""
     try:
+        if out_path is None:
+            sys.stdout.write(text)
+            return
+        data = memoryview(text.encode("utf-8"))
+        tmp = out_path + ".tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        os.replace(tmp, out_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def main(argv=None) -> int:
-    try:
-        return _main(argv)
-    except Exception as exc:    # a bug, not a verdict: exit 6, never 1
-        msg = " ".join(str(exc).split())
-        print(f"rpkit: internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
-        return EXIT_INTERNAL
-
-
-class _UsageError(Exception):
-    pass
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(tmp, out_path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise IOFailure(f"cannot write report: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises _UsageError on a usage error, where argparse exits
-    2, which means not-applicable in the exit-code contract."""
+    """argparse that prints its usage line and raises UsageError on a usage
+    error, where argparse exits 2, which means not-applicable here."""
 
     def error(self, message):
-        raise _UsageError(message)
+        self.print_usage(sys.stderr)
+        raise UsageError(f"error: {message}")
 
 
 def _joined_tol(argv) -> list:
@@ -438,6 +480,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, which default_rng takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use.  Its command choices are the
@@ -446,7 +499,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--tol", type=_tolerance, default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("structured", "csv"), default="structured")
     parser.add_argument("--timing", action="store_true",
@@ -454,86 +507,39 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _main(argv) -> int:
+def main(argv=None) -> int:
     try:
         args = _parser().parse_args(_joined_tol(sys.argv[1:] if argv is None else argv))
-    except _UsageError as exc:  # argparse's own text, on exit 3 instead of its 2
-        _parser().print_usage(sys.stderr)
-        print(f"rpkit: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
-        with open(args.config, "rb") as fh:
-            text = fh.read().decode("utf-8")
-        if "\r" in text:   # the universal newlines of a text-mode read
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        cfg = json.loads(text)
-    except OSError as exc:
-        print(f"rpkit: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"rpkit: config parse error at line {exc.lineno} col {exc.colno}: {exc.msg}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:   # e.g. an integer literal over the int-to-str digit limit
-        print(f"rpkit: config parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if not isinstance(cfg, dict):
-        print("rpkit: config error: config must be a JSON object", file=sys.stderr)
-        return EXIT_PARSE
-
-    if "command" in cfg and cfg["command"] != args.command:
-        print(f"rpkit: config command {cfg['command']!r} does not match {args.command!r}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    if args.format == "csv" and args.command != "stochastic":
-        print("rpkit: csv format is only defined for stochastic curves", file=sys.stderr)
-        return EXIT_PARSE
-
-    tol = _default_tol(args.command, cfg) if args.tol is None else args.tol
-    t0 = time.perf_counter()
-    try:
+        cfg = _read_config(args.config)
+        if "command" in cfg and cfg["command"] != args.command:
+            raise UsageError(f"config command {cfg['command']!r} does not match "
+                             f"{args.command!r}")
+        if args.format == "csv" and args.command != "stochastic":
+            raise UsageError("csv format is only defined for stochastic curves")
+        tol = _default_tol(args.command, cfg) if args.tol is None else args.tol
+        t0 = time.perf_counter()
         verdict, results = COMMANDS[args.command](cfg, tol, args.seed)
-    except ConfigError as exc:
-        print(f"rpkit: config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeLimit as exc:
-        print(f"rpkit: size cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except (InvalidConfig, InvalidArgument, InvalidGeometry, InvalidState,
-            WrongHalf) as exc:
-        print(f"rpkit: invalid config: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except RpkitError as exc:   # refusals: precondition or reconstruction failure
-        print(f"rpkit: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-
-    report = {
-        "tool": TOOL,
-        "conventions": CONVENTIONS,
-        "config": cfg,
-        "command": args.command,
-        "seed": args.seed,
-        "results": results,
-    }
-    if args.timing:
-        report["timing"] = {"seconds": time.perf_counter() - t0}
-
-    try:
-        if args.format == "csv":
-            _emit(curve_csv([(r["t"], r["min_eig"], r["violated"])
-                             for r in results["rows"]]), args.out)
-        else:
-            _emit(to_text(report), args.out)
-    except OSError as exc:
-        print(f"rpkit: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    if verdict == POSITIVE:
-        return EXIT_POSITIVE
-    if verdict == NEGATIVE:
-        return EXIT_NEGATIVE
-    return EXIT_NOT_APPLICABLE
+        report = {
+            "tool": TOOL,
+            "conventions": CONVENTIONS,
+            "config": cfg,
+            "command": args.command,
+            "seed": args.seed,
+            "results": results,
+        }
+        if args.timing:
+            report["timing"] = {"seconds": time.perf_counter() - t0}
+        _emit(curve_csv([(r["t"], r["min_eig"], r["violated"]) for r in results["rows"]])
+              if args.format == "csv" else to_text(report), args.out)
+        return EXIT_OF[verdict]
+    except RpkitError as exc:   # a refusal: its REFUSALS row gives the exit and label
+        code, label = next((c, lab) for kind, c, lab in REFUSALS if isinstance(exc, kind))
+        print(f"rpkit: {label}{exc}", file=sys.stderr)
+        return code
+    except Exception as exc:    # a bug, not a verdict: exit 6, never 1
+        msg = " ".join(str(exc).split())
+        print(f"rpkit: internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from rpkit.algebra import Algebra, AlgebraConfig, StateFunctional
 from rpkit.cli import main
 from rpkit.report import (ARRAY_PASS_FLOATS, CONVENTIONS, TOOL, curve_csv, to_text,
                           truncate_witness)
-from rpkit.verifier import draw_generic_hamiltonian, draw_theorem_hamiltonian, gram, plus_basis
+from rpkit.verifier import (coupling_element, draw_generic_hamiltonian, draw_theorem_hamiltonian,
+                            gram, plus_basis)
 
 import report_oracles
 from conftest import random_element
@@ -747,6 +748,56 @@ def test_config_naming_two_states_exit_3(tmp_path, capsys, command, cfg, fields)
     code, text = run_cli(tmp_path, command, cfg)
     assert (code, text) == (3, "")
     assert capsys.readouterr().err == f"rpkit: config error: config names two states: {fields}\n"
+
+
+UNREAD = [
+    ("rp-gram", {"d": 2, "m": 4, "state": "trace", "beta": 3}, "beta", "trace"),
+    ("rp-gram", {"d": 2, "m": 4, "state": "trace", "draw": {"family": "x"}}, "draw", "trace"),
+    ("rp-gram", {"d": 2, "m": 4, "hamiltonian": TERMS}, "hamiltonian", "trace"),
+    ("reconstruct", {"d": 2, "m": 4, "state": "trace", "beta": 3}, "beta", "trace"),
+    ("reconstruct", {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": 1.0},
+                     "basis_room": 2, "steps": 2, "beta": 2.0}, "beta", "chain"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, key, state", UNREAD,
+                         ids=["trace-beta", "trace-draw", "default-trace-hamiltonian",
+                              "reconstruct-trace-beta", "chain-beta"])
+def test_state_key_the_state_does_not_read_exit_3(tmp_path, capsys, command, cfg, key, state):
+    # the trace state read no beta, hamiltonian or draw and a chain no
+    # top-level beta: each exited 0 as if the key were absent, which it still does
+    assert run_cli(tmp_path, command, cfg) == (3, "")
+    assert capsys.readouterr().err == (
+        f"rpkit: config error: config field '{key}' is not read by the {state} state\n")
+    assert run_cli(tmp_path, command, {k: v for k, v in cfg.items() if k != key})[0] == 0
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("rp-gram", {"d": 2, "m": 4, "state": "gibbs", "draw": {"family": "theorem"}}),
+    ("sft-check", {"d": 2, "boxes": 2}),
+    ("green", {"dims": [8], "mass2": 1.0}),
+], ids=["gibbs-draw", "sft-boxes", "green"])
+def test_negative_seed_exit_3(tmp_path, capsys, command, cfg):
+    # default_rng refused it as an internal error (exit 6), and a command
+    # that draws nothing ran on it (exit 0)
+    assert run_cli(tmp_path, command, cfg, "--seed", "-1") == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rpkit")
+    assert err.endswith("rpkit: error: argument --seed: must be an integer >= 0, got '-1'\n")
+    assert run_cli(tmp_path, command, cfg, "--seed", "0")[0] == 0
+
+
+def test_rp_gram_judges_its_sft_verdict_at_its_tol(tmp_path):
+    # one coupling J = -1e-8: negative at the default tol, within --tol 1e-6;
+    # the SFT check ran at DEFAULT_TOL and called it negative at both
+    algebra = Algebra(AlgebraConfig(2, 4))
+    H = coupling_element(algebra, plus_basis(algebra.cfg)[1], -1e-8)
+    cfg = {"d": 2, "m": 4, "state": "gibbs",
+           "hamiltonian": [[[v.real, v.imag], list(k)] for k, v in sorted(H.coeffs.items())]}
+    for extra, code, verdict in [((), 1, "negative"), (("--tol", "1e-6"), 0, "positive")]:
+        rc, text = run_cli(tmp_path, "rp-gram", cfg, *extra)
+        results = json.loads(text)["results"]
+        assert (rc, results["verdict"], results["sft_verdict"]) == (code, verdict, verdict)
 
 
 def test_gibbs_density_at_huge_beta_warns_nothing(tmp_path, capsys):

@@ -2,8 +2,9 @@
 exist, importing the package pulls in no scipy, no module imports another's
 private name, assigns another object's private attribute or reads a private
 attribute that it does not define itself, no function but
-unit_root computes a phase with np.exp, and the outcome recorder finds a
-change and judges each check."""
+unit_root computes a phase with np.exp, cli exits only through its EXIT_OF
+and REFUSALS tables, one refusal handler and its internal-error code, and
+the outcome recorder finds a change and judges each check."""
 
 import ast
 import json
@@ -116,6 +117,63 @@ def test_no_module_reads_a_private_attribute_it_does_not_define():
                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                   and _private(node.attr) and node.attr not in own]
     assert found == []
+
+
+def test_cli_exits_through_one_refusal_handler_and_its_tables():
+    # every exit code is read off EXIT_OF or REFUSALS, or is EXIT_INTERNAL:
+    # one `except RpkitError` in main, and no return of an exit literal
+    tree = ast.parse((ROOT / "src" / "rpkit" / "cli.py").read_text(encoding="utf-8"))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
+                and node.type is not None and ast.unparse(node.type) == "RpkitError"]
+    assert len(handlers) == 1
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    assert handlers[0] in list(ast.walk(main))
+    codes = {target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name) and target.id.startswith("EXIT_")}
+    assert codes == {"EXIT_OF", "EXIT_INTERNAL"}
+    found = [f"cli.py:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+             if isinstance(node, ast.Return) and node.value is not None
+             and isinstance(node.value, ast.Constant) and type(node.value.value) is int]
+    assert found == []
+
+
+# exit code and stderr label of each refusal type: "config error: ",
+# "invalid config: ", "size cap exceeded: " or none
+REFUSAL_EXITS = {
+    "RpkitError": (2, ""), "ConfigMismatch": (2, ""), "PreconditionViolation": (2, ""),
+    "ReconstructionFailure": (2, ""),
+    "ConfigError": (3, "config error: "), "UsageError": (3, ""),
+    **dict.fromkeys(["InvalidConfig", "InvalidArgument", "InvalidGeometry", "InvalidState",
+                     "WrongHalf"], (3, "invalid config: ")),
+    "SizeLimit": (4, "size cap exceeded: "), "IOFailure": (5, ""),
+}
+
+
+def _subclasses(kind):
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_refusal_type_exits_with_its_code_and_label(tmp_path, capsys, monkeypatch):
+    # one instance of every RpkitError type of rpkit.errors and rpkit.cli,
+    # raised by a command, exits through main with its code and label
+    from rpkit import cli, errors
+    kinds = [errors.RpkitError] + [kind for kind in _subclasses(errors.RpkitError)
+                                   if kind.__module__ in ("rpkit.errors", "rpkit.cli")]
+    assert sorted(kind.__name__ for kind in kinds) == sorted(REFUSAL_EXITS)
+    config = tmp_path / "cfg.json"
+    config.write_text("{}", encoding="utf-8")
+    for kind in kinds:
+        def refuse(cfg, tol, seed, kind=kind):
+            raise kind("planted")
+
+        monkeypatch.setitem(cli.COMMANDS, "green", refuse)
+        code, label = REFUSAL_EXITS[kind.__name__]
+        assert cli.main(["green", "--config", str(config)]) == code, kind.__name__
+        assert capsys.readouterr() == ("", f"rpkit: {label}planted\n"), kind.__name__
 
 
 def _calls_exp_on_an_imaginary_literal(node) -> bool:
