@@ -66,6 +66,7 @@ omega, which is what every positivity check downstream relies on.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,9 @@ import numpy as np
 from .errors import ConfigMismatch, InvalidConfig, InvalidState, SizeLimit, WrongHalf
 
 DEFAULT_CAP = 4096
+# Entry budget of one chunk of AlgebraElement.rep: its digit temporary, N
+# words x dim states x m/2 digits of int64, takes at most 8 x REP_ENTRIES bytes.
+REP_ENTRIES = 2**16
 
 
 def unit_root(d: int, k: int = 1) -> complex:
@@ -139,6 +143,31 @@ def weyl_symbol(d: int, K: np.ndarray) -> tuple:
     freq = odd + steps.sum(1, keepdims=True) - before - steps
     P = (d - 1) * odd.sum(1) + (2 * steps * before + 2 * even * odd + odd * (odd + 1)).sum(1)
     return steps % d, freq % d, P % (2 * d)
+
+
+def shift_cosets(d: int, K: np.ndarray) -> np.ndarray:
+    """The states split into the cosets of L, the group that the shifts n(K)
+    of the words K generate (weyl_symbol), as an nb x b array: a coset a
+    row, ascending, the rows by their least state.  A word maps state i to
+    i + n(K) only, so an element with these words, and any function of it,
+    is block diagonal over the rows.
+
+    Each state's label becomes the least state of its coset: a shift not yet
+    in L (label 0 marks L) joins it, and every label takes the least along
+    that shift's orbit, by ceil(log2 d) doublings of dim-sized gathers."""
+    w = K.shape[1] // 2
+    i = digit_table(d, w)
+    place = d ** np.arange(w - 1, -1, -1)
+    used = np.zeros(len(i), dtype=bool)
+    used[(K[:, 0::2] + K[:, 1::2]) % d @ place] = True      # n(K), as in weyl_symbol
+    label = np.arange(len(i))
+    for s in np.flatnonzero(used).tolist():
+        if label[s]:
+            step = (i + i[s]) % d @ place
+            for _ in range((d - 1).bit_length()):
+                label = np.minimum(label, label[step])
+                step = step[step]
+    return np.argsort(label, kind="stable").reshape(-1, np.count_nonzero(label == 0))
 
 
 def _word_pairs(d: int, K: np.ndarray) -> tuple:
@@ -247,17 +276,27 @@ class AlgebraElement:
     @property
     def rep(self) -> np.ndarray:
         """Every word's pair times its coefficient, added into zeros in term
-        order, dim // (m/2) words at a time: the temporaries stay within dim^2."""
+        order, REP_ENTRIES // (dim m/2) words at a time (at least one): the
+        N x dim x m/2 digit temporary of _word_pairs stays within the budget.
+        Each entry takes its adds word by word whatever the chunks, so the
+        bits do not depend on them."""
         if self._rep is None:
             dim, w = self.cfg.dim, self.cfg.m // 2
-            K = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, 2 * w)
+            K = self.words()
             v = np.array(list(self.coeffs.values()), dtype=complex)
             out = np.zeros(dim * dim, dtype=complex)
-            for at in range(0, len(K), dim // w):       # d^w > w, so a chunk is never empty
-                perm, phase = _word_pairs(self.cfg.d, K[at:at + dim // w])
-                np.add.at(out, np.arange(dim) * dim + perm, v[at:at + dim // w, None] * phase)
+            step = max(1, REP_ENTRIES // (dim * w))
+            for at in range(0, len(K), step):
+                perm, phase = _word_pairs(self.cfg.d, K[at:at + step])
+                np.add.at(out, np.arange(dim) * dim + perm, v[at:at + step, None] * phase)
             self._rep = out.reshape(dim, dim)
         return self._rep
+
+    def words(self) -> np.ndarray:
+        """The exponent tuples of the terms, in term order, as an N x m array."""
+        m = self.cfg.m
+        return np.fromiter(itertools.chain.from_iterable(self.coeffs), np.int64,
+                           len(self.coeffs) * m).reshape(-1, m)
 
     @property
     def grade(self):
@@ -427,7 +466,18 @@ class StateFunctional:
                     raise InvalidState("gibbs hamiltonian must be star-invariant")
 
     def density(self, algebra: Algebra) -> np.ndarray:
-        """Density matrix on `algebra`; a state serves one algebra config only."""
+        """Density matrix on `algebra`; a state serves one algebra config only.
+
+        A word c^K maps state i to i + n(K) only (module docstring), so H,
+        and with it rho = exp(-beta H) / Z, has no entry across the cosets
+        of the group L that H's shifts generate (shift_cosets).  The nb
+        cosets all hold b = |L| states: H is gathered into an nb x b x b
+        stack, each block gets its eigh in one stacked call and its
+        (v e) v* product, with e = exp(-beta (w - w_min)) at the ground
+        level of all blocks, and the blocks are scattered into zeros and
+        normalized by the trace.  That is nb b^3 work in place of dim^3,
+        exact zeros across cosets, and, for one coset, the bits of the
+        dense eigh of (H + H*)/2 and its product."""
         if self._cfg is None:
             self._cfg = algebra.cfg
         if algebra.cfg != self._cfg:
@@ -438,12 +488,17 @@ class StateFunctional:
             if self.kind == "trace" or self.beta == 0:     # Gibbs at beta = 0 is the trace
                 rho = np.eye(dim) / dim
             else:
-                H = self.hamiltonian.rep
-                w, v = np.linalg.eigh((H + H.conj().T) / 2)
+                H = self.hamiltonian
+                rows = shift_cosets(algebra.cfg.d, H.words())
+                at = rows[:, :, None] * dim + rows[:, None, :]
+                Hb = H.rep.ravel()[at]
+                w, v = np.linalg.eigh((Hb + Hb.conj().swapaxes(1, 2)) / 2)
                 # a huge beta gives exp(-inf) = 0 above the ground level: its limit
                 with np.errstate(over="ignore"):
                     e = np.exp(-self.beta * (w - w.min()))
-                rho = (v * e) @ v.conj().T
+                rho = np.zeros(dim * dim, dtype=complex)
+                rho[at] = (v * e[:, None, :]) @ v.conj().swapaxes(1, 2)
+                rho = rho.reshape(dim, dim)
                 rho /= np.trace(rho).real
             self._rho = rho
         return self._rho

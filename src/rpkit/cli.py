@@ -13,9 +13,9 @@ reconstruct never exits 1: a Gram or transfer that fails a gate is refused
 (2).  Config numbers are read through one coercion (_number; _count adds a
 range), so a string, a bool, a non-integral count or a count that leaves a
 check vacuous is a config error (3), never a crash, and so is a config
-that names two states (_one_state) or a state key that the chosen state does
-not read (_unread).  --seed is an integer >= 0 and --tol a finite number >= 0
-(3 otherwise).
+that names two states (_one_state), a state key that the chosen state does
+not read or an sft-check key of the other mode (_unread).  --seed is an
+integer >= 0 and --tol a finite number >= 0 (3 otherwise).
 
 The config is read with one binary read and decoded as UTF-8, with "\r\n" and
 "\r" read as "\n" as a text-mode read would (so a parse error keeps its line
@@ -160,19 +160,19 @@ def _one_state(cfg, first, *others):
         raise ConfigError(f"config names two states: '{first}' and '{other}'")
 
 
-def _unread(cfg, state, *keys):
+def _unread(cfg, reader, *keys):
     """ConfigError naming the first of `keys` that cfg has: the chosen state
-    does not read it, so it would be dropped silently."""
+    or mode (reader) does not read it, so it would be dropped silently."""
     key = next((k for k in keys if k in cfg), None)
     if key:
-        raise ConfigError(f"config field '{key}' is not read by the {state} state")
+        raise ConfigError(f"config field '{key}' is not read by the {reader}")
 
 
 def _state_from_config(cfg, algebra, seed):
     _one_state(cfg, "hamiltonian", "draw")
     kind = cfg.get("state", "trace")
     if kind == "trace":
-        _unread(cfg, "trace", "beta", "hamiltonian", "draw")
+        _unread(cfg, "trace state", "beta", "hamiltonian", "draw")
         return StateFunctional(kind="trace")
     if kind != "gibbs":
         raise ConfigError(f"state must be 'trace' or 'gibbs', got {kind!r}")
@@ -244,7 +244,7 @@ def run_reconstruct(cfg, tol, seed):
     algebra = Algebra(_algebra_config(cfg))
     _one_state(cfg, "chain", "state", "hamiltonian", "draw")
     if "chain" in cfg:
-        _unread(cfg, "chain", "beta")
+        _unread(cfg, "chain state", "beta")
         ch = _require(cfg, "chain", dict)
         omega = uniform_chain_state(algebra, _number(ch.get("coupling", 1.0), float, "coupling"),
                                     _number(ch.get("beta", 1.0), float, "beta"))
@@ -338,6 +338,7 @@ def run_sft_check(cfg, tol, seed):
     d = _count(cfg.get("d", 2), "d", 2)
     results = {}
     if "sequence" in cfg:
+        _unread(cfg, "sequence mode", "boxes")
         seq = _require(cfg, "sequence", list)
         if d * d > SFT_ENTRIES:
             raise SizeLimit(f"config field 'sequence': its DFT at d = {d} takes d^2 = {d * d} "

@@ -46,7 +46,13 @@ grade-0 one-sided word, hence every theorem-class H; a generic H does not.
 grade_sectors reads this off the words of H (StateFunctional.conserves_charge),
 _form evaluates the in-block pairs only and writes 0.0 across blocks, and
 gram_report_from_matrix takes one eigh per block, one stacked eigh per block
-size.
+size.  The density itself splits finer, on the states: a word c^K maps
+state i to i + n(K), so rho couples i only to i + L, L the group that the
+shifts of H's words generate, and StateFunctional.density takes one stacked
+eigh over the nb cosets of L, b = |L| states each, at nb b^3 work in place
+of dim^3 (algebra.shift_cosets).  The benchmark's theorem draws leave 2 to
+9 cosets, but mostly one at (3, 6), and its negative couplings cosets of 1
+to 4 states.
 
 One judge: gram_report_from_matrix judges the leading block of a family
 form (gram, reconstruct, lattice test functions), and a GramReport reads its

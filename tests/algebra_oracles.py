@@ -30,6 +30,10 @@ that tests theta-invariance on H rebuilt from the parts, is the reference of
 rpkit.verifier.coupling_decomposition and sft_positivity; the theorem draw
 with its one-sided part added word by word is the reference of
 draw_theorem_hamiltonian's rng order.
+The Gibbs density as one dense eigh of (H + H*)/2 is the reference of the
+coset blocks of rpkit.algebra.StateFunctional.density, and the connected
+components of the states under the words' permutations, found by walking
+them, are the reference of rpkit.algebra.shift_cosets.
 """
 
 import numpy as np
@@ -539,3 +543,37 @@ def loop_theorem_hamiltonian(algebra, rng):
             g = g + complex(rng.normal(), rng.normal()) * algebra.monomial(k)
     g = g + g.star()
     return H + g + theta(g)
+
+
+def dense_density(omega, algebra) -> np.ndarray:
+    """exp(-beta (H - E0)) / Z of a Gibbs state, from one dense eigh of
+    (H + H*)/2 and one dim^3 product, E0 its ground level."""
+    H = omega.hamiltonian.rep
+    w, v = np.linalg.eigh((H + H.conj().T) / 2)
+    with np.errstate(over="ignore"):
+        e = np.exp(-omega.beta * (w - w.min()))
+    rho = (v * e) @ v.conj().T
+    rho /= np.trace(rho).real
+    return rho
+
+
+def word_components(algebra, words) -> np.ndarray:
+    """The component of each state in the graph that joins i to perm[i] for
+    every word's (perm, phase) pair, numbered by first visit in state order."""
+    dim = algebra.cfg.dim
+    perms = [algebra.monomial_perm(k)[0] for k in words]
+    perms += [np.argsort(p) for p in perms]     # each word's inverse too
+    label = np.full(dim, -1)
+    count = 0
+    for start in range(dim):
+        if label[start] >= 0:
+            continue
+        label[start], todo = count, [start]
+        while todo:
+            i = todo.pop()
+            for p in perms:
+                if label[p[i]] < 0:
+                    label[p[i]] = count
+                    todo.append(p[i])
+        count += 1
+    return label

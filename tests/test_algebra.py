@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpkit.algebra
 from rpkit.algebra import (AlgebraConfig, Algebra, AlgebraElement, StateFunctional, build_algebra,
-                           clock_shift, evaluate, root_table, theta, twisted_product,
-                           unit_root)
+                           clock_shift, evaluate, root_table, shift_cosets, theta,
+                           twisted_product, unit_root)
 from rpkit.errors import ConfigMismatch, InvalidConfig, InvalidState, SizeLimit, WrongHalf
+from rpkit.verifier import (coupling_element, draw_generic_hamiltonian, draw_theorem_hamiltonian,
+                            plus_basis)
 
-from algebra_oracles import (bubble_product, bubble_star, bubble_theta, dense_generators,
-                             dense_monomial_rep, dense_rep, exact_dense_rep, exact_entries)
+from algebra_oracles import (bubble_product, bubble_star, bubble_theta, dense_density,
+                             dense_generators, dense_monomial_rep, dense_rep, exact_dense_rep,
+                             exact_entries, word_components)
 from conftest import make_algebra, random_element, random_plus_element
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -364,10 +368,9 @@ def test_monomial_rep_matches_kron_oracle(case):
 @settings(max_examples=60, deadline=None)
 @given(case=monomials(), extra=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 def test_element_rep_matches_dense_oracle(case, extra, seed):
-    """rep scatters its words in chunks of dim // (m/2): elements with more
-    words than one chunk holds, bit for bit against the Kronecker monomials
-    with exact roots summed in term order, and within the round-off of the
-    plain Kronecker products."""
+    """Elements with more than dim // (m/2) words, bit for bit against the
+    Kronecker monomials with exact roots summed in term order, and within
+    the round-off of the plain Kronecker products."""
     alg, _ = case
     d, m, dim = alg.cfg.d, alg.cfg.m, alg.cfg.dim
     rng = np.random.default_rng(seed)
@@ -380,6 +383,40 @@ def test_element_rep_matches_dense_oracle(case, extra, seed):
     # each Kronecker phase is a product of up to (d - 1) m + 1 rounded factors
     bound = 2 * ((d - 1) * m + 2) * np.finfo(float).eps * sum(map(abs, E.coeffs.values()))
     assert np.abs(E.rep - dense_rep(gens, E)).max() <= bound
+
+
+def gibbs_hamiltonian(alg, family, rng):
+    """A star-invariant H of one draw family: the theorem and generic draws,
+    one negative coupling on a random plus word (as the benchmark draws it),
+    or 1 to 3 random words plus their adjoints."""
+    if family == "theorem":
+        return draw_theorem_hamiltonian(alg, rng)
+    if family == "generic":
+        return draw_generic_hamiltonian(alg, rng)
+    if family == "negative":
+        basis = plus_basis(alg.cfg)
+        return coupling_element(alg, basis[int(rng.integers(1, len(basis)))],
+                                -float(rng.uniform(0.5, 2.0)))
+    H = random_element(alg, rng, int(rng.integers(1, 4)))
+    return H + H.star()
+
+
+GIBBS_FAMILIES = ["theorem", "generic", "negative", "words"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=monomials(), family=st.sampled_from(GIBBS_FAMILIES),
+       seed=st.integers(0, 2**32 - 1))
+def test_rep_bits_do_not_depend_on_the_chunks(case, family, seed):
+    """rep adds each entry's terms word by word, so a build with one word a
+    chunk gives the bits of one sized by REP_ENTRIES."""
+    alg, _ = case
+    H = gibbs_hamiltonian(alg, family, np.random.default_rng(seed))
+    want = AlgebraElement(alg, H.coeffs).rep
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rpkit.algebra, "REP_ENTRIES", 1)
+        got = AlgebraElement(alg, H.coeffs).rep
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -438,3 +475,47 @@ def test_ordering_rule_matches_bubble_sort_exactly(case):
     assert _bits((A * B).coeffs) == _bits(bubble_product(A, B))
     assert _bits(A.star().coeffs) == _bits(bubble_star(A))
     assert _bits(theta(A).coeffs) == _bits(bubble_theta(A))
+
+
+# ---------------------------------------------------------------------------
+# Gibbs densities on the cosets of H's shift group against one dense eigh
+# ---------------------------------------------------------------------------
+
+COSET_CONFIGS = [(2, m) for m in (2, 4, 6, 8)] + [(3, m) for m in (2, 4, 6)] + \
+    [(4, 2), (4, 4), (5, 2), (5, 4), (6, 2), (6, 4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dm=st.sampled_from(COSET_CONFIGS), family=st.sampled_from(GIBBS_FAMILIES),
+       beta=st.floats(0.05, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_density_is_block_diagonal_over_the_shift_cosets(dm, family, beta, seed):
+    """The cosets partition the states into rows of one size, the components
+    of the words' permutations; H and rho have no entry across them, rho an
+    exact 0.0; in-coset entries lie within 16 eps max(1, beta sum|v|) of the
+    dense oracle (sum|v| >= ||H||, each word unitary: the eigenvalues move by
+    about eps ||H|| and the weights by beta times that), and a single coset
+    gives the oracle's bits."""
+    alg = make_algebra(*dm)
+    dim = alg.cfg.dim
+    H = gibbs_hamiltonian(alg, family, np.random.default_rng(seed))
+    rows = shift_cosets(alg.cfg.d, H.words())
+    assert np.array_equal(np.sort(rows, axis=None), np.arange(dim))
+    assert np.array_equal(np.sort(rows, axis=1), rows)
+    assert np.array_equal(np.sort(rows[:, 0]), rows[:, 0])
+    coset = np.empty(dim, dtype=int)
+    coset[rows] = np.arange(len(rows))[:, None]
+    assert np.array_equal(coset, word_components(alg, H.coeffs))
+    across = coset[:, None] != coset[None, :]
+    assert not H.rep[across].any()
+    om = StateFunctional(kind="gibbs", beta=beta, hamiltonian=H)
+    rho, want = om.density(alg), dense_density(om, alg)
+    assert np.all(rho[across] == 0.0)
+    bound = 16 * np.finfo(float).eps * max(1.0, beta * sum(map(abs, H.coeffs.values())))
+    assert np.abs(rho - want)[~across].max() <= bound
+    if len(rows) == 1:
+        assert rho.tobytes() == want.tobytes()
+
+
+def test_shift_cosets_of_no_word_are_single_states():
+    rows = shift_cosets(3, np.zeros((0, 4), dtype=np.int64))
+    assert np.array_equal(rows, np.arange(9)[:, None])

@@ -751,25 +751,38 @@ def test_config_naming_two_states_exit_3(tmp_path, capsys, command, cfg, fields)
 
 
 UNREAD = [
-    ("rp-gram", {"d": 2, "m": 4, "state": "trace", "beta": 3}, "beta", "trace"),
-    ("rp-gram", {"d": 2, "m": 4, "state": "trace", "draw": {"family": "x"}}, "draw", "trace"),
-    ("rp-gram", {"d": 2, "m": 4, "hamiltonian": TERMS}, "hamiltonian", "trace"),
-    ("reconstruct", {"d": 2, "m": 4, "state": "trace", "beta": 3}, "beta", "trace"),
+    ("rp-gram", {"d": 2, "m": 4, "state": "trace", "beta": 3}, "beta", "trace state"),
+    ("rp-gram", {"d": 2, "m": 4, "state": "trace", "draw": {"family": "x"}}, "draw",
+     "trace state"),
+    ("rp-gram", {"d": 2, "m": 4, "hamiltonian": TERMS}, "hamiltonian", "trace state"),
+    ("reconstruct", {"d": 2, "m": 4, "state": "trace", "beta": 3}, "beta", "trace state"),
     ("reconstruct", {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": 1.0},
-                     "basis_room": 2, "steps": 2, "beta": 2.0}, "beta", "chain"),
+                     "basis_room": 2, "steps": 2, "beta": 2.0}, "beta", "chain state"),
 ]
 
 
-@pytest.mark.parametrize("command, cfg, key, state", UNREAD,
+@pytest.mark.parametrize("command, cfg, key, reader", UNREAD,
                          ids=["trace-beta", "trace-draw", "default-trace-hamiltonian",
                               "reconstruct-trace-beta", "chain-beta"])
-def test_state_key_the_state_does_not_read_exit_3(tmp_path, capsys, command, cfg, key, state):
+def test_state_key_the_state_does_not_read_exit_3(tmp_path, capsys, command, cfg, key, reader):
     # the trace state read no beta, hamiltonian or draw and a chain no
     # top-level beta: each exited 0 as if the key were absent, which it still does
     assert run_cli(tmp_path, command, cfg) == (3, "")
     assert capsys.readouterr().err == (
-        f"rpkit: config error: config field '{key}' is not read by the {state} state\n")
+        f"rpkit: config error: config field '{key}' is not read by the {reader}\n")
     assert run_cli(tmp_path, command, {k: v for k, v in cfg.items() if k != key})[0] == 0
+
+
+@pytest.mark.parametrize("cfg", [{"d": 2, "sequence": [1.0, 0.5], "boxes": 0},
+                                 {"d": 2, "boxes": 2, "sequence": [1.0, 0.5]}],
+                         ids=["sequence-then-boxes", "boxes-then-sequence"])
+def test_sft_check_key_of_the_other_mode_exit_3(tmp_path, capsys, cfg):
+    # a sequence picks the sequence mode, which read no boxes: each exited 0,
+    # even with boxes 0, which the boxes mode refuses
+    assert run_cli(tmp_path, "sft-check", cfg) == (3, "")
+    assert capsys.readouterr().err == (
+        "rpkit: config error: config field 'boxes' is not read by the sequence mode\n")
+    assert run_cli(tmp_path, "sft-check", {k: v for k, v in cfg.items() if k != "boxes"})[0] == 0
 
 
 @pytest.mark.parametrize("command, cfg", [

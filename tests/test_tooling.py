@@ -1,5 +1,6 @@
 """Tooling contracts: the benchmark tracer's patch table names functions that
-exist, importing the package pulls in no scipy, no module imports another's
+exist, importing the package pulls in no scipy, a check of each command
+imports no numpy.ma, no module imports another's
 private name, assigns another object's private attribute or reads a private
 attribute that it does not define itself, no function but
 unit_root computes a phase with np.exp, cli exits only through its EXIT_OF
@@ -51,6 +52,46 @@ def test_cli_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+# one config of each command, with the Gibbs density, the chain window and
+# both sft-check modes
+EACH_COMMAND = [
+    ("algebra-check", {"d": 3, "m": 6}),
+    ("rp-gram", {"d": 3, "m": 8, "state": "gibbs", "beta": 1.0, "draw": {"family": "theorem"}}),
+    ("rp-gram", {"d": 2, "m": 8, "state": "gibbs", "beta": 1.0, "draw": {"family": "generic"}}),
+    ("reconstruct", {"d": 3, "m": 4, "state": "gibbs", "beta": 1.0,
+                     "draw": {"family": "theorem"}}),
+    ("reconstruct", {"d": 2, "m": 8, "chain": {"coupling": 1.0, "beta": 1.0},
+                     "basis_room": 2, "steps": 2}),
+    ("green", {"dims": [8, 8], "mass2": 1.0}),
+    ("stochastic", {"dims": [16], "mass2": 1.0, "t_grid": [0.25, 1.0, 4.0]}),
+    ("sft-check", {"d": 3, "sequence": [1.0, 0.25, 0.25]}),
+    ("sft-check", {"d": 2, "boxes": 2}),
+]
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique, np.ma and friends import numpy.ma on first use, about 1.3 MB
+    # of peak RSS in a benchmark child
+    code = f"""
+import json, sys
+from rpkit.cli import main
+for i, (command, cfg) in enumerate({EACH_COMMAND!r}):
+    path = f"cfg{{i}}.json"
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    rc = main([command, "--config", path, "--seed", "1", "--out", f"out{{i}}.json"])
+    print(command, rc, "numpy.ma" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, cwd=tmp_path)
+    lines = out.stdout.split("\n")[:-1]
+    assert [line.split()[0] for line in lines] == [c for c, _ in EACH_COMMAND]
+    assert [line for line in lines if not line.endswith(" False")] == []
+    assert all(line.split()[1] in "012" for line in lines), lines
 
 
 def _private(name: str) -> bool:
